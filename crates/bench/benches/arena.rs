@@ -20,7 +20,7 @@ fn bench_insert(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("open_table", n), &ks, |b, ks| {
             b.iter(|| {
-                let mut t: OpenTable<u64> = OpenTable::with_expected(ks.len());
+                let mut t: OpenTable<u64> = OpenTable::default();
                 for &k in ks {
                     *t.insert_absent(k, 0) += k;
                 }
@@ -44,7 +44,7 @@ fn bench_probe(c: &mut Criterion) {
     let mut group = c.benchmark_group("arena_probe");
     let n = 4096usize;
     let ks = keys(n);
-    let mut table: OpenTable<u64> = OpenTable::with_expected(n);
+    let mut table: OpenTable<u64> = OpenTable::default();
     let mut map: Key128Map<u64> = Key128Map::default();
     for &k in &ks {
         *table.insert_absent(k, 0) += k;
@@ -98,7 +98,7 @@ fn bench_iterate(c: &mut Criterion) {
     let mut group = c.benchmark_group("arena_iterate");
     let n = 4096usize;
     let ks = keys(n);
-    let mut table: OpenTable<u64> = OpenTable::with_expected(n);
+    let mut table: OpenTable<u64> = OpenTable::default();
     let mut map: Key128Map<u64> = Key128Map::default();
     for &k in &ks {
         *table.insert_absent(k, 0) += k;

@@ -11,7 +11,11 @@
 //! * memory regressed: the telemetry section's `peak_bytes_per_point`
 //!   (peak measured bytes over the canonical 4k-point robustness run,
 //!   per point — deterministic, so it gates as tightly as the speed
-//!   ratios) grew past the baseline by more than the tolerance.
+//!   ratios) grew past the baseline by more than the tolerance, or
+//! * an arena load factor (`arena_load_factor` of
+//!   `sharding.space_report.total` and of `robustness.space_report`) is
+//!   below 0.25: arenas grow from occupancy, so a table sized to a
+//!   nominal bound instead of to what it holds shows up here.
 //!
 //! Absolute ops/sec are *not* compared — they vary with the host — only
 //! the relative speedups of the batched paths over the per-op reference
@@ -43,6 +47,19 @@ const OBS_OVERHEAD_FLOOR: f64 = 0.98;
 /// bug that makes cutover wait on something (a re-ship, a retry storm)
 /// blows straight past it.
 const CUTOVER_P99_CEILING_NS: f64 = 250_000_000.0;
+
+/// Floor on the fresh report's arena load factors (live entries over
+/// reported slots). Tables double at ⅞ occupancy, so one at its peak
+/// sits between 0.44 and 0.875; stores below their peak, and small ones
+/// at the 8-slot floor, pull the aggregate down, and the floor leaves
+/// room for that.
+const ARENA_LOAD_FLOOR: f64 = 0.25;
+
+/// The load factors held to [`ARENA_LOAD_FLOOR`], as key paths.
+const ARENA_LOAD_FACTORS: [&[&str]; 2] = [
+    &["sharding", "space_report", "total", "arena_load_factor"],
+    &["robustness", "space_report", "arena_load_factor"],
+];
 
 /// Schema the fresh report must satisfy.
 const SCHEMA_VERSION: u64 = 8;
@@ -411,6 +428,13 @@ fn peak_bytes_per_point(doc: &JsonValue) -> Option<f64> {
         .as_f64()
 }
 
+/// The numeric leaf at `path` (a key per level), if present.
+fn num_at(doc: &JsonValue, path: &[&str]) -> Option<f64> {
+    path.iter()
+        .try_fold(doc, |node, key| node.get(key))?
+        .as_f64()
+}
+
 fn speedup(doc: &JsonValue, group: &str, path: &str) -> Option<f64> {
     doc.get("groups")?
         .get(group)?
@@ -531,6 +555,21 @@ fn main() {
                 "bench_guard: telemetry.space.peak_bytes_per_point: {new:.1} vs baseline {base:.1} — ok"
             );
         }
+    }
+    // Arena occupancy: absolute, not relative to the baseline — the
+    // load factor is deterministic given the workload, and a table that
+    // is mostly empty slots is the regression.
+    for path in ARENA_LOAD_FACTORS {
+        let name = path.join(".");
+        let load =
+            num_at(&fresh, path).unwrap_or_else(|| fail(&format!("fresh report lacks {name}")));
+        checked += 1;
+        if load < ARENA_LOAD_FLOOR {
+            fail(&format!(
+                "memory regression — {name} {load:.4} is below {ARENA_LOAD_FLOOR:.2}"
+            ));
+        }
+        println!("bench_guard: {name}: {load:.4} (floor {ARENA_LOAD_FLOOR:.2}) — ok");
     }
     // Serving gates. Identity is unconditional: a fresh report claiming
     // divergent coresets fails no matter what the baseline says.

@@ -20,13 +20,22 @@
 //! iteration is a straight scan — the property the snapshot/finish
 //! boundaries rely on when they sort by key to restore canonical order.
 //!
-//! Growth doubles `slots` when the *live* count crosses ⅞ occupancy;
-//! when live + tombstones cross the same bound first, the table is
-//! rebuilt at the same capacity to purge tombstones. Capacity therefore
-//! never depends on the interleaving of inserts and deletes, only on the
-//! peak live count — see [`slots_for`], which space accounting uses to
-//! report a deterministic capacity independent of transient physical
-//! states (e.g. a freshly restored checkpoint).
+//! Tables take no size hint: every table starts at `MIN_CAP` (8) slots and
+//! grows from occupancy alone. Growth doubles `slots` when the *live*
+//! count crosses ⅞ occupancy; when live + tombstones cross the same
+//! bound first, the table is rebuilt at the same capacity to purge
+//! tombstones. Capacity therefore never depends on the interleaving of
+//! inserts and deletes, only on the peak live count — see [`slots_for`],
+//! which space accounting uses to report a deterministic capacity
+//! independent of transient physical states (e.g. a freshly restored
+//! checkpoint, built in one step by [`OpenTable::from_entries`]).
+//!
+//! In the streaming `Storing` structures this means a store's cell
+//! budget α sizes nothing: it stays the FAIL budget and the floor of the
+//! occupancy cap, while the table holds `slots_for(peak_cells)`
+//! slots, which is also what space accounting reports. Checkpoint
+//! restore builds each table once, at `slots_for` of the restored cell
+//! count.
 
 /// Slot sentinel: never occupied.
 const EMPTY: u32 = u32::MAX;
@@ -52,14 +61,13 @@ fn over_load(occupied: usize, cap: usize) -> bool {
 }
 
 /// The deterministic slot capacity an [`OpenTable`] holds after its live
-/// count peaked at `peak`, having started from a size hint of `expected`
-/// entries: the smallest power-of-two ≥ [`MIN_CAP`] whose ⅞ load bound
-/// covers both. Pure in its inputs — space reports use it so that a
-/// restored checkpoint (which never saw the original's transient physical
-/// growth) accounts identically to the original run.
-pub fn slots_for(expected: usize, peak: usize) -> usize {
+/// count peaked at `peak`: the smallest power-of-two ≥ [`MIN_CAP`] whose
+/// ⅞ load bound covers `peak`. Pure in its input — space reports use it
+/// so that a restored checkpoint (which never saw the original's
+/// transient physical growth) accounts identically to the original run.
+pub fn slots_for(peak: usize) -> usize {
     let mut cap = MIN_CAP;
-    while over_load(expected, cap) || over_load(peak, cap) {
+    while over_load(peak, cap) {
         cap *= 2;
     }
     cap
@@ -72,27 +80,44 @@ pub struct OpenTable<V> {
     entries: Vec<(u64, V)>,
     /// Number of `TOMB` slots (deleted, not yet purged).
     tombs: usize,
-    /// The construction-time size hint, kept so growth and
-    /// [`Self::reported_capacity`] agree with [`slots_for`].
-    expected: usize,
 }
 
 impl<V> Default for OpenTable<V> {
+    /// An empty table at `MIN_CAP` (8) slots.
     fn default() -> Self {
-        Self::with_expected(0)
+        let _mem = sbc_obs::alloc::scope(sbc_obs::alloc::Component::Arena);
+        Self {
+            slots: vec![EMPTY; MIN_CAP],
+            entries: Vec::new(),
+            tombs: 0,
+        }
     }
 }
 
 impl<V> OpenTable<V> {
-    /// Creates a table pre-sized for about `expected` live entries.
-    pub fn with_expected(expected: usize) -> Self {
-        let _mem = sbc_obs::alloc::scope(sbc_obs::alloc::Component::Arena);
-        Self {
-            slots: vec![EMPTY; slots_for(expected, 0)],
-            entries: Vec::new(),
+    /// Builds a table holding `entries` (keys distinct) in one step, at
+    /// the [`slots_for`] capacity of their count — the capacity inserting
+    /// them one by one would reach, without the intermediate doublings.
+    /// Iteration yields them in the given order.
+    ///
+    /// # Panics
+    /// Debug-asserts that the keys are distinct.
+    pub fn from_entries(entries: Vec<(u64, V)>) -> Self {
+        let mut table = Self {
+            slots: Vec::new(),
+            entries,
             tombs: 0,
-            expected,
-        }
+        };
+        table.rebuild(slots_for(table.entries.len()));
+        debug_assert!(
+            table
+                .entries
+                .iter()
+                .enumerate()
+                .all(|(i, (k, _))| table.find(*k) == Some(i)),
+            "from_entries: duplicate keys"
+        );
+        table
     }
 
     /// Number of live entries.
@@ -108,21 +133,12 @@ impl<V> OpenTable<V> {
     }
 
     /// Physical slot count right now (may exceed the deterministic
-    /// [`Self::reported_capacity`] after merges; 0 after
+    /// [`slots_for`] of the peak live count after merges, or fall short
+    /// of it after [`Self::from_entries`]; 0 after
     /// [`Self::clear_shrink`]).
     #[inline]
     pub fn physical_slots(&self) -> usize {
         self.slots.len()
-    }
-
-    /// The deterministic capacity [`slots_for`] yields for this table's
-    /// size hint and the given peak live count. Space accounting reports
-    /// this instead of [`Self::physical_slots`] so that checkpoint
-    /// restore (which rebuilds the table from a sorted snapshot) agrees
-    /// byte-for-byte with the original run.
-    #[inline]
-    pub fn reported_capacity(&self, peak: usize) -> usize {
-        slots_for(self.expected, peak)
     }
 
     /// Looks up `key`, returning a reference to its value.
@@ -244,8 +260,7 @@ impl<V> OpenTable<V> {
     /// slot array at the current capacity (dropping all tombstones).
     pub fn retain<F: FnMut(u64, &mut V) -> bool>(&mut self, mut f: F) {
         self.entries.retain_mut(|(k, v)| f(*k, v));
-        let cap = self.slots.len().max(slots_for(self.expected, 0));
-        self.rebuild(cap);
+        self.rebuild(self.slots.len().max(MIN_CAP));
     }
 
     /// Drops all entries and releases the backing memory (the shape a
@@ -261,7 +276,7 @@ impl<V> OpenTable<V> {
     fn maintain_for_insert(&mut self) {
         let cap = self.slots.len();
         if cap == 0 {
-            self.rebuild(slots_for(self.expected, 0));
+            self.rebuild(MIN_CAP);
             return;
         }
         if over_load(self.entries.len() + self.tombs + 1, cap) {
@@ -298,7 +313,6 @@ impl<V: Clone> Clone for OpenTable<V> {
             slots: self.slots.clone(),
             entries: self.entries.clone(),
             tombs: self.tombs,
-            expected: self.expected,
         }
     }
 }
@@ -310,7 +324,7 @@ mod tests {
 
     #[test]
     fn insert_get_remove_roundtrip() {
-        let mut t: OpenTable<i64> = OpenTable::with_expected(4);
+        let mut t: OpenTable<i64> = OpenTable::default();
         for k in 0..100u64 {
             assert!(t.get(k * 7).is_none());
             t.insert_absent(k * 7, k as i64);
@@ -365,9 +379,10 @@ mod tests {
     #[test]
     fn tombstone_churn_does_not_grow_capacity() {
         // Insert/delete cycling at a fixed live count must trigger purges,
-        // not growth: capacity stays the deterministic slots_for value.
-        let mut t: OpenTable<u8> = OpenTable::with_expected(16);
-        let want_cap = slots_for(16, 16);
+        // not growth: once the live count peaks at 16, capacity is the
+        // deterministic slots_for(16) and never changes again.
+        let mut t: OpenTable<u8> = OpenTable::default();
+        let want_cap = slots_for(16);
         for round in 0..1000u64 {
             let k = round % 16;
             if t.get(k).is_some() {
@@ -375,7 +390,10 @@ mod tests {
             }
             t.insert_absent(k, 0);
             assert!(t.len() <= 16);
-            assert_eq!(t.physical_slots(), want_cap, "round {round}");
+            if round >= 15 {
+                assert_eq!(t.len(), 16);
+                assert_eq!(t.physical_slots(), want_cap, "round {round}");
+            }
         }
     }
 
@@ -397,9 +415,9 @@ mod tests {
                 b.remove(k);
             }
         }
-        assert_eq!(a.physical_slots(), slots_for(0, 200));
+        assert_eq!(a.physical_slots(), slots_for(200));
         // b's live count peaked at 101.
-        assert_eq!(b.physical_slots(), slots_for(0, 101));
+        assert_eq!(b.physical_slots(), slots_for(101));
         assert_eq!(a.len(), 100);
         assert_eq!(b.len(), 100);
     }
@@ -439,17 +457,36 @@ mod tests {
 
     #[test]
     fn slots_for_respects_load_bound() {
-        for expected in [0usize, 1, 7, 8, 100] {
-            for peak in [0usize, 1, 6, 7, 8, 13, 14, 100, 1000] {
-                let cap = slots_for(expected, peak);
-                assert!(cap.is_power_of_two() && cap >= MIN_CAP);
-                assert!(!over_load(peak, cap) && !over_load(expected, cap));
-                // Minimal: half the capacity would violate the bound
-                // (unless already at the floor).
-                if cap > MIN_CAP {
-                    assert!(over_load(peak, cap / 2) || over_load(expected, cap / 2));
-                }
+        for peak in [0usize, 1, 6, 7, 8, 13, 14, 100, 1000] {
+            let cap = slots_for(peak);
+            assert!(cap.is_power_of_two() && cap >= MIN_CAP);
+            assert!(!over_load(peak, cap));
+            // Minimal: half the capacity would violate the bound
+            // (unless already at the floor).
+            if cap > MIN_CAP {
+                assert!(over_load(peak, cap / 2));
             }
         }
+    }
+
+    #[test]
+    fn from_entries_matches_one_by_one_inserts() {
+        let entries: Vec<(u64, u64)> = (0..300u64).map(|k| (k * 11, k)).collect();
+        let built = OpenTable::from_entries(entries.clone());
+        let mut grown: OpenTable<u64> = OpenTable::default();
+        for (k, v) in &entries {
+            grown.insert_absent(*k, *v);
+        }
+        assert_eq!(built.physical_slots(), slots_for(300));
+        assert_eq!(built.physical_slots(), grown.physical_slots());
+        let order = |t: &OpenTable<u64>| t.iter().map(|(k, v)| (k, *v)).collect::<Vec<_>>();
+        assert_eq!(order(&built), order(&grown), "same iteration order");
+        for (k, v) in &entries {
+            assert_eq!(built.get(*k), Some(v));
+        }
+        assert!(built.get(1).is_none());
+        // The empty case starts at the floor, like a default table.
+        let empty: OpenTable<u64> = OpenTable::from_entries(Vec::new());
+        assert_eq!(empty.physical_slots(), MIN_CAP);
     }
 }

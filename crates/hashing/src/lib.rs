@@ -36,7 +36,7 @@ pub mod field;
 pub mod fingerprint;
 pub mod kwise;
 
-pub use arena::OpenTable;
+pub use arena::{slots_for, OpenTable};
 pub use fastmap::{Key128Hasher, Key128Map};
 pub use fingerprint::Fingerprinter;
 pub use kwise::{KWiseBernoulli, KWiseHash};

@@ -19,6 +19,18 @@ fn points(spec: &TenantSpec, n: usize, seed: u64) -> Vec<Point> {
     sbc::geometry::dataset::gaussian_mixture(gp, n, 2, 0.08, seed)
 }
 
+/// Measured bytes of a reference builder for `spec`, fresh and then
+/// fed `pts`: the footprints of an opened tenant and of one that was
+/// fed the same points.
+fn footprints(spec: &TenantSpec, pts: &[Point]) -> (usize, usize) {
+    let (params, sparams) = tenant_pipeline(spec).unwrap();
+    let mut rng = StdRng::seed_from_u64(spec.seed);
+    let mut builder = StreamCoresetBuilder::new(params, sparams, &mut rng);
+    let empty = builder.space_report().measured_bytes;
+    builder.insert_batch(pts);
+    (empty, builder.space_report().measured_bytes)
+}
+
 fn client(config: ServeConfig) -> Client<InProcess> {
     let mut c = Client::new(InProcess::new(CoresetService::new(config)));
     assert_eq!(c.hello().expect("hello"), PROTOCOL_VERSION);
@@ -134,20 +146,19 @@ fn reject_policy_refuses_and_applies_nothing() {
 #[test]
 fn shed_policy_evicts_the_fattest_other_tenant() {
     let spec = TenantSpec::default();
-    // Budget fits one tenant but not two: measure one builder first.
-    let (params, sparams) = tenant_pipeline(&spec).unwrap();
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let one = StreamCoresetBuilder::new(params, sparams, &mut rng)
-        .space_report()
-        .measured_bytes;
+    // Budget fits tenant 1 once fed, but not tenant 1 plus a freshly
+    // opened tenant 2: measure a reference builder before and after
+    // feeding it what tenant 1 will be fed.
+    let feed = points(&spec, 32, 1);
+    let (empty, fed) = footprints(&spec, &feed);
 
     let mut c = client(ServeConfig {
-        budget_bytes: one + one / 2,
+        budget_bytes: fed + empty / 2,
         policy: OverloadPolicy::Shed,
         ..ServeConfig::default()
     });
     c.open(1, spec).expect("open 1");
-    c.insert(1, &points(&spec, 32, 1)).expect("feed 1");
+    c.insert(1, &feed).expect("feed 1");
     // The second open is admitted (the decision precedes the new
     // tenant's footprint), leaving the service over budget…
     c.open(2, TenantSpec { seed: 2, ..spec }).expect("open 2");
@@ -227,25 +238,25 @@ fn restore_on_demand_respects_the_budget() {
     // disk and total measured bytes stay put, instead of every evicted
     // tenant's next request growing the service arbitrarily past budget.
     let spec = TenantSpec::default();
-    let (params, sparams) = tenant_pipeline(&spec).unwrap();
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let one = StreamCoresetBuilder::new(params, sparams, &mut rng)
-        .space_report()
-        .measured_bytes;
+    // Budget fits tenant 1 once fed, but not tenant 1 plus a freshly
+    // opened tenant 2 (sized as in the shed test above).
+    let feed = points(&spec, 16, 1);
+    let (empty, fed) = footprints(&spec, &feed);
 
     let mut c = client(ServeConfig {
-        budget_bytes: one + one / 2,
+        budget_bytes: fed + empty / 2,
         policy: OverloadPolicy::Reject,
         ..ServeConfig::default()
     });
     c.open(1, spec).expect("open 1");
-    c.insert(1, &points(&spec, 16, 1)).expect("feed 1");
+    c.insert(1, &feed).expect("feed 1");
     c.evict(1).expect("evict 1");
     c.open(2, TenantSpec { seed: 2, ..spec }).expect("open 2");
     let occupied = c.server_stats().expect("server stats").measured_bytes;
 
-    // Tenant 2 occupies ~`one` bytes; restoring tenant 1 (> `one`) would
-    // run past the 1.5×`one` budget. Every restore path must refuse.
+    // Tenant 2 occupies `empty` bytes; restoring tenant 1 (`fed` bytes)
+    // next to it would run past the `fed + empty / 2` budget. Every
+    // restore path must refuse.
     let err = c.insert(1, &points(&spec, 4, 2)).expect_err("insert");
     assert_eq!(code(&err), 220);
     let err = c.query(1).expect_err("query must not restore past budget");

@@ -26,7 +26,7 @@
 use crate::sparse::SSparseRecovery;
 use rand::Rng;
 use sbc_geometry::{CellId, GridHierarchy, Point};
-use sbc_hash::{KWiseHash, Key128Map, OpenTable};
+use sbc_hash::{slots_for, KWiseHash, Key128Map, OpenTable};
 use sbc_obs::fault::{FaultPlan, StoreFaultKind};
 use sbc_obs::trace::{self, CausalIds, TraceKind};
 use std::collections::hash_map::Entry;
@@ -35,7 +35,9 @@ use std::collections::HashMap;
 /// Sizing of one `Storing` instance.
 #[derive(Clone, Copy, Debug)]
 pub struct StoringConfig {
-    /// Cell budget `α`: FAIL when more non-empty cells survive.
+    /// Cell budget `α`: FAIL when more non-empty cells survive. Also the
+    /// floor of the exact/arena occupancy cap; it sizes no table (arenas
+    /// grow from occupancy, DESIGN.md §9.2).
     pub alpha: usize,
     /// Small-cell threshold `β`: points are recovered from cells with at
     /// most this many points.
@@ -317,7 +319,7 @@ impl Storing {
                     "arena backend needs u64 cell keys and packable points; use Backend::Exact"
                 );
                 Inner::Arena {
-                    table: OpenTable::with_expected(cfg.alpha),
+                    table: OpenTable::default(),
                     cap_cells: cap_cells.max(cfg.alpha),
                     dead: false,
                     peak_cells: 0,
@@ -974,7 +976,7 @@ impl Storing {
                 }
                 let per_cell = 8 + 8 + 1 + 24; // key + count + flag + vec header
                 let per_point = 16 + 8; // packed key + multiplicity
-                let slots = table.reported_capacity(*peak_cells) * 4;
+                let slots = slots_for(*peak_cells) * 4;
                 slots
                     + table
                         .iter()
@@ -1040,7 +1042,7 @@ impl Storing {
                 }
                 let per_cell = 8 + 8 + 1 + 24;
                 let per_point = 16 + 8;
-                let slots = table.reported_capacity(*peak_cells) * 4;
+                let slots = slots_for(*peak_cells) * 4;
                 slots
                     + peak_cells.next_power_of_two().max(8) * per_cell
                     + table
@@ -1062,7 +1064,7 @@ impl Storing {
                 dead: false,
                 peak_cells,
                 ..
-            } => Some((table.reported_capacity(*peak_cells), table.len())),
+            } => Some((slots_for(*peak_cells), table.len())),
             _ => None,
         }
     }
@@ -1152,7 +1154,6 @@ impl Storing {
     /// leaves the store untouched) on the sketch backend.
     pub fn load_snapshot(&mut self, snap: &StoringSnapshot) -> bool {
         let delta = self.grid.params().delta;
-        let alpha = self.cfg.alpha;
         match &mut self.inner {
             Inner::Exact {
                 cells,
@@ -1185,27 +1186,30 @@ impl Storing {
                 peak_cells,
                 ..
             } => {
-                *table = OpenTable::with_expected(alpha);
-                for c in &snap.cells {
-                    let key = c.cell.key128();
-                    debug_assert!(key <= u64::MAX as u128, "arena cell keys fit u64");
-                    let points: Vec<(u128, i64)> = c
-                        .points
-                        .iter()
-                        .map(|(p, m)| (p.key128(delta), *m))
-                        .collect();
-                    table.insert_absent(
-                        key as u64,
-                        ArenaRec {
-                            count: c.count,
-                            dirty: c.dirty,
-                            points,
-                        },
-                    );
-                }
                 *dead = snap.death.is_some();
                 if *dead {
                     table.clear_shrink();
+                } else {
+                    *table = OpenTable::from_entries(
+                        snap.cells
+                            .iter()
+                            .map(|c| {
+                                let key = c.cell.key128();
+                                debug_assert!(key <= u64::MAX as u128, "arena cell keys fit u64");
+                                let points = c
+                                    .points
+                                    .iter()
+                                    .map(|(p, m)| (p.key128(delta), *m))
+                                    .collect();
+                                let rec = ArenaRec {
+                                    count: c.count,
+                                    dirty: c.dirty,
+                                    points,
+                                };
+                                (key as u64, rec)
+                            })
+                            .collect(),
+                    );
                 }
                 *peak_cells = snap.peak_cells as usize;
             }

@@ -222,3 +222,59 @@ fn tombstone_purge_shrinks_measured_footprint_and_survives_restore() {
     let again = restored.checkpoint().expect("still checkpointable");
     assert_eq!(again.to_bytes(), bytes);
 }
+
+/// Memory diet: arena stores are sized to what they hold, not to their
+/// cell budget α. A fresh library-default builder holds at most the
+/// 8-slot floor per live store; after a stationary sliding-window
+/// stream (insert a batch, delete the oldest batch) the slots are at
+/// least a quarter occupied; and the report survives checkpoint →
+/// restore unchanged.
+#[test]
+fn arenas_are_sized_to_occupancy_not_to_alpha() {
+    const WINDOW: usize = 600;
+    const BATCH: usize = 40;
+    let p = params(8);
+    let sp = StreamParams {
+        kernel: Kernel::Simd,
+        ..StreamParams::default()
+    };
+    let mut b = build(&p, sp, 29);
+    let fresh = b.space_report();
+    assert!(fresh.live_stores > 0 && fresh.arena_slots > 0);
+    assert!(
+        fresh.arena_slots <= 8 * fresh.live_stores,
+        "a fresh builder holds {} arena slots over {} live stores; \
+         tables must start at the 8-slot floor, not at α",
+        fresh.arena_slots,
+        fresh.live_stores
+    );
+
+    let pts = gaussian_mixture(p.grid, 3000, 3, 0.05, 31);
+    for (i, batch) in pts.chunks(BATCH).enumerate() {
+        let mut ops: Vec<StreamOp> = batch.iter().cloned().map(StreamOp::Insert).collect();
+        if let Some(old) = (i * BATCH).checked_sub(WINDOW) {
+            ops.extend(pts[old..old + BATCH].iter().cloned().map(StreamOp::Delete));
+        }
+        b.process_all(&ops);
+    }
+    let rep = b.space_report();
+    let load = rep.arena_entries as f64 / rep.arena_slots as f64;
+    assert!(
+        load >= 0.25,
+        "arena_load_factor {load:.4} ({} entries in {} slots) below 0.25",
+        rep.arena_entries,
+        rep.arena_slots
+    );
+
+    let bytes = b.checkpoint().expect("arena stores checkpoint").to_bytes();
+    let mut snap = Snapshot::from_bytes(&bytes).expect("round-trips");
+    // The kernel is not serialized; restore onto arenas whatever
+    // `SBC_FORCE_SCALAR` says, so both reports come from one backend.
+    snap.sparams.kernel = Kernel::Simd;
+    let restored = StreamCoresetBuilder::restore(&snap).expect("restores");
+    let mut got = restored.space_report();
+    let mut want = b.space_report();
+    got.peak_measured_bytes = 0;
+    want.peak_measured_bytes = 0;
+    assert_eq!(got, want, "restore reports the same space");
+}
