@@ -1,10 +1,10 @@
-//! Micro-bench: the flat open-addressing [`OpenTable`] arena against the
-//! SipHash-free [`Key128Map`] it replaced in the hot `Storing` path —
-//! insert, probe (hit and miss), and full iteration, at store-realistic
-//! sizes (a few hundred to a few thousand live cells; DESIGN.md §9).
+//! Micro-bench: the flat open-addressing [`OpenTable`] arena of the hot
+//! `Storing` path — insert, probe (hit and miss), and full iteration,
+//! at store-realistic sizes (a few hundred to a few thousand live
+//! cells; DESIGN.md §9).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sbc_hash::{Key128Map, OpenTable};
+use sbc_hash::OpenTable;
 
 /// Deterministic well-mixed keys, reproducible across runs.
 fn keys(n: usize) -> Vec<u64> {
@@ -20,20 +20,11 @@ fn bench_insert(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("open_table", n), &ks, |b, ks| {
             b.iter(|| {
-                let mut t: OpenTable<u64> = OpenTable::default();
+                let mut t: OpenTable<u64, u64> = OpenTable::default();
                 for &k in ks {
                     *t.insert_absent(k, 0) += k;
                 }
                 black_box(t.len())
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("key128_map", n), &ks, |b, ks| {
-            b.iter(|| {
-                let mut m: Key128Map<u64> = Key128Map::default();
-                for &k in ks {
-                    *m.entry(k as u128).or_insert(0) += k;
-                }
-                black_box(m.len())
             });
         });
     }
@@ -44,11 +35,9 @@ fn bench_probe(c: &mut Criterion) {
     let mut group = c.benchmark_group("arena_probe");
     let n = 4096usize;
     let ks = keys(n);
-    let mut table: OpenTable<u64> = OpenTable::default();
-    let mut map: Key128Map<u64> = Key128Map::default();
+    let mut table: OpenTable<u64, u64> = OpenTable::default();
     for &k in &ks {
         *table.insert_absent(k, 0) += k;
-        map.insert(k as u128, k);
     }
     // Misses draw from a disjoint key range (splitmix64 is a bijection,
     // so the offset stream cannot collide with the resident one).
@@ -64,29 +53,11 @@ fn bench_probe(c: &mut Criterion) {
             black_box(acc)
         });
     });
-    group.bench_function(BenchmarkId::new("key128_map_hit", n), |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for &k in &ks {
-                acc = acc.wrapping_add(*map.get(&(k as u128)).unwrap());
-            }
-            black_box(acc)
-        });
-    });
     group.bench_function(BenchmarkId::new("open_table_miss", n), |b| {
         b.iter(|| {
             let mut hits = 0usize;
             for &k in &misses {
                 hits += usize::from(table.get(k).is_some());
-            }
-            black_box(hits)
-        });
-    });
-    group.bench_function(BenchmarkId::new("key128_map_miss", n), |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for &k in &misses {
-                hits += usize::from(map.contains_key(&(k as u128)));
             }
             black_box(hits)
         });
@@ -98,11 +69,9 @@ fn bench_iterate(c: &mut Criterion) {
     let mut group = c.benchmark_group("arena_iterate");
     let n = 4096usize;
     let ks = keys(n);
-    let mut table: OpenTable<u64> = OpenTable::default();
-    let mut map: Key128Map<u64> = Key128Map::default();
+    let mut table: OpenTable<u64, u64> = OpenTable::default();
     for &k in &ks {
         *table.insert_absent(k, 0) += k;
-        map.insert(k as u128, k);
     }
     group.throughput(Throughput::Elements(n as u64));
     group.bench_function(BenchmarkId::new("open_table", n), |b| {
@@ -110,15 +79,6 @@ fn bench_iterate(c: &mut Criterion) {
             let mut acc = 0u64;
             for (k, v) in table.iter() {
                 acc = acc.wrapping_add(k ^ *v);
-            }
-            black_box(acc)
-        });
-    });
-    group.bench_function(BenchmarkId::new("key128_map", n), |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for (k, v) in map.iter() {
-                acc = acc.wrapping_add(*k as u64 ^ *v);
             }
             black_box(acc)
         });

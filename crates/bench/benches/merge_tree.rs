@@ -50,7 +50,7 @@ fn bench_merge_fold(c: &mut Criterion) {
     for s in [2usize, 4, 8] {
         let snaps: Vec<_> = build_shards(&params, s, 8000)
             .iter()
-            .map(|b| b.checkpoint().expect("exact backend"))
+            .map(|b| b.checkpoint().expect("arena backend"))
             .collect();
         group.bench_with_input(BenchmarkId::from_parameter(s), &snaps, |b, snaps| {
             b.iter(|| {

@@ -6,8 +6,7 @@
 //! * the fresh report violates the expected schema (version, required
 //!   sections, per-path fields), or
 //! * a machine-independent throughput ratio (`speedup_vs_per_op` of the
-//!   batched paths, or the SIMD-vs-scalar `kernel_speedup`) regressed
-//!   by more than the tolerance (15%), or
+//!   batched paths) regressed by more than the tolerance (15%), or
 //! * memory regressed: the telemetry section's `peak_bytes_per_point`
 //!   (peak measured bytes over the canonical 4k-point robustness run,
 //!   per point — deterministic, so it gates as tightly as the speed
@@ -62,15 +61,14 @@ const ARENA_LOAD_FACTORS: [&[&str]; 2] = [
 ];
 
 /// Schema the fresh report must satisfy.
-const SCHEMA_VERSION: u64 = 8;
-const REQUIRED_TOP: [&str; 15] = [
+const SCHEMA_VERSION: u64 = 9;
+const REQUIRED_TOP: [&str; 14] = [
     "schema_version",
     "git_commit",
     "generated_at",
     "workload",
     "n",
     "groups",
-    "kernels",
     "sharding",
     "robustness",
     "telemetry",
@@ -194,31 +192,6 @@ fn check_schema(doc: &JsonValue, path: &str) -> Result<(), String> {
         .is_none()
     {
         return Err(format!("{path}: robustness section missing space_report"));
-    }
-    // Kernels: scalar vs SIMD on the same host; the ratio is gated.
-    let kernels = doc.get("kernels").unwrap();
-    for side in ["scalar", "simd"] {
-        for field in ["ops_per_sec", "seconds"] {
-            if kernels
-                .get(side)
-                .and_then(|s| s.get(field))
-                .and_then(JsonValue::as_f64)
-                .is_none()
-            {
-                return Err(format!(
-                    "{path}: kernels.{side} missing numeric \"{field}\""
-                ));
-            }
-        }
-    }
-    if kernels
-        .get("kernel_speedup")
-        .and_then(JsonValue::as_f64)
-        .is_none()
-    {
-        return Err(format!(
-            "{path}: kernels section missing numeric \"kernel_speedup\""
-        ));
     }
     // Sharding carries wall-clock comparisons that are deliberately NOT
     // gated (the speedup depends on the host's core count — see
@@ -496,35 +469,6 @@ fn main() {
                 ));
             }
             println!("bench_guard: {group}.{path}: {new:.3}x vs baseline {base:.3}x — ok");
-        }
-    }
-    // The SIMD kernel must stay ahead of the scalar one measured in the
-    // same process — a machine-independent ratio like the ones above.
-    match baseline
-        .get("kernels")
-        .and_then(|k| k.get("kernel_speedup"))
-        .and_then(JsonValue::as_f64)
-    {
-        None => {
-            // A pre-v4 baseline without the section cannot gate it.
-            println!("bench_guard: note: baseline lacks kernels.kernel_speedup, skipping");
-        }
-        Some(base) => {
-            let new = fresh
-                .get("kernels")
-                .and_then(|k| k.get("kernel_speedup"))
-                .and_then(JsonValue::as_f64)
-                .unwrap_or_else(|| fail("fresh report lacks kernels.kernel_speedup"));
-            let floor = base * (1.0 - TOLERANCE);
-            checked += 1;
-            if new < floor {
-                fail(&format!(
-                    "kernel regression — kernel_speedup {new:.3} is below {floor:.3} \
-                     (baseline {base:.3} − {:.0}%)",
-                    TOLERANCE * 100.0
-                ));
-            }
-            println!("bench_guard: kernels.kernel_speedup: {new:.3}x vs baseline {base:.3}x — ok");
         }
     }
     // Memory gate: peak measured bytes per point on the canonical

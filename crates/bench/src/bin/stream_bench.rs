@@ -4,9 +4,7 @@
 //! batched ladder-pruned, batched + instance-sharded parallel) on the
 //! canonical Gaussian n=4000 workload — insert-only and deletion-heavy
 //! mixed-op — and writes a machine-readable JSON report plus a human
-//! summary to stdout. A `"kernels"` section compares the scalar and
-//! SIMD/arena ingest kernels (DESIGN.md §9) on the same host and
-//! records their `kernel_speedup` ratio.
+//! summary to stdout.
 //!
 //! With the `obs` feature the run also records the workspace metrics
 //! registry: the report gains a `"metrics"` section and `--metrics-out
@@ -62,7 +60,7 @@ use sbc_distributed::DistributedCoreset;
 use sbc_geometry::{dataset, GridParams};
 use sbc_obs::fault::FaultPlan;
 use sbc_streaming::model::{churn_stream, insertion_stream, StreamOp};
-use sbc_streaming::{Kernel, Snapshot, StreamCoresetBuilder, StreamParams};
+use sbc_streaming::{Snapshot, StreamCoresetBuilder, StreamParams};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -181,35 +179,6 @@ fn bench_workload(
     let _ = write!(json, "    }}");
 }
 
-/// Same-host scalar vs SIMD/arena ingest kernels on the batched
-/// insert-only workload. The `kernel_speedup` ratio (SIMD over scalar,
-/// measured in the same process on the same ops) is machine-independent
-/// and gated by `bench_guard`; appends the `"kernels"` section.
-fn bench_kernels(params: &CoresetParams, ops: &[StreamOp], reps: usize, json: &mut String) {
-    let sp = |k: Kernel| StreamParams {
-        kernel: k,
-        ..StreamParams::default()
-    };
-    let scalar = measure("scalar", params, sp(Kernel::Scalar), ops, false, reps);
-    let simd = measure("simd", params, sp(Kernel::Simd), ops, false, reps);
-    let speedup = simd.ops_per_sec / scalar.ops_per_sec;
-
-    println!("\nkernels (insert_only batched, best of {reps}):");
-    for r in [&scalar, &simd] {
-        println!(
-            "  {:<18} {:>12.0} ops/s  ({:.3} s)",
-            r.name, r.ops_per_sec, r.best_secs
-        );
-    }
-    println!("  kernel_speedup     {speedup:>12.2}x (simd vs scalar, same host)");
-
-    let _ = writeln!(
-        json,
-        "  \"kernels\": {{\n    \"workload\": \"insert_only\",\n    \"path\": \"batched\",\n    \"scalar\": {{ \"ops_per_sec\": {:.1}, \"seconds\": {:.6} }},\n    \"simd\": {{ \"ops_per_sec\": {:.1}, \"seconds\": {:.6} }},\n    \"kernel_speedup\": {speedup:.3}\n  }},",
-        scalar.ops_per_sec, scalar.best_secs, simd.ops_per_sec, simd.best_secs
-    );
-}
-
 /// The current git commit, or `"unknown"` outside a checkout.
 fn git_commit() -> String {
     std::process::Command::new("git")
@@ -322,14 +291,14 @@ fn robustness_pass(
     for slice in ops.chunks(chunk) {
         builder.process_all(slice);
         if checkpoint_every.is_some() {
-            last_bytes = builder.checkpoint().expect("exact backend").to_bytes();
+            last_bytes = builder.checkpoint().expect("arena backend").to_bytes();
             let snap = Snapshot::from_bytes(&last_bytes).expect("own bytes decode");
             builder = StreamCoresetBuilder::restore(&snap).expect("own snapshot restores");
             taken += 1;
         }
     }
     if checkpoint_every.is_none() {
-        last_bytes = builder.checkpoint().expect("exact backend").to_bytes();
+        last_bytes = builder.checkpoint().expect("arena backend").to_bytes();
     }
     if let Some(path) = checkpoint_out {
         std::fs::write(path, &last_bytes).unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
@@ -526,7 +495,7 @@ fn main() {
     json.push_str("{\n");
     let _ = writeln!(
         json,
-        "  \"schema_version\": 8,\n  \"git_commit\": \"{}\",\n  \"generated_at\": \"{}\",",
+        "  \"schema_version\": 9,\n  \"git_commit\": \"{}\",\n  \"generated_at\": \"{}\",",
         git_commit(),
         sbc_obs::iso8601_utc_now()
     );
@@ -539,10 +508,6 @@ fn main() {
     json.push_str(",\n");
     bench_workload("mixed_deletion_heavy", &params, &mixed_ops, reps, &mut json);
     json.push_str("\n  },\n");
-
-    // Scalar vs SIMD kernel comparison on the headline workload; the
-    // ratio is gated by bench_guard.
-    bench_kernels(&params, &insert_ops, reps, &mut json);
 
     // Sharded merge-tree ingest on the larger stream (fewer reps — each
     // rep ingests 16× the ops of the headline workload).

@@ -1,17 +1,24 @@
-//! Flat open-addressing tables for the batched ingest kernels.
+//! Flat open-addressing tables: the backing store of the streaming
+//! `Storing` structures.
 //!
 //! The streaming `Storing` structures probe one table per (instance,
 //! level, role) on every stream operation. `std::collections::HashMap`
-//! (even with the cheap [`crate::Key128Hasher`]) pays for SwissTable
-//! control bytes, 128-bit keys, and per-entry boxing of the value; the
-//! ingest kernels instead key cells by *dense packed `u64` ids* and keep
-//! values in a flat arena:
+//! pays for SwissTable control bytes and per-entry boxing of the value;
+//! these tables instead key cells by *dense packed ids* and keep values
+//! in a flat arena:
 //!
 //! ```text
 //!   slots:   [ u32 ; capacity ]      power-of-two, linear probing
 //!             EMPTY | TOMB | index into `entries`
-//!   entries: [ (u64 key, V) ; len ]  dense, iterated without gaps
+//!   entries: [ (K key, V) ; len ]    dense, iterated without gaps
 //! ```
+//!
+//! The key type `K` is a [`TableKey`]: `u64` for cell ids that pack
+//! into 64 bits (every geometry with `6 + (L+2)·d ≤ 64`), `u128` for
+//! wider packings and for mixing-hash ids. Both widths share this one
+//! implementation; a narrow key keeps entries at 48 bytes for the
+//! `Storing` cell record, which is why packable geometries never pay
+//! for the wide one.
 //!
 //! Probing hashes the key with a SplitMix64 finalizer and walks `slots`
 //! linearly; a hit costs one cache line of `u32`s plus one indexed read
@@ -54,6 +61,27 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A key an [`OpenTable`] can be keyed by.
+pub trait TableKey: Copy + Eq {
+    /// The probe hash: full avalanche, since packed ids differ in few
+    /// low bits.
+    fn probe_hash(self) -> u64;
+}
+
+impl TableKey for u64 {
+    #[inline]
+    fn probe_hash(self) -> u64 {
+        splitmix64(self)
+    }
+}
+
+impl TableKey for u128 {
+    #[inline]
+    fn probe_hash(self) -> u64 {
+        splitmix64(self as u64 ^ splitmix64((self >> 64) as u64))
+    }
+}
+
 /// Whether `live + 1` more entries would overflow ⅞ of `cap` slots.
 #[inline]
 fn over_load(occupied: usize, cap: usize) -> bool {
@@ -73,16 +101,16 @@ pub fn slots_for(peak: usize) -> usize {
     cap
 }
 
-/// A flat open-addressing hash table keyed by `u64`, with dense value
-/// storage. See the module docs for layout and invariants.
-pub struct OpenTable<V> {
+/// A flat open-addressing hash table keyed by a [`TableKey`], with dense
+/// value storage. See the module docs for layout and invariants.
+pub struct OpenTable<K, V> {
     slots: Vec<u32>,
-    entries: Vec<(u64, V)>,
+    entries: Vec<(K, V)>,
     /// Number of `TOMB` slots (deleted, not yet purged).
     tombs: usize,
 }
 
-impl<V> Default for OpenTable<V> {
+impl<K, V> Default for OpenTable<K, V> {
     /// An empty table at `MIN_CAP` (8) slots.
     fn default() -> Self {
         let _mem = sbc_obs::alloc::scope(sbc_obs::alloc::Component::Arena);
@@ -94,7 +122,7 @@ impl<V> Default for OpenTable<V> {
     }
 }
 
-impl<V> OpenTable<V> {
+impl<K: TableKey, V> OpenTable<K, V> {
     /// Builds a table holding `entries` (keys distinct) in one step, at
     /// the [`slots_for`] capacity of their count — the capacity inserting
     /// them one by one would reach, without the intermediate doublings.
@@ -102,7 +130,7 @@ impl<V> OpenTable<V> {
     ///
     /// # Panics
     /// Debug-asserts that the keys are distinct.
-    pub fn from_entries(entries: Vec<(u64, V)>) -> Self {
+    pub fn from_entries(entries: Vec<(K, V)>) -> Self {
         let mut table = Self {
             slots: Vec::new(),
             entries,
@@ -143,24 +171,24 @@ impl<V> OpenTable<V> {
 
     /// Looks up `key`, returning a reference to its value.
     #[inline]
-    pub fn get(&self, key: u64) -> Option<&V> {
+    pub fn get(&self, key: K) -> Option<&V> {
         self.find(key).map(|e| &self.entries[e].1)
     }
 
     /// Looks up `key`, returning a mutable reference to its value.
     #[inline]
-    pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
+    pub fn get_mut(&mut self, key: K) -> Option<&mut V> {
         self.find(key).map(|e| &mut self.entries[e].1)
     }
 
     /// Index of `key`'s entry, if present.
     #[inline]
-    fn find(&self, key: u64) -> Option<usize> {
+    fn find(&self, key: K) -> Option<usize> {
         if self.slots.is_empty() {
             return None;
         }
         let mask = self.slots.len() - 1;
-        let mut i = splitmix64(key) as usize & mask;
+        let mut i = key.probe_hash() as usize & mask;
         loop {
             match self.slots[i] {
                 EMPTY => return None,
@@ -182,11 +210,11 @@ impl<V> OpenTable<V> {
     ///
     /// # Panics
     /// Debug-asserts that `key` is indeed absent.
-    pub fn insert_absent(&mut self, key: u64, value: V) -> &mut V {
+    pub fn insert_absent(&mut self, key: K, value: V) -> &mut V {
         debug_assert!(self.find(key).is_none(), "insert_absent on present key");
         self.maintain_for_insert();
         let mask = self.slots.len() - 1;
-        let mut i = splitmix64(key) as usize & mask;
+        let mut i = key.probe_hash() as usize & mask;
         loop {
             match self.slots[i] {
                 EMPTY => break,
@@ -205,12 +233,12 @@ impl<V> OpenTable<V> {
     /// Removes `key`, returning its value if present. The last entry is
     /// swapped into the hole and its slot patched, keeping `entries`
     /// dense.
-    pub fn remove(&mut self, key: u64) -> Option<V> {
+    pub fn remove(&mut self, key: K) -> Option<V> {
         if self.slots.is_empty() {
             return None;
         }
         let mask = self.slots.len() - 1;
-        let mut i = splitmix64(key) as usize & mask;
+        let mut i = key.probe_hash() as usize & mask;
         let e = loop {
             match self.slots[i] {
                 EMPTY => return None,
@@ -230,7 +258,7 @@ impl<V> OpenTable<V> {
         if e != last {
             // Patch the moved entry's slot to its new index.
             let moved_key = self.entries[e].0;
-            let mut j = splitmix64(moved_key) as usize & mask;
+            let mut j = moved_key.probe_hash() as usize & mask;
             loop {
                 if self.slots[j] == last as u32 {
                     self.slots[j] = e as u32;
@@ -246,19 +274,19 @@ impl<V> OpenTable<V> {
     /// key order; boundaries that need canonical order sort the yielded
     /// pairs by key.
     #[inline]
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
+    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
         self.entries.iter().map(|(k, v)| (*k, v))
     }
 
     /// Mutable variant of [`Self::iter`].
     #[inline]
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut V)> {
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (K, &mut V)> {
         self.entries.iter_mut().map(|(k, v)| (*k, v))
     }
 
     /// Keeps only entries for which `f` returns `true`, then rebuilds the
     /// slot array at the current capacity (dropping all tombstones).
-    pub fn retain<F: FnMut(u64, &mut V) -> bool>(&mut self, mut f: F) {
+    pub fn retain<F: FnMut(K, &mut V) -> bool>(&mut self, mut f: F) {
         self.entries.retain_mut(|(k, v)| f(*k, v));
         self.rebuild(self.slots.len().max(MIN_CAP));
     }
@@ -298,7 +326,7 @@ impl<V> OpenTable<V> {
         self.tombs = 0;
         let mask = cap - 1;
         for (idx, (k, _)) in self.entries.iter().enumerate() {
-            let mut i = splitmix64(*k) as usize & mask;
+            let mut i = k.probe_hash() as usize & mask;
             while self.slots[i] != EMPTY {
                 i = (i + 1) & mask;
             }
@@ -307,7 +335,7 @@ impl<V> OpenTable<V> {
     }
 }
 
-impl<V: Clone> Clone for OpenTable<V> {
+impl<K: Clone, V: Clone> Clone for OpenTable<K, V> {
     fn clone(&self) -> Self {
         Self {
             slots: self.slots.clone(),
@@ -324,7 +352,7 @@ mod tests {
 
     #[test]
     fn insert_get_remove_roundtrip() {
-        let mut t: OpenTable<i64> = OpenTable::default();
+        let mut t: OpenTable<u64, i64> = OpenTable::default();
         for k in 0..100u64 {
             assert!(t.get(k * 7).is_none());
             t.insert_absent(k * 7, k as i64);
@@ -348,7 +376,7 @@ mod tests {
     fn matches_hashmap_under_churn() {
         // Deterministic pseudo-random workload of mixed inserts/deletes
         // against a reference HashMap.
-        let mut t: OpenTable<u64> = OpenTable::default();
+        let mut t: OpenTable<u64, u64> = OpenTable::default();
         let mut m: HashMap<u64, u64> = HashMap::new();
         let mut x = 42u64;
         for step in 0..20_000u64 {
@@ -377,11 +405,30 @@ mod tests {
     }
 
     #[test]
+    fn wide_keys_resolve_on_their_high_bits() {
+        // Keys that differ only above bit 64 (a wide packing's level and
+        // leading coordinates) must still spread and resolve.
+        let key = |k: u128| (k << 64) | 7;
+        let mut t: OpenTable<u128, u64> = OpenTable::default();
+        for k in 0..500u128 {
+            t.insert_absent(key(k), k as u64);
+        }
+        for k in (0..500u128).step_by(3) {
+            assert_eq!(t.remove(key(k)), Some(k as u64));
+        }
+        for k in 0..500u128 {
+            let want = (k % 3 != 0).then_some(k as u64);
+            assert_eq!(t.get(key(k)).copied(), want);
+        }
+        assert_eq!(t.physical_slots(), slots_for(500));
+    }
+
+    #[test]
     fn tombstone_churn_does_not_grow_capacity() {
         // Insert/delete cycling at a fixed live count must trigger purges,
         // not growth: once the live count peaks at 16, capacity is the
         // deterministic slots_for(16) and never changes again.
-        let mut t: OpenTable<u8> = OpenTable::default();
+        let mut t: OpenTable<u64, u8> = OpenTable::default();
         let want_cap = slots_for(16);
         for round in 0..1000u64 {
             let k = round % 16;
@@ -401,14 +448,14 @@ mod tests {
     fn capacity_is_a_function_of_peak_not_order() {
         // Two different interleavings reaching the same peak live count
         // end at the same physical capacity, which matches slots_for.
-        let mut a: OpenTable<u8> = OpenTable::default();
+        let mut a: OpenTable<u64, u8> = OpenTable::default();
         for k in 0..200u64 {
             a.insert_absent(k, 0);
         }
         for k in 100..200u64 {
             a.remove(k);
         }
-        let mut b: OpenTable<u8> = OpenTable::default();
+        let mut b: OpenTable<u64, u8> = OpenTable::default();
         for k in 0..200u64 {
             b.insert_absent(k, 0);
             if k >= 100 {
@@ -424,7 +471,7 @@ mod tests {
 
     #[test]
     fn retain_purges_and_keeps_survivors() {
-        let mut t: OpenTable<u64> = OpenTable::default();
+        let mut t: OpenTable<u64, u64> = OpenTable::default();
         for k in 0..300u64 {
             t.insert_absent(k, k * 2);
         }
@@ -441,7 +488,7 @@ mod tests {
 
     #[test]
     fn clear_shrink_releases_memory() {
-        let mut t: OpenTable<u64> = OpenTable::default();
+        let mut t: OpenTable<u64, u64> = OpenTable::default();
         for k in 0..1000u64 {
             t.insert_absent(k, k);
         }
@@ -473,20 +520,20 @@ mod tests {
     fn from_entries_matches_one_by_one_inserts() {
         let entries: Vec<(u64, u64)> = (0..300u64).map(|k| (k * 11, k)).collect();
         let built = OpenTable::from_entries(entries.clone());
-        let mut grown: OpenTable<u64> = OpenTable::default();
+        let mut grown: OpenTable<u64, u64> = OpenTable::default();
         for (k, v) in &entries {
             grown.insert_absent(*k, *v);
         }
         assert_eq!(built.physical_slots(), slots_for(300));
         assert_eq!(built.physical_slots(), grown.physical_slots());
-        let order = |t: &OpenTable<u64>| t.iter().map(|(k, v)| (k, *v)).collect::<Vec<_>>();
+        let order = |t: &OpenTable<u64, u64>| t.iter().map(|(k, v)| (k, *v)).collect::<Vec<_>>();
         assert_eq!(order(&built), order(&grown), "same iteration order");
         for (k, v) in &entries {
             assert_eq!(built.get(*k), Some(v));
         }
         assert!(built.get(1).is_none());
         // The empty case starts at the floor, like a default table.
-        let empty: OpenTable<u64> = OpenTable::from_entries(Vec::new());
+        let empty: OpenTable<u64, u64> = OpenTable::from_entries(Vec::new());
         assert_eq!(empty.physical_slots(), MIN_CAP);
     }
 }

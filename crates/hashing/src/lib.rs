@@ -21,22 +21,18 @@
 //!   `Pr[h(x) = 1] = φ` exactly, as `⌊φ·p⌋/p`);
 //! * [`fingerprint`] — low-collision fingerprints used as checksums by the
 //!   sparse-recovery sketches in `sbc-streaming`;
-//! * [`fastmap`] — a fast non-cryptographic hasher for the `u128`-keyed
-//!   hash maps on the streaming ingest hot path (internal bookkeeping
-//!   only, never part of an algorithmic output);
-//! * [`arena`] — flat open-addressing tables keyed by packed `u64` cell
-//!   ids, the backing store of the batched ingest kernels (DESIGN.md §9).
+//! * [`arena`] — flat open-addressing tables keyed by packed `u64` or
+//!   `u128` cell ids, the backing store of the streaming `Storing`
+//!   structures (DESIGN.md §9).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod arena;
-pub mod fastmap;
 pub mod field;
 pub mod fingerprint;
 pub mod kwise;
 
-pub use arena::{slots_for, OpenTable};
-pub use fastmap::{Key128Hasher, Key128Map};
+pub use arena::{slots_for, OpenTable, TableKey};
 pub use fingerprint::Fingerprinter;
 pub use kwise::{KWiseBernoulli, KWiseHash};

@@ -80,7 +80,7 @@ pub use sbc_distributed::{CommStats, DistributedCoreset};
 pub use sbc_geometry::{GridHierarchy, GridParams, Point, WeightedPoint};
 pub use sbc_obs::fault::{FaultPlan, StoreFaultKind};
 pub use sbc_streaming::{
-    CheckpointError, EpsSchedule, Kernel, MergeError, ShardedSpaceReport, Snapshot, SpaceReport,
+    CheckpointError, EpsSchedule, MergeError, ShardedSpaceReport, Snapshot, SpaceReport,
     StoringFail, StreamCoresetBuilder, StreamOp, StreamParams, StreamParamsBuilder,
 };
 pub use sharded::ShardedIngest;

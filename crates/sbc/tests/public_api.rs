@@ -27,9 +27,9 @@ use sbc::{
     build_coreset, capacitated_cost, capacitated_lloyd, ApiError, ApiRequest, ApiResponse,
     CapacitatedSolution, CheckpointError, CommStats, ConstantsProfile, Coreset, CoresetEntry,
     CoresetParams, CoresetParamsBuilder, CostReport, DistributedCoreset, EpsSchedule, FailReason,
-    FaultPlan, GridHierarchy, GridParams, Kernel, MergeError, ParamsError, Point, SbcError,
-    ShardedIngest, ShardedSpaceReport, Snapshot, SpaceReport, StoreFaultKind, StoringFail,
-    StreamCoresetBuilder, StreamOp, StreamParams, StreamParamsBuilder, TenantSpec, WeightedPoint,
+    FaultPlan, GridHierarchy, GridParams, MergeError, ParamsError, Point, SbcError, ShardedIngest,
+    ShardedSpaceReport, Snapshot, SpaceReport, StoreFaultKind, StoringFail, StreamCoresetBuilder,
+    StreamOp, StreamParams, StreamParamsBuilder, TenantSpec, WeightedPoint,
 };
 
 /// The facade surface, spelled exactly as `public_api.txt` records it.
@@ -85,7 +85,6 @@ const SURFACE: &[&str] = &[
     "sbc::FaultPlan",
     "sbc::GridHierarchy",
     "sbc::GridParams",
-    "sbc::Kernel",
     "sbc::MergeError",
     "sbc::ParamsError",
     "sbc::Point",

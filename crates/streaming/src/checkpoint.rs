@@ -13,11 +13,12 @@
 //! The byte format reuses the little-endian [`crate::codec`] and adds an
 //! 8-byte magic plus a `u32` version so stale files fail loudly instead
 //! of decoding garbage. Collections are canonically ordered (sorted by
-//! packed key at snapshot time), so encode → decode → encode is the
+//! cell and point key at snapshot time), so encode → decode → encode is the
 //! identity on bytes.
 //!
-//! Only the exact store backend supports checkpointing; a ladder with
-//! sketch-backed stores yields [`CheckpointError::UnsupportedBackend`].
+//! Only the arena store backend, which every builder runs, supports
+//! checkpointing; a ladder with sketch-backed stores would yield
+//! [`CheckpointError::UnsupportedBackend`].
 
 use sbc_core::{ConstantsProfile, CoresetParams};
 use sbc_geometry::GridParams;
@@ -42,7 +43,7 @@ pub const VERSION: u32 = 3;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CheckpointError {
     /// A store uses the sketch backend, whose probed bucket rows have no
-    /// canonical serialization. Configure exact stores to checkpoint.
+    /// canonical serialization. Configure arena stores to checkpoint.
     UnsupportedBackend,
     /// The buffer does not start with the checkpoint magic.
     BadMagic,
@@ -305,11 +306,6 @@ impl Encode for StreamParams {
 impl Decode for StreamParams {
     fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
         Some(StreamParams {
-            // Not serialized: the kernel is an execution strategy, not
-            // logical state (both kernels resume a snapshot to
-            // bit-identical outputs), so a restored builder re-derives
-            // it from the restoring host's environment.
-            kernel: crate::coreset_stream::Kernel::env_default(),
             est_rate: f64::decode(buf, cursor)?,
             alpha_factor: f64::decode(buf, cursor)?,
             rows: usize::decode(buf, cursor)?,

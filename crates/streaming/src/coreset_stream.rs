@@ -43,53 +43,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// parallel fork, small enough that the SoA buffer stays cache-friendly.
 const INGEST_BATCH: usize = 4096;
 
-/// Which ingest kernel drives the hot loop (see DESIGN.md §9).
-///
-/// Both kernels produce bit-identical coresets, snapshots, summaries
-/// and merge results; they differ only in speed and in the memory
-/// layout of the per-store state (which the space report surfaces via
-/// its `arena_*` fields).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Kernel {
-    /// Portable reference path: per-point `CellId` materialization and
-    /// `u128`-keyed hash-map stores.
-    Scalar,
-    /// Batch kernels: cell paths are derived as bit-packed `u64` keys
-    /// straight from the floored shifted coordinates, hash polynomials
-    /// are evaluated four lanes at a time, and stores are flat
-    /// open-addressing arenas. Automatically falls back to the scalar
-    /// layout when the cube geometry doesn't pack (`6 + (L+2)·d > 64`
-    /// or point keys wider than 128 bits), so this default is always
-    /// the fastest *correct* path.
-    #[default]
-    Simd,
-}
-
-impl Kernel {
-    /// The environment-aware default: [`Kernel::Simd`] unless
-    /// `SBC_FORCE_SCALAR` is set (to anything but `0`), which forces
-    /// the portable path — CI uses this to keep the fallback honest.
-    pub fn env_default() -> Self {
-        match std::env::var_os("SBC_FORCE_SCALAR") {
-            Some(v) if v != "0" => Kernel::Scalar,
-            _ => Kernel::Simd,
-        }
-    }
-}
-
 /// Streaming-specific knobs (the coreset parameters proper live in
 /// [`CoresetParams`]).
-///
-/// Equality ignores [`StreamParams::kernel`]: the kernel changes the
-/// execution strategy, never the distribution over outputs, so two
-/// builders differing only in kernel are still shards of one logical
-/// stream (and may be merged or restored into one another).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StreamParams {
-    /// Ingest kernel selection; see [`Kernel`]. Not serialized in
-    /// checkpoints (a restored builder re-derives it from the
-    /// environment), and ignored by `==`.
-    pub kernel: Kernel,
     /// Expected number of size-estimation samples at the heavy-cell
     /// threshold: `ψᵢ = min(1, est_rate/Tᵢ(o))` (the paper's
     /// `10⁶λ′/Tᵢ(o)`, Algorithm 3). Larger ⇒ sharper `τ` estimates,
@@ -99,8 +56,8 @@ pub struct StreamParams {
     pub alpha_factor: f64,
     /// Rows in each `Storing` structure.
     pub rows: usize,
-    /// Hard per-store distinct-cell cap of the exact backend (runaway
-    /// instances die at this occupancy and free their memory).
+    /// Hard per-store distinct-cell cap (runaway stores die at this
+    /// occupancy and free their memory).
     pub cap_cells: usize,
     /// Optional upper end for the `o` ladder (e.g. derived from an
     /// expected stream size); `None` uses the paper's full range
@@ -127,25 +84,9 @@ pub struct StreamParams {
     pub faults: FaultPlan,
 }
 
-impl PartialEq for StreamParams {
-    fn eq(&self, other: &Self) -> bool {
-        // `kernel` deliberately excluded — see the struct docs.
-        self.est_rate == other.est_rate
-            && self.alpha_factor == other.alpha_factor
-            && self.rows == other.rows
-            && self.cap_cells == other.cap_cells
-            && self.o_ladder_max == other.o_ladder_max
-            && self.parallel == other.parallel
-            && self.threads == other.threads
-            && self.shards == other.shards
-            && self.faults == other.faults
-    }
-}
-
 impl Default for StreamParams {
     fn default() -> Self {
         Self {
-            kernel: Kernel::env_default(),
             est_rate: 192.0,
             alpha_factor: 8.0,
             rows: 4,
@@ -177,13 +118,6 @@ pub struct StreamParamsBuilder {
 }
 
 impl StreamParamsBuilder {
-    /// Selects the ingest kernel (defaults to [`Kernel::env_default`],
-    /// i.e. the fastest correct path unless `SBC_FORCE_SCALAR` is set).
-    pub fn kernel(mut self, v: Kernel) -> Self {
-        self.inner.kernel = v;
-        self
-    }
-
     /// Sets the size-estimation sample rate (must be positive).
     pub fn est_rate(mut self, v: f64) -> Self {
         self.inner.est_rate = v;
@@ -367,18 +301,14 @@ impl RouteTables {
 /// shared across the instance ladder, computed once per point.
 ///
 /// Hash values and ladder cuts are stored column-major (`(l+1)` columns
-/// of `n` entries each); cells and cell keys row-major (`l+2` levels per
-/// op, level `idx − 1` at offset `idx`).
+/// of `n` entries each); cell keys row-major (`l+2` levels per op, level
+/// `idx − 1` at offset `idx`).
 #[derive(Default)]
 struct BatchSoa {
     keys: Vec<u128>,
     deltas: Vec<i64>,
-    /// Materialized cells — left empty by the packed kernel, which
-    /// routes by `cell_keys` alone.
-    cells: Vec<CellId>,
     cell_keys: Vec<u128>,
-    /// Scratch: the current point's floored shifted coordinates
-    /// (packed kernel only).
+    /// Scratch: the current point's floored shifted coordinates.
     us: Vec<i64>,
     hv: Vec<u64>,
     hpv: Vec<u64>,
@@ -412,8 +342,7 @@ pub struct SpaceReport {
     /// Stores dead by `StoreDeath::SketchOverflow` (bucket overflows,
     /// natural or injected).
     pub sketch_overflow: usize,
-    /// Total open-addressing slots across live arena-backed stores
-    /// (the packed kernel's flat tables; `0` under the scalar kernel).
+    /// Total open-addressing slots across live arena-backed stores.
     /// Deterministic: derived from each store's cell high-water mark,
     /// not from transient allocations.
     pub arena_slots: usize,
@@ -644,7 +573,7 @@ pub struct RoleLevelSummary {
     pub beta: usize,
     /// The cell budget α of this store (re-checked after merging).
     pub alpha: usize,
-    /// Small cells whose points were lost to mid-stream eviction (exact
+    /// Small cells whose points were lost to mid-stream eviction (arena
     /// backend; see `StoringOutput::dirty_small_cells`).
     pub dirty_small_cells: Vec<CellId>,
 }
@@ -746,10 +675,6 @@ pub struct StreamCoresetBuilder {
     hhat_hashes: Vec<KWiseHash>,
     instances: Vec<OInstance>,
     routes: RouteTables,
-    /// Whether the packed kernel is active: [`Kernel::Simd`] requested
-    /// *and* the geometry packs (see [`geometry_packs`]). When set, the
-    /// stores are arena-backed and batches route by dense keys alone.
-    packed: bool,
     net_count: i64,
     /// Gross stream operations absorbed (inserts + deletes): the causal
     /// op index stamped on trace events and carried across checkpoints.
@@ -792,7 +717,6 @@ impl StreamCoresetBuilder {
 
         let instances = Self::build_ladder(&params, &sparams, &grid, rng);
         let routes = RouteTables::build(&instances, l as usize);
-        let packed = sparams.kernel == Kernel::Simd && geometry_packs(&params.grid);
 
         Self {
             params,
@@ -803,7 +727,6 @@ impl StreamCoresetBuilder {
             hhat_hashes,
             instances,
             routes,
-            packed,
             net_count: 0,
             ops_seen: 0,
             merge_depth: 0,
@@ -813,7 +736,7 @@ impl StreamCoresetBuilder {
         }
     }
 
-    /// Builds the geometric `o` ladder of instances. Exact-backend store
+    /// Builds the geometric `o` ladder of instances. Arena-backend store
     /// construction never consumes `rng` — restore relies on this to
     /// rebuild the ladder structurally with a throwaway RNG.
     fn build_ladder<R: Rng + ?Sized>(
@@ -830,11 +753,10 @@ impl StreamCoresetBuilder {
                     * sbc_geometry::metric::pow_r((gp.d as f64).sqrt() * gp.delta as f64, params.r)
             })
             .max(2.0);
-        let use_arena = sparams.kernel == Kernel::Simd && geometry_packs(&params.grid);
         let mut instances = Vec::new();
         let mut o = 1.0f64;
         while o <= o_max {
-            instances.push(OInstance::new(params, sparams, grid, o, use_arena, rng));
+            instances.push(OInstance::new(params, sparams, grid, o, rng));
             o *= 2.0;
         }
         instances
@@ -1039,64 +961,48 @@ impl StreamCoresetBuilder {
 
         soa.keys.clear();
         soa.deltas.clear();
-        soa.cells.clear();
         soa.cell_keys.clear();
-        if self.packed {
-            // Packed cell-path kernel (DESIGN.md §9): one floor per
-            // coordinate yields the level-L index, every coarser level
-            // is a right shift, and the dense key is assembled with the
-            // exact bit layout of `CellId::pack` — no `CellId` is ever
-            // materialized. `route_range` then drives the stores
-            // through the key-only entry point.
-            let shift = self.grid.shift();
-            for &(p, delta) in ops {
-                debug_assert_eq!(p.dim(), gp.d);
-                soa.keys.push(p.key128(gp.delta));
-                soa.deltas.push(delta);
-                soa.us.clear();
-                let mut in_range = true;
-                for (j, &c) in p.coords().iter().enumerate() {
-                    // u = ⌊c + v⌋: the level-L cell index, since g_L = 1.
-                    // Coarser sides are powers of two, f64 divides by
-                    // them exactly, and ⌊·⌋ commutes with halving on
-                    // non-negatives — so level i's index is u >> (L−i)
-                    // (level −1, side 2Δ, is u >> (L+1)).
-                    let u = (c as f64 + shift[j]).floor() as i64;
-                    in_range &= (0..(1i64 << (l + 1))).contains(&u);
-                    soa.us.push(u);
-                }
-                if in_range {
-                    for i in -1..=l {
-                        let (width, down) = if i >= 0 {
-                            ((i + 2) as u32, (l - i) as u32)
-                        } else {
-                            (1, (l + 1) as u32)
-                        };
-                        let mut key = (i + 1) as u128;
-                        for &u in &soa.us {
-                            key = (key << width) | (u >> down) as u128;
-                        }
-                        soa.cell_keys.push(key);
-                    }
-                } else {
-                    // A coordinate outside [Δ]^d (out of the data-model
-                    // contract): take the reference path for this point
-                    // so the keys still match the per-op pipeline.
-                    for i in -1..=l {
-                        soa.cell_keys.push(self.grid.cell_of(p, i).key128());
-                    }
-                }
+        // Cell-path kernel (DESIGN.md §9): one floor per coordinate yields
+        // the level-L index, every coarser level is a right shift, and the
+        // key is assembled with the exact bit layout of `CellId::pack` —
+        // no `CellId` is materialized. Levels whose packing exceeds 128
+        // bits are keyed by `CellId::key128`'s mixing hash instead.
+        let shift = self.grid.shift();
+        for &(p, delta) in ops {
+            debug_assert_eq!(p.dim(), gp.d);
+            soa.keys.push(p.key128(gp.delta));
+            soa.deltas.push(delta);
+            soa.us.clear();
+            let mut in_range = true;
+            for (j, &c) in p.coords().iter().enumerate() {
+                // u = ⌊c + v⌋: the level-L cell index, since g_L = 1.
+                // Coarser sides are powers of two, f64 divides by them
+                // exactly, and ⌊·⌋ commutes with halving on non-negatives
+                // — so level i's index is u >> (L−i) (level −1, side 2Δ,
+                // is u >> (L+1)).
+                let u = (c as f64 + shift[j]).floor() as i64;
+                in_range &= (0..(1i64 << (l + 1))).contains(&u);
+                soa.us.push(u);
             }
-        } else {
-            for &(p, delta) in ops {
-                debug_assert_eq!(p.dim(), gp.d);
-                soa.keys.push(p.key128(gp.delta));
-                soa.deltas.push(delta);
-                for i in -1..=l {
-                    let cell = self.grid.cell_of(p, i);
-                    soa.cell_keys.push(cell.key128());
-                    soa.cells.push(cell);
-                }
+            for i in -1..=l {
+                let (width, down) = if i >= 0 {
+                    ((i + 2) as u32, (l - i) as u32)
+                } else {
+                    (1, (l + 1) as u32)
+                };
+                let key = if in_range && 6 + width as usize * gp.d <= 128 {
+                    let mut key = (i + 1) as u128;
+                    for &u in &soa.us {
+                        key = (key << width) | (u >> down) as u128;
+                    }
+                    key
+                } else {
+                    // Too wide to pack, or a coordinate outside [Δ]^d
+                    // (out of the data-model contract): the reference
+                    // key, so batches still match the per-op pipeline.
+                    self.grid.cell_of(p, i).key128()
+                };
+                soa.cell_keys.push(key);
             }
         }
 
@@ -1158,16 +1064,15 @@ impl StreamCoresetBuilder {
         let shards = self.effective_shards(ops.len());
         let instances = &mut self.instances[..];
         let routes = &self.routes;
-        let packed = self.packed;
         let soa = &soa;
         if shards <= 1 {
-            route_range(instances, 0, ops, soa, routes, levels, packed);
+            route_range(instances, 0, ops, soa, routes, levels);
         } else {
             let chunk = instances.len().div_ceil(shards);
             rayon::scope(|scope| {
                 for (ci, shard) in instances.chunks_mut(chunk).enumerate() {
                     scope.spawn(move |_| {
-                        route_range(shard, ci * chunk, ops, soa, routes, levels, packed);
+                        route_range(shard, ci * chunk, ops, soa, routes, levels);
                     });
                 }
             });
@@ -1237,9 +1142,9 @@ impl StreamCoresetBuilder {
         let l = gp.l as i32;
         debug_assert_eq!(p.dim(), gp.d);
         let key = p.key128(gp.delta);
-        // Cells and hash values once per level, shared by every instance.
-        let cells: Vec<CellId> = (-1..=l).map(|i| self.grid.cell_of(p, i)).collect();
-        let cell_keys: Vec<u128> = cells.iter().map(CellId::key128).collect();
+        // Cell keys and hash values once per level, shared by every
+        // instance.
+        let cell_keys: Vec<u128> = (-1..=l).map(|i| self.grid.cell_of(p, i).key128()).collect();
         let hv: Vec<u64> = self.h_hashes.iter().map(|h| h.eval(key)).collect();
         let hpv: Vec<u64> = self.hp_hashes.iter().map(|h| h.eval(key)).collect();
         let hhv: Vec<u64> = self.hhat_hashes.iter().map(|h| h.eval(key)).collect();
@@ -1248,35 +1153,17 @@ impl StreamCoresetBuilder {
             // Role h: levels −1..=L−1, store/threshold/hash index = level + 1.
             for idx in 0..=(l as usize) {
                 if hv[idx] < inst.psi_thr[idx] {
-                    inst.h_stores[idx].update_precomputed(
-                        p,
-                        key,
-                        &cells[idx],
-                        cell_keys[idx],
-                        delta,
-                    );
+                    inst.h_stores[idx].update_precomputed(p, key, cell_keys[idx], delta);
                 }
             }
             // Role h′ and ĥ: levels 0..=L, index = level.
             for level in 0..=(l as usize) {
                 if hpv[level] < inst.psip_thr[level] {
-                    inst.hp_stores[level].update_precomputed(
-                        p,
-                        key,
-                        &cells[level + 1],
-                        cell_keys[level + 1],
-                        delta,
-                    );
+                    inst.hp_stores[level].update_precomputed(p, key, cell_keys[level + 1], delta);
                 }
                 if let Some(st) = &mut inst.hhat_stores[level] {
                     if hhv[level] < inst.phi_thr[level] {
-                        st.update_precomputed(
-                            p,
-                            key,
-                            &cells[level + 1],
-                            cell_keys[level + 1],
-                            delta,
-                        );
+                        st.update_precomputed(p, key, cell_keys[level + 1], delta);
                     }
                 }
             }
@@ -1461,7 +1348,7 @@ impl StreamCoresetBuilder {
         let hp_hashes = rebuild(&snap.hp_coeffs)?;
         let hhat_hashes = rebuild(&snap.hhat_coeffs)?;
 
-        // Exact-backend construction draws nothing from the RNG, so a
+        // Arena-backend construction draws nothing from the RNG, so a
         // throwaway seed rebuilds the ladder (thresholds, budgets, fault
         // arming) exactly; only store *contents* come from the snapshot.
         let mut throwaway = StdRng::seed_from_u64(0);
@@ -1510,7 +1397,6 @@ impl StreamCoresetBuilder {
             snap.net_count.unsigned_abs(),
         );
 
-        let packed = sparams.kernel == Kernel::Simd && geometry_packs(&params.grid);
         Ok(Self {
             params,
             sparams,
@@ -1520,7 +1406,6 @@ impl StreamCoresetBuilder {
             hhat_hashes,
             instances,
             routes,
-            packed,
             net_count: snap.net_count,
             ops_seen: snap.ops_seen,
             merge_depth: snap.merge_depth,
@@ -1726,17 +1611,6 @@ impl StreamCoresetBuilder {
 /// being revisited once per op. The scan itself is a branch over the
 /// precomputed ladder cut, and stores past the batch's maximum cut are
 /// skipped without scanning.
-/// Whether the cube geometry admits the packed kernel: every cell id of
-/// levels `−1..=L` packs into a dense `u64` (6 bits of level plus a
-/// `(level+2)`-bit offset per coordinate, widest at level `L`) and every
-/// point key is an injective `u128` packing. When this fails the builder
-/// silently runs the scalar layout regardless of [`Kernel`] — correct
-/// first, fast second.
-fn geometry_packs(gp: &sbc_geometry::GridParams) -> bool {
-    6 + (gp.l as usize + 2) * gp.d <= 64
-        && sbc_geometry::point::bits_for(gp.delta) as usize * gp.d <= 128
-}
-
 fn route_range(
     shard: &mut [OInstance],
     base: usize,
@@ -1744,7 +1618,6 @@ fn route_range(
     soa: &BatchSoa,
     routes: &RouteTables,
     levels: usize,
-    packed: bool,
 ) {
     let n = ops.len();
     let len = shard.len();
@@ -1755,37 +1628,21 @@ fn route_range(
         let max = cuts.iter().copied().max().unwrap_or(0) as usize;
         max.saturating_sub(base).min(len)
     };
-    // Drives every accepted op of the batch into one store. The packed
-    // kernel routes by dense keys alone (no `CellId` exists to pass);
-    // the scalar layout hands the store its precomputed cell.
+    // Drives every accepted op of the batch into one store, by keys.
+    // Lockstep iterators (no per-op bounds checks): the op's cell row is
+    // a `stride`-wide chunk, `coff` picks the level. The whole accepted
+    // scan drains through one batch call so the store's per-update
+    // overhead is hoisted out of the loop.
     let drive = |store: &mut Storing, cuts: &[u32], g: u32, coff: usize| {
-        if packed {
-            // Lockstep iterators (no per-op bounds checks): the op's
-            // cell row is a `stride`-wide chunk, `coff` picks the level.
-            // The whole accepted scan drains through one batch call so
-            // the store's per-update overhead is hoisted out of the loop.
-            let rows = soa.cell_keys.chunks_exact(stride);
-            store.update_packed_many(
-                cuts.iter()
-                    .zip(&soa.keys)
-                    .zip(&soa.deltas)
-                    .zip(rows)
-                    .filter(|(((&cut, _), _), _)| cut > g)
-                    .map(|(((_, &key), &delta), row)| (key, row[coff], delta)),
-            );
-        } else {
-            for i in 0..n {
-                if cuts[i] > g {
-                    store.update_precomputed(
-                        ops[i].0,
-                        soa.keys[i],
-                        &soa.cells[i * stride + coff],
-                        soa.cell_keys[i * stride + coff],
-                        soa.deltas[i],
-                    );
-                }
-            }
-        }
+        let rows = soa.cell_keys.chunks_exact(stride);
+        store.update_many(
+            cuts.iter()
+                .zip(ops)
+                .zip(&soa.keys)
+                .zip(rows)
+                .filter(|(((&cut, _), _), _)| cut > g)
+                .map(|(((_, &(p, delta)), &key), row)| (p, key, row[coff], delta)),
+        );
     };
     for idx in 0..levels {
         let cut_h = &soa.cut_h[idx * n..(idx + 1) * n];
@@ -1822,22 +1679,14 @@ impl OInstance {
         sparams: &StreamParams,
         grid: &GridHierarchy,
         o: f64,
-        use_arena: bool,
         rng: &mut R,
     ) -> Self {
         let l = params.l() as i32;
         let gamma = params.gamma();
         let kl = params.k as f64 * params.l().max(1) as f64;
         let dpow = params.d_pow().min(16.0);
-        // Same caps and FAIL semantics either way; the arena backend is
-        // the flat-layout twin of the exact one (bit-identical outputs).
-        let backend = |alpha: usize| {
-            let cap_cells = (8 * alpha + 1024).min(sparams.cap_cells).max(alpha + 1);
-            if use_arena {
-                Backend::Arena { cap_cells }
-            } else {
-                Backend::Exact { cap_cells }
-            }
+        let backend = |alpha: usize| Backend::Arena {
+            cap_cells: (8 * alpha + 1024).min(sparams.cap_cells).max(alpha + 1),
         };
 
         let mut psi = Vec::new();
@@ -2002,7 +1851,7 @@ impl OInstance {
         // the same configurations reserves as linear sketches. Dead
         // stores count too — a fixed-size sketch does not give memory
         // back mid-stream (only `store_bytes`, the measured figure,
-        // drops when the exact backend frees a killed store).
+        // drops when the arena backend frees a killed store).
         self.h_stores
             .iter()
             .chain(&self.hp_stores)
@@ -2133,7 +1982,7 @@ mod tests {
         assert_eq!(healthy.runaway_kill, 0);
         assert_eq!(healthy.sketch_overflow, 0);
         assert!(starved.dead_stores > 0, "cap 64 must kill runaway stores");
-        // Exact backends die only by the cap: the breakdown must put every
+        // Arena backends die only by the cap: the breakdown must put every
         // death in the runaway bucket and balance against the live count.
         assert_eq!(starved.runaway_kill, starved.dead_stores);
         assert_eq!(starved.sketch_overflow, 0);

@@ -15,9 +15,9 @@
 //! * `ĥᵢ` at rate `φᵢ` — the candidate coreset points themselves.
 //!
 //! Each substream is summarized by a `Storing(Gᵢ, α, β, δ)` structure
-//! (Lemma 4.2): [`storing`] provides an exact backend (hash maps with
-//! per-cell eviction and occupancy caps — behaviourally faithful, with
-//! measured space) and a genuine linear-sketch backend built from the
+//! (Lemma 4.2): [`storing`] provides an arena backend (flat hash tables
+//! with per-cell eviction and occupancy caps — behaviourally faithful,
+//! with measured space) and a genuine linear-sketch backend built from the
 //! s-sparse recovery structures in [`sparse`] (insert/delete-oblivious,
 //! fixed space). At end of stream, [`StreamCoresetBuilder::finish`]
 //! replays Algorithms 1 + 2 on the estimates of the smallest workable
@@ -43,7 +43,7 @@ pub mod storing;
 
 pub use checkpoint::{CheckpointError, Snapshot};
 pub use coreset_stream::{
-    human_bytes, InstanceSummary, Kernel, ShardedSpaceReport, SpaceReport, StreamCoresetBuilder,
+    human_bytes, InstanceSummary, ShardedSpaceReport, SpaceReport, StreamCoresetBuilder,
     StreamParams, StreamParamsBuilder,
 };
 pub use merge::{EpsSchedule, MergeError};

@@ -25,7 +25,7 @@ pub enum MergeError {
     /// coefficients — they are not shards of one logical stream.
     Incompatible(String),
     /// A store uses the sketch backend, which has no mergeable
-    /// representation yet (configure exact stores to merge).
+    /// representation yet (configure arena stores to merge).
     UnsupportedBackend,
 }
 

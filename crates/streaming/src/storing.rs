@@ -16,27 +16,37 @@
 //!   inserts and deletes interleave; cells colliding with an over-β cell
 //!   in one row survive in another row w.h.p. — this is HSYZ18's scheme
 //!   that Lemma 4.2 cites.
-//! * [`Backend::Exact`] — hash maps with the same *output and FAIL
-//!   semantics*, plus per-cell point eviction (cells whose multiplicity
-//!   exceeds `2β` drop their point list, mirroring the sketch's bucket
-//!   overflow) and a distinct-cell occupancy cap that kills runaway
-//!   substreams cheaply. Behaviourally faithful, measured (not bounded)
-//!   space; the default for large exact-validation runs.
+//! * [`Backend::Arena`] — a flat open-addressing table (DESIGN.md §9)
+//!   with the same *output and FAIL semantics*, plus per-cell point
+//!   eviction (cells whose multiplicity exceeds `2β` drop their point
+//!   list, mirroring the sketch's bucket overflow) and a distinct-cell
+//!   occupancy cap that kills runaway substreams cheaply. Behaviourally
+//!   faithful, measured (not bounded) space; what the streaming builder
+//!   runs, and the only backend that checkpoints and merges.
+//!
+//! The arena keys cells by `CellId::pack` and points by `Point::pack`.
+//! Where a packing does not fit 128 bits the key is a mixing hash
+//! (`key128`), which does not invert; the store then keeps a name table
+//! (key → `CellId`, key → `Point`), filled from the point each update
+//! carries, to decode those keys at finish, snapshot and merge. Cell
+//! keys live in a `u64` when the level's packing fits 64 bits and every
+//! key unpacks (no name table), and in a `u128` otherwise. Which width
+//! and which name tables a store uses follows from the grid parameters
+//! and the level alone.
 
 use crate::sparse::SSparseRecovery;
 use rand::Rng;
 use sbc_geometry::{CellId, GridHierarchy, Point};
-use sbc_hash::{slots_for, KWiseHash, Key128Map, OpenTable};
+use sbc_hash::{slots_for, KWiseHash, OpenTable, TableKey};
 use sbc_obs::fault::{FaultPlan, StoreFaultKind};
 use sbc_obs::trace::{self, CausalIds, TraceKind};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Sizing of one `Storing` instance.
 #[derive(Clone, Copy, Debug)]
 pub struct StoringConfig {
     /// Cell budget `α`: FAIL when more non-empty cells survive. Also the
-    /// floor of the exact/arena occupancy cap; it sizes no table (arenas
+    /// floor of the arena's occupancy cap; it sizes no table (arenas
     /// grow from occupancy, DESIGN.md §9.2).
     pub alpha: usize,
     /// Small-cell threshold `β`: points are recovered from cells with at
@@ -49,21 +59,14 @@ pub struct StoringConfig {
 /// Which implementation backs a [`Storing`].
 #[derive(Clone, Copy, Debug)]
 pub enum Backend {
-    /// Hash-map backend with per-cell eviction and an occupancy cap.
-    Exact {
+    /// Flat open-addressing arena backend (DESIGN.md §9) with per-cell
+    /// eviction and an occupancy cap: cells are keyed by their packed
+    /// ids (or mixing hashes, see the module docs) in an [`OpenTable`]
+    /// and point payloads are dense `(point key, multiplicity)` vectors.
+    Arena {
         /// Maximum distinct non-empty cells tracked before the structure
         /// declares itself overflowed (frees its memory, FAILs at
         /// finish). Set this several× above `alpha`.
-        cap_cells: usize,
-    },
-    /// Flat open-addressing arena backend (DESIGN.md §9): the same
-    /// output/FAIL/eviction semantics as [`Backend::Exact`], bit for
-    /// bit, but cells are keyed by their *packed* `u64` ids in an
-    /// [`OpenTable`] and point payloads are dense `(packed key,
-    /// multiplicity)` vectors. Requires packable cell and point keys
-    /// (the batched kernel gate checks this before selecting it).
-    Arena {
-        /// Occupancy cap, as for [`Backend::Exact`].
         cap_cells: usize,
     },
     /// Linear-sketch backend (fixed space, needs packable keys).
@@ -73,7 +76,7 @@ pub enum Backend {
 /// How a store died mid-stream (see [`Storing::death`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StoreDeath {
-    /// Exact backend: distinct-cell occupancy hit `cap_cells` and the
+    /// Arena backend: distinct-cell occupancy hit `cap_cells` and the
     /// runaway substream was killed to reclaim its memory.
     RunawayKill,
     /// Sketch backend: the lazily-allocated bucket population overflowed
@@ -91,7 +94,7 @@ pub enum StoringFail {
         /// The budget `α`.
         alpha: usize,
     },
-    /// The exact backend hit its occupancy cap mid-stream (the sketch
+    /// The arena backend hit its occupancy cap mid-stream (the sketch
     /// analogue would simply decode garbage; we surface it explicitly).
     Overflowed,
     /// A sparse-recovery decode failed (content denser than sized for).
@@ -119,7 +122,7 @@ pub struct StoringOutput {
     pub cells: Vec<(CellId, i64)>,
     /// Points (with multiplicity) lying in cells of ≤ β points.
     pub small_points: Vec<(Point, i64)>,
-    /// Exact backend only: small cells whose point payload was evicted
+    /// Arena backend only: small cells whose point payload was evicted
     /// mid-stream (count exceeded `2β`, then deletions brought it back
     /// under `β`). Their points are *missing* from `small_points`;
     /// consumers that need them must treat the structure as failed. The
@@ -128,36 +131,492 @@ pub struct StoringOutput {
     pub dirty_small_cells: Vec<CellId>,
 }
 
-struct CellRec {
-    count: i64,
-    dirty: bool,
-    cell: CellId,
-    points: Key128Map<(Point, i64)>,
-}
-
 /// One cell's state in the arena backend: the cell id lives in the
-/// table key (packed `u64`), points live as packed `u128` keys — both
-/// reconstructed via `unpack` only at finish/snapshot boundaries.
-#[derive(Clone)]
+/// table key, points live as `u128` keys — both turned back into a
+/// `CellId` / [`Point`] only at finish, snapshot and merge boundaries.
+#[derive(Clone, Default)]
 struct ArenaRec {
     count: i64,
     dirty: bool,
     points: Vec<(u128, i64)>,
 }
 
+/// A cell-key width of the arena: `u64` when the level's packed cell ids
+/// fit 64 bits and every key unpacks, `u128` otherwise.
+trait CellKey: TableKey + Into<u128> {
+    /// Whether an arena of this width may keep name tables; the narrow
+    /// one never does, which compiles the name upkeep out of its hot
+    /// path.
+    const NAMED: bool;
+
+    /// The key from its 128-bit form, which fits by the constructor's
+    /// choice of width.
+    fn from_wide(key: u128) -> Self;
+}
+
+impl CellKey for u64 {
+    const NAMED: bool = false;
+
+    #[inline]
+    fn from_wide(key: u128) -> Self {
+        debug_assert!(key <= u64::MAX as u128, "narrow cell keys fit u64");
+        key as u64
+    }
+}
+
+impl CellKey for u128 {
+    const NAMED: bool = true;
+
+    #[inline]
+    fn from_wide(key: u128) -> Self {
+        key
+    }
+}
+
+/// Key → name table for keys that are mixing hashes (boxed: most stores
+/// have none, and an unboxed pair would grow every store).
+type Names<V> = Option<Box<OpenTable<u128, V>>>;
+
+/// What an [`Arena`] needs of the store that owns it.
+struct Ctx<'a> {
+    grid: &'a GridHierarchy,
+    level: i32,
+    cfg: StoringConfig,
+    ids: CausalIds,
+}
+
+/// The arena backend over one cell-key width.
+struct Arena<K> {
+    table: OpenTable<K, ArenaRec>,
+    cap_cells: usize,
+    dead: bool,
+    peak_cells: usize,
+    /// `CellId` of every live cell key, when the level's cell keys are
+    /// mixing hashes.
+    cell_names: Names<CellId>,
+    /// [`Point`] of every payload point key, when point keys are mixing
+    /// hashes.
+    point_names: Names<Point>,
+}
+
+/// Drops the names of `points` (a payload being evicted or merged away).
+fn forget_points(names: &mut Names<Point>, points: &[(u128, i64)]) {
+    if let Some(names) = names {
+        for &(pk, _) in points {
+            names.remove(pk);
+        }
+    }
+}
+
+/// Applies one update to a cell's point payload: tracks net
+/// multiplicities while the cell is small, and mirrors the sketch's
+/// bucket overflow by dropping the payload once the cell grows past
+/// `2β`. Payloads hold at most ~`2β` entries (the eviction bound), so a
+/// linear scan beats a hash probe on both instructions and cache lines.
+#[inline]
+fn update_payload(
+    rec: &mut ArenaRec,
+    names: &mut Names<Point>,
+    p: &Point,
+    point_key: u128,
+    delta: i64,
+    beta: i64,
+) {
+    if rec.dirty {
+        return;
+    }
+    if sbc_obs::enabled() {
+        sbc_obs::counter!("stream.store.map_probes").incr();
+    }
+    match rec.points.iter().position(|&(k, _)| k == point_key) {
+        None => {
+            if delta != 0 {
+                rec.points.push((point_key, delta));
+                if let Some(names) = names {
+                    names.insert_absent(point_key, p.clone());
+                }
+            }
+        }
+        Some(i) => {
+            rec.points[i].1 += delta;
+            if rec.points[i].1 == 0 {
+                rec.points.swap_remove(i);
+                forget_points(names, &[(point_key, 0)]);
+            }
+        }
+    }
+    if rec.count > 2 * beta.max(1) {
+        forget_points(names, &rec.points);
+        rec.points = Vec::new();
+        rec.dirty = true;
+    }
+}
+
+impl<K: CellKey> Arena<K> {
+    fn new(cap_cells: usize, named_cells: bool, named_points: bool) -> Self {
+        debug_assert!(K::NAMED || !(named_cells || named_points));
+        Self {
+            table: OpenTable::default(),
+            cap_cells,
+            dead: false,
+            peak_cells: 0,
+            cell_names: named_cells.then(Box::default),
+            point_names: named_points.then(Box::default),
+        }
+    }
+
+    /// Marks the arena dead and frees its memory.
+    fn kill(&mut self) {
+        self.dead = true;
+        self.table.clear_shrink();
+        if let Some(names) = &mut self.cell_names {
+            names.clear_shrink();
+        }
+        if let Some(names) = &mut self.point_names {
+            names.clear_shrink();
+        }
+    }
+
+    /// The occupancy-cap kill: a runaway substream dies and frees its
+    /// memory; `updates` stamps the trace event.
+    fn kill_runaway(&mut self, ids: CausalIds, updates: u64) {
+        self.kill();
+        sbc_obs::counter!("stream.store.kill.runaway_kill").incr();
+        trace::event(TraceKind::StoreKill, "runaway_kill", ids, updates);
+    }
+
+    /// Applies one update to a live arena whose update counter already
+    /// reads `updates`: cap kill before insert, peak tracking, eviction
+    /// after the point update, emptied-cell removal.
+    #[inline]
+    fn apply(
+        &mut self,
+        cx: &Ctx,
+        p: &Point,
+        point_key: u128,
+        cell_key: u128,
+        delta: i64,
+        updates: u64,
+    ) {
+        if sbc_obs::enabled() {
+            sbc_obs::counter!("stream.store.map_probes").incr();
+        }
+        let beta = cx.cfg.beta as i64;
+        let key = K::from_wide(cell_key);
+        let mut unnamed = None;
+        let point_names = if K::NAMED {
+            &mut self.point_names
+        } else {
+            &mut unnamed
+        };
+        match self.table.get_mut(key) {
+            Some(rec) => {
+                rec.count += delta;
+                debug_assert!(rec.count >= 0, "stream model: no over-deletion");
+                update_payload(rec, point_names, p, point_key, delta, beta);
+                if rec.count == 0 && rec.points.is_empty() {
+                    self.table.remove(key);
+                    if let (true, Some(names)) = (K::NAMED, &mut self.cell_names) {
+                        names.remove(cell_key);
+                    }
+                }
+            }
+            None => {
+                let len = self.table.len();
+                if len >= self.cap_cells {
+                    self.kill_runaway(cx.ids, updates);
+                    return;
+                }
+                self.peak_cells = self.peak_cells.max(len + 1);
+                if let (true, Some(names)) = (K::NAMED, &mut self.cell_names) {
+                    names.insert_absent(cell_key, cx.grid.cell_of(p, cx.level));
+                }
+                let rec = self.table.insert_absent(key, ArenaRec::default());
+                rec.count += delta;
+                debug_assert!(rec.count >= 0, "stream model: no over-deletion");
+                update_payload(rec, point_names, p, point_key, delta, beta);
+                // A just-inserted record cannot net to zero.
+            }
+        }
+    }
+
+    /// Drains a batch of updates with nothing per-update observable (no
+    /// armed fault, no live metrics), starting from update count
+    /// `updates`; returns the count after the batch. The counter
+    /// advances even while dead (it drives fault-injection indices,
+    /// which must stay path-independent).
+    fn drain<'a, I: Iterator<Item = (&'a Point, u128, u128, i64)>>(
+        &mut self,
+        cx: &Ctx,
+        mut updates: u64,
+        mut items: I,
+    ) -> u64 {
+        while !self.dead {
+            let Some((p, point_key, cell_key, delta)) = items.next() else {
+                return updates;
+            };
+            updates += 1;
+            self.apply(cx, p, point_key, cell_key, delta, updates);
+        }
+        updates + items.count() as u64
+    }
+
+    fn cell_name(&self, key: u128, cx: &Ctx) -> CellId {
+        match &self.cell_names {
+            Some(names) => names.get(key).expect("every live cell is named").clone(),
+            None => CellId::unpack(key, cx.level, cx.grid.params().d)
+                .expect("arena cell keys are valid packings"),
+        }
+    }
+
+    fn point_name(&self, key: u128, cx: &Ctx) -> Point {
+        match &self.point_names {
+            Some(names) => names
+                .get(key)
+                .expect("every payload point is named")
+                .clone(),
+            None => {
+                let gp = cx.grid.params();
+                Point::unpack(key, gp.delta, gp.d).expect("arena point keys are valid packings")
+            }
+        }
+    }
+
+    fn finish(&self, cx: &Ctx) -> Result<StoringOutput, StoringFail> {
+        if self.dead {
+            return Err(StoringFail::Overflowed);
+        }
+        let live: Vec<(K, &ArenaRec)> = self.table.iter().filter(|(_, r)| r.count > 0).collect();
+        if live.len() > cx.cfg.alpha {
+            return Err(StoringFail::TooManyCells {
+                found: live.len(),
+                alpha: cx.cfg.alpha,
+            });
+        }
+        let beta = cx.cfg.beta as i64;
+        let mut out_cells = Vec::with_capacity(live.len());
+        let mut small_points = Vec::new();
+        let mut dirty_small_cells = Vec::new();
+        for (key, rec) in live {
+            let cell = self.cell_name(key.into(), cx);
+            if rec.count <= beta {
+                if rec.dirty {
+                    dirty_small_cells.push(cell.clone());
+                } else {
+                    for &(pk, c) in &rec.points {
+                        if c > 0 {
+                            small_points.push((self.point_name(pk, cx), c));
+                        }
+                    }
+                }
+            }
+            out_cells.push((cell, rec.count));
+        }
+        out_cells.sort_by(|a, b| a.0.cmp(&b.0));
+        small_points.sort_by(|a, b| a.0.cmp(&b.0));
+        dirty_small_cells.sort();
+        Ok(StoringOutput {
+            cells: out_cells,
+            small_points,
+            dirty_small_cells,
+        })
+    }
+
+    /// Bytes of cell records, payloads and name-table entries at the
+    /// current occupancy (the terms shared by [`Storing::stored_bytes`]
+    /// and [`Storing::expected_bytes`]): `(per-cell bytes, payload and
+    /// name bytes)`. The key width enters through `size_of::<K>()`, and
+    /// name entries only where names exist.
+    fn record_bytes(&self, cx: &Ctx) -> (usize, usize) {
+        let d = cx.grid.params().d;
+        let per_cell = std::mem::size_of::<K>() + 8 + 1 + 24; // key + count + flag + vec header
+        let per_point = 16 + 8; // point key + multiplicity
+        let cell_name = if self.cell_names.is_some() {
+            16 + 4 + 24 + 8 * d // key + level + coordinate vector
+        } else {
+            0
+        };
+        let point_name = if self.point_names.is_some() {
+            16 + 24 + 4 * d // key + coordinate vector
+        } else {
+            0
+        };
+        let payload = self
+            .table
+            .iter()
+            .map(|(_, r)| cell_name + r.points.len() * (per_point + point_name))
+            .sum();
+        (per_cell, payload)
+    }
+
+    fn stored_bytes(&self, cx: &Ctx) -> usize {
+        if self.dead {
+            return 0;
+        }
+        let (per_cell, payload) = self.record_bytes(cx);
+        slots_for(self.peak_cells) * 4 + self.table.len() * per_cell + payload
+    }
+
+    fn expected_bytes(&self, cx: &Ctx) -> usize {
+        if self.dead {
+            return 0;
+        }
+        let (per_cell, payload) = self.record_bytes(cx);
+        slots_for(self.peak_cells) * 4
+            + self.peak_cells.next_power_of_two().max(8) * per_cell
+            + payload
+    }
+
+    /// Live cells sorted by key, points sorted by key: the canonical
+    /// snapshot order.
+    fn to_snapshot(&self, cx: &Ctx) -> Vec<CellSnapshot> {
+        let mut snaps: Vec<(u128, CellSnapshot)> = self
+            .table
+            .iter()
+            .map(|(key, rec)| {
+                let mut points = rec.points.clone();
+                points.sort_unstable_by_key(|&(pk, _)| pk);
+                let key: u128 = key.into();
+                let snap = CellSnapshot {
+                    cell: self.cell_name(key, cx),
+                    count: rec.count,
+                    dirty: rec.dirty,
+                    points: points
+                        .into_iter()
+                        .map(|(pk, m)| (self.point_name(pk, cx), m))
+                        .collect(),
+                };
+                (key, snap)
+            })
+            .collect();
+        snaps.sort_unstable_by_key(|(k, _)| *k);
+        snaps.into_iter().map(|(_, c)| c).collect()
+    }
+
+    fn load_snapshot(&mut self, snap: &StoringSnapshot, cx: &Ctx) {
+        self.peak_cells = snap.peak_cells as usize;
+        if snap.death.is_some() {
+            self.kill();
+            return;
+        }
+        self.dead = false;
+        let delta = cx.grid.params().delta;
+        self.table = OpenTable::from_entries(
+            snap.cells
+                .iter()
+                .map(|c| {
+                    let rec = ArenaRec {
+                        count: c.count,
+                        dirty: c.dirty,
+                        points: c
+                            .points
+                            .iter()
+                            .map(|(p, m)| (p.key128(delta), *m))
+                            .collect(),
+                    };
+                    (K::from_wide(c.cell.key128()), rec)
+                })
+                .collect(),
+        );
+        if let Some(names) = &mut self.cell_names {
+            **names = OpenTable::from_entries(
+                snap.cells
+                    .iter()
+                    .map(|c| (c.cell.key128(), c.cell.clone()))
+                    .collect(),
+            );
+        }
+        if let Some(names) = &mut self.point_names {
+            **names = OpenTable::from_entries(
+                snap.cells
+                    .iter()
+                    .flat_map(|c| &c.points)
+                    .map(|(p, _)| (p.key128(delta), p.clone()))
+                    .collect(),
+            );
+        }
+    }
+
+    /// The arena half of [`Storing::merge_from`]; `updates` is the merged
+    /// update count, stamped on a cap kill's trace event.
+    fn merge_from(&mut self, other: &Self, cx: &Ctx, updates: u64) {
+        self.peak_cells = self.peak_cells.max(other.peak_cells);
+        if self.dead || other.dead {
+            self.kill();
+            sbc_obs::counter!("stream.merge.dead_stores").incr();
+            return;
+        }
+        let copy_name = |names: &mut Names<Point>, pk: u128| {
+            if let (Some(names), Some(onames)) = (names, &other.point_names) {
+                names.insert_absent(pk, onames.get(pk).expect("named point").clone());
+            }
+        };
+        for (key, orec) in other.table.iter() {
+            let Some(rec) = self.table.get_mut(key) else {
+                if let (Some(names), Some(onames)) = (&mut self.cell_names, &other.cell_names) {
+                    let wide = key.into();
+                    names.insert_absent(wide, onames.get(wide).expect("named cell").clone());
+                }
+                for &(pk, _) in &orec.points {
+                    copy_name(&mut self.point_names, pk);
+                }
+                self.table.insert_absent(key, orec.clone());
+                continue;
+            };
+            rec.count += orec.count;
+            rec.dirty |= orec.dirty;
+            if rec.dirty {
+                forget_points(&mut self.point_names, &rec.points);
+                rec.points = Vec::new();
+                continue;
+            }
+            for &(pk, m) in &orec.points {
+                match rec.points.iter().position(|&(k, _)| k == pk) {
+                    None => {
+                        if m != 0 {
+                            rec.points.push((pk, m));
+                            copy_name(&mut self.point_names, pk);
+                        }
+                    }
+                    Some(i) => {
+                        rec.points[i].1 += m;
+                        if rec.points[i].1 == 0 {
+                            rec.points.swap_remove(i);
+                            forget_points(&mut self.point_names, &[(pk, 0)]);
+                        }
+                    }
+                }
+            }
+        }
+        // Post-pass: the eviction and emptied-cell rules over merged
+        // totals, then the occupancy cap over the merged cell set.
+        let beta = cx.cfg.beta as i64;
+        let (cell_names, point_names) = (&mut self.cell_names, &mut self.point_names);
+        self.table.retain(|key, rec| {
+            if !rec.dirty && rec.count > 2 * beta.max(1) {
+                forget_points(point_names, &rec.points);
+                rec.points = Vec::new();
+                rec.dirty = true;
+            }
+            let keep = rec.count != 0 || !rec.points.is_empty();
+            if let (false, Some(names)) = (keep, cell_names.as_mut()) {
+                names.remove(key.into());
+            }
+            keep
+        });
+        self.peak_cells = self.peak_cells.max(self.table.len());
+        sbc_obs::counter!("stream.merge.cells").add(self.table.len() as u64);
+        if self.table.len() > self.cap_cells {
+            self.kill_runaway(cx.ids, updates);
+        }
+    }
+}
+
 enum Inner {
-    Exact {
-        cells: Key128Map<CellRec>,
-        cap_cells: usize,
-        dead: bool,
-        peak_cells: usize,
-    },
-    Arena {
-        table: OpenTable<ArenaRec>,
-        cap_cells: usize,
-        dead: bool,
-        peak_cells: usize,
-    },
+    /// Arena whose cell ids pack into 64 bits at this level.
+    Narrow(Arena<u64>),
+    /// Arena keyed by 128-bit packings or mixing hashes.
+    Wide(Arena<u128>),
     Sketch {
         cell_sketch: SSparseRecovery,
         /// Per row: a pairwise hash over cell keys and its lazily
@@ -171,79 +630,12 @@ enum Inner {
     },
 }
 
-/// Applies one update to a cell's point payload (exact backend): tracks
-/// net multiplicities while the cell is small, and mirrors the sketch's
-/// bucket overflow by dropping the payload once the cell grows past `2β`.
-#[inline]
-fn update_points(rec: &mut CellRec, p: &Point, point_key: u128, delta: i64, beta: i64) {
-    if rec.dirty {
-        return;
-    }
-    let obs_on = sbc_obs::enabled();
-    let cap_before = if obs_on { rec.points.capacity() } else { 0 };
-    match rec.points.entry(point_key) {
-        Entry::Vacant(v) => {
-            if delta != 0 {
-                v.insert((p.clone(), delta));
-            }
-        }
-        Entry::Occupied(mut o) => {
-            o.get_mut().1 += delta;
-            if o.get().1 == 0 {
-                o.remove();
-            }
-        }
-    }
-    if obs_on {
-        sbc_obs::counter!("stream.store.map_probes").incr();
-        if rec.points.capacity() != cap_before {
-            sbc_obs::counter!("stream.store.map_resizes").incr();
-        }
-    }
-    if rec.count > 2 * beta.max(1) {
-        rec.points.clear();
-        rec.points.shrink_to_fit();
-        rec.dirty = true;
-    }
-}
-
-/// [`update_points`] for the arena backend: identical semantics over a
-/// dense `(packed key, multiplicity)` vector. Payloads hold at most
-/// ~`2β` entries (the eviction bound), so a linear scan beats a hash
-/// probe on both instructions and cache lines.
-#[inline]
-fn update_points_arena(rec: &mut ArenaRec, point_key: u128, delta: i64, beta: i64) {
-    if rec.dirty {
-        return;
-    }
-    if sbc_obs::enabled() {
-        sbc_obs::counter!("stream.store.map_probes").incr();
-    }
-    match rec.points.iter().position(|&(k, _)| k == point_key) {
-        None => {
-            if delta != 0 {
-                rec.points.push((point_key, delta));
-            }
-        }
-        Some(i) => {
-            rec.points[i].1 += delta;
-            if rec.points[i].1 == 0 {
-                rec.points.swap_remove(i);
-            }
-        }
-    }
-    if rec.count > 2 * beta.max(1) {
-        rec.points = Vec::new();
-        rec.dirty = true;
-    }
-}
-
-/// Checkpointable state of one exact-backend [`Storing`] instance —
-/// everything [`Storing::from_snapshot`] needs to resume bit-identically
+/// Checkpointable state of one arena-backend [`Storing`] instance —
+/// everything [`Storing::load_snapshot`] needs to resume bit-identically
 /// (the grid and sizing configuration are *not* included; they are
 /// structural and re-derived by the builder on restore). Cells and
-/// per-cell points are sorted by packed key, so encoding a snapshot is
-/// canonical: encode → decode → encode is the identity on bytes.
+/// per-cell points are sorted by their `key128`, so encoding a snapshot
+/// is canonical: encode → decode → encode is the identity on bytes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StoringSnapshot {
     /// Updates absorbed so far (drives fault-injection indices).
@@ -254,7 +646,7 @@ pub struct StoringSnapshot {
     pub injected: bool,
     /// High-water mark of distinct non-empty cells.
     pub peak_cells: u64,
-    /// Live cells, sorted by packed cell key.
+    /// Live cells, sorted by cell key.
     pub cells: Vec<CellSnapshot>,
 }
 
@@ -267,7 +659,7 @@ pub struct CellSnapshot {
     pub count: i64,
     /// Whether the point payload was evicted mid-stream.
     pub dirty: bool,
-    /// Point payload (with multiplicities), sorted by packed point key.
+    /// Point payload (with multiplicities), sorted by point key.
     pub points: Vec<(Point, i64)>,
 }
 
@@ -294,7 +686,7 @@ impl Storing {
     ///
     /// # Panics
     /// Panics if the sketch backend is requested but points or cells of
-    /// this geometry do not pack into 128-bit keys (use `Exact` there).
+    /// this geometry do not pack into 128-bit keys (use `Arena` there).
     pub fn new<R: Rng + ?Sized>(
         grid: &GridHierarchy,
         level: i32,
@@ -303,34 +695,25 @@ impl Storing {
         rng: &mut R,
     ) -> Self {
         assert!(cfg.alpha >= 1 && cfg.rows >= 1);
+        let gp = grid.params();
+        let cell_width = if level >= 0 { (level + 2) as usize } else { 1 };
+        let cell_bits = 6 + cell_width * gp.d;
+        let point_bits = sbc_geometry::point::bits_for(gp.delta) as usize * gp.d;
         let inner = match backend {
-            Backend::Exact { cap_cells } => Inner::Exact {
-                cells: Key128Map::default(),
-                cap_cells: cap_cells.max(cfg.alpha),
-                dead: false,
-                peak_cells: 0,
-            },
             Backend::Arena { cap_cells } => {
-                let gp = grid.params();
-                let cell_width = if level >= 0 { (level + 2) as usize } else { 1 };
-                let point_bits = sbc_geometry::point::bits_for(gp.delta) as usize * gp.d;
-                assert!(
-                    6 + cell_width * gp.d <= 64 && point_bits <= 128,
-                    "arena backend needs u64 cell keys and packable points; use Backend::Exact"
-                );
-                Inner::Arena {
-                    table: OpenTable::default(),
-                    cap_cells: cap_cells.max(cfg.alpha),
-                    dead: false,
-                    peak_cells: 0,
+                // Mirrors `CellId::pack` / `Point::pack`: past 128 bits
+                // the keys are mixing hashes and need names.
+                let cap_cells = cap_cells.max(cfg.alpha);
+                if cell_bits <= 64 && point_bits <= 128 {
+                    Inner::Narrow(Arena::new(cap_cells, false, false))
+                } else {
+                    Inner::Wide(Arena::new(cap_cells, cell_bits > 128, point_bits > 128))
                 }
             }
             Backend::Sketch => {
-                let gp = grid.params();
-                let bits = sbc_geometry::point::bits_for(gp.delta) as usize * gp.d;
                 assert!(
-                    bits <= 128 && 6 + ((level.max(0) + 2) as usize) * gp.d <= 128,
-                    "sketch backend needs packable point/cell keys; use Backend::Exact"
+                    point_bits <= 128 && cell_bits <= 128,
+                    "sketch backend needs packable point/cell keys; use Backend::Arena"
                 );
                 use rand::SeedableRng;
                 let rows = (0..cfg.rows)
@@ -358,6 +741,27 @@ impl Storing {
             fault_salt: 0,
             injected: None,
             ids: CausalIds::NONE,
+        }
+    }
+
+    /// The context an arena works in, next to the backend state it
+    /// works on.
+    fn parts(&mut self) -> (Ctx<'_>, &mut Inner) {
+        let cx = Ctx {
+            grid: &self.grid,
+            level: self.level,
+            cfg: self.cfg,
+            ids: self.ids,
+        };
+        (cx, &mut self.inner)
+    }
+
+    fn ctx(&self) -> Ctx<'_> {
+        Ctx {
+            grid: &self.grid,
+            level: self.level,
+            cfg: self.cfg,
+            ids: self.ids,
         }
     }
 
@@ -391,15 +795,8 @@ impl Storing {
         };
         self.injected = Some(death);
         match &mut self.inner {
-            Inner::Exact { cells, dead, .. } => {
-                *dead = true;
-                cells.clear();
-                cells.shrink_to_fit();
-            }
-            Inner::Arena { table, dead, .. } => {
-                *dead = true;
-                table.clear_shrink();
-            }
+            Inner::Narrow(a) => a.kill(),
+            Inner::Wide(a) => a.kill(),
             Inner::Sketch { rows, dead, .. } => {
                 *dead = true;
                 for (_, buckets) in rows.iter_mut() {
@@ -451,18 +848,54 @@ impl Storing {
 
     /// Applies `(p, ±1)` (or any delta) to the structure.
     pub fn update(&mut self, p: &Point, delta: i64) {
-        let cell = self.grid.cell_of(p, self.level);
-        let cell_key = cell.key128();
+        let cell_key = self.grid.cell_of(p, self.level).key128();
         let point_key = p.key128(self.grid.params().delta);
-        self.update_precomputed(p, point_key, &cell, cell_key, delta);
+        self.update_precomputed(p, point_key, cell_key, delta);
     }
 
-    /// Shared update prelude: advances the update counter and fires any
-    /// armed injected fault. Injected faults fire *before* the update at
-    /// the kill index is applied; the update counter still advances
-    /// while dead so the decision index stays path-independent.
-    #[inline]
-    fn pre_update(&mut self) {
+    /// [`Self::update`] with the keys precomputed (the pipeline shares
+    /// them across many instances): the point's `key128` and its cell's
+    /// at this level.
+    pub fn update_precomputed(&mut self, p: &Point, point_key: u128, cell_key: u128, delta: i64) {
+        self.update_many(std::iter::once((p, point_key, cell_key, delta)));
+    }
+
+    /// Drains a batch of `(point, point key, cell key, delta)` updates,
+    /// in order — the one ingest entry point, which per-op and batched
+    /// ingest both drive. The point itself is read only to name keys
+    /// that are mixing hashes (see the module docs).
+    ///
+    /// The arena path hoists the per-update overhead (backend dispatch,
+    /// fault checks, counter write-back) out of the loop when nothing
+    /// per-update can observe the difference: no armed fault plan (kill
+    /// decisions are indexed by individual updates) and no live metrics
+    /// recording (per-probe counters). Otherwise each update runs the
+    /// full prelude.
+    pub fn update_many<'a, I: Iterator<Item = (&'a Point, u128, u128, i64)>>(&mut self, items: I) {
+        if self.fault.is_active()
+            || sbc_obs::enabled()
+            || matches!(self.inner, Inner::Sketch { .. })
+        {
+            for (p, point_key, cell_key, delta) in items {
+                self.update_one(p, point_key, cell_key, delta);
+            }
+            return;
+        }
+        let updates = self.updates;
+        let (cx, inner) = self.parts();
+        let updates = match inner {
+            Inner::Narrow(a) => a.drain(&cx, updates, items),
+            Inner::Wide(a) => a.drain(&cx, updates, items),
+            Inner::Sketch { .. } => unreachable!("sketch updates take the per-update path"),
+        };
+        self.updates = updates;
+    }
+
+    /// One update with the full prelude: advances the update counter and
+    /// fires any armed injected fault. Injected faults fire *before* the
+    /// update at the kill index is applied; the update counter still
+    /// advances while dead so the decision index stays path-independent.
+    fn update_one(&mut self, p: &Point, point_key: u128, cell_key: u128, delta: i64) {
         self.updates += 1;
         sbc_obs::counter!("stream.store.updates").incr();
         if self.injected.is_none() && self.fault.is_active() && !self.is_dead() {
@@ -470,262 +903,17 @@ impl Storing {
                 self.kill_injected(kind);
             }
         }
-    }
-
-    /// [`Self::update`] with the cell and keys precomputed (the pipeline
-    /// shares them across many instances).
-    pub fn update_precomputed(
-        &mut self,
-        p: &Point,
-        point_key: u128,
-        cell: &CellId,
-        cell_key: u128,
-        delta: i64,
-    ) {
-        self.pre_update();
-        match &self.inner {
-            Inner::Exact { .. } => self.update_exact(p, point_key, cell, cell_key, delta),
-            Inner::Arena { .. } => self.update_arena(point_key, cell_key, delta),
-            Inner::Sketch { .. } => self.update_sketch(point_key, cell_key, delta),
-        }
-    }
-
-    /// Key-only update for the batched kernel path: no `CellId` or
-    /// [`Point`] is ever materialized. Bit-identical to
-    /// [`Self::update_precomputed`] called with the unpacked cell —
-    /// the arena and sketch backends operate on keys alone, and the
-    /// exact backend (reachable only in mixed configurations) unpacks
-    /// lazily.
-    #[inline]
-    pub fn update_packed(&mut self, point_key: u128, cell_key: u128, delta: i64) {
-        self.pre_update();
-        match &self.inner {
-            Inner::Exact { .. } => {
-                let gp = self.grid.params();
-                let cell = CellId::unpack(cell_key, self.level, gp.d)
-                    .expect("update_packed requires packable cell keys");
-                let p = Point::unpack(point_key, gp.delta, gp.d)
-                    .expect("update_packed requires packable point keys");
-                self.update_exact(&p, point_key, &cell, cell_key, delta);
-            }
-            Inner::Arena { .. } => self.update_arena(point_key, cell_key, delta),
-            Inner::Sketch { .. } => self.update_sketch(point_key, cell_key, delta),
-        }
-    }
-
-    /// Drains a whole batch of key-only updates — semantically identical
-    /// to calling [`Self::update_packed`] once per item, in order. The
-    /// arena fast path hoists the per-update overhead (backend dispatch,
-    /// liveness and fault checks, counter write-back) out of the loop;
-    /// it is taken only when nothing per-update can observe the
-    /// difference: no armed fault plan (kill decisions are indexed by
-    /// individual updates) and no live metrics recording (per-probe
-    /// counters). Everything else falls back to the per-op path.
-    pub fn update_packed_many<I: Iterator<Item = (u128, u128, i64)>>(&mut self, items: I) {
-        if self.fault.is_active() || sbc_obs::enabled() {
-            for (point_key, cell_key, delta) in items {
-                self.update_packed(point_key, cell_key, delta);
-            }
-            return;
-        }
-        let beta = self.cfg.beta as i64;
-        let ids = self.ids;
-        let Inner::Arena {
-            table,
-            cap_cells,
-            dead,
-            peak_cells,
-        } = &mut self.inner
-        else {
-            for (point_key, cell_key, delta) in items {
-                self.update_packed(point_key, cell_key, delta);
-            }
-            return;
-        };
-        // The update counter advances even while dead (it drives
-        // fault-injection indices, which must stay path-independent).
-        if *dead {
-            self.updates += items.count() as u64;
-            return;
-        }
-        let mut updates = self.updates;
-        let mut items = items;
-        while let Some((point_key, cell_key, delta)) = items.next() {
-            updates += 1;
-            debug_assert!(cell_key <= u64::MAX as u128, "arena cell keys fit u64");
-            let key = cell_key as u64;
-            match table.get_mut(key) {
-                Some(rec) => {
-                    rec.count += delta;
-                    debug_assert!(rec.count >= 0, "stream model: no over-deletion");
-                    update_points_arena(rec, point_key, delta, beta);
-                    if rec.count == 0 && rec.points.is_empty() {
-                        table.remove(key);
-                    }
-                }
-                None => {
-                    let len = table.len();
-                    if len >= *cap_cells {
-                        *dead = true;
-                        table.clear_shrink();
-                        sbc_obs::counter!("stream.store.kill.runaway_kill").incr();
-                        trace::event(TraceKind::StoreKill, "runaway_kill", ids, updates);
-                        updates += items.count() as u64;
-                        break;
-                    }
-                    *peak_cells = (*peak_cells).max(len + 1);
-                    let rec = table.insert_absent(
-                        key,
-                        ArenaRec {
-                            count: 0,
-                            dirty: false,
-                            points: Vec::new(),
-                        },
-                    );
-                    rec.count += delta;
-                    debug_assert!(rec.count >= 0, "stream model: no over-deletion");
-                    update_points_arena(rec, point_key, delta, beta);
-                }
-            }
-        }
-        self.updates = updates;
-    }
-
-    /// Post-prelude update body for [`Inner::Exact`].
-    fn update_exact(
-        &mut self,
-        p: &Point,
-        point_key: u128,
-        cell: &CellId,
-        cell_key: u128,
-        delta: i64,
-    ) {
-        let beta = self.cfg.beta as i64;
         let updates = self.updates;
-        let ids = self.ids;
-        let Inner::Exact {
-            cells,
-            cap_cells,
-            dead,
-            peak_cells,
-        } = &mut self.inner
-        else {
-            unreachable!("update_exact on a non-exact backend")
-        };
-        if *dead {
-            return;
-        }
-        let obs_on = sbc_obs::enabled();
-        let cap_before = if obs_on {
-            sbc_obs::counter!("stream.store.map_probes").incr();
-            cells.capacity()
-        } else {
-            0
-        };
-        // Single probe: the entry does the new-cell check, the
-        // update, and (via the occupied entry) the emptied-cell
-        // removal without re-hashing.
-        let len = cells.len();
-        let mut rec_entry = match cells.entry(cell_key) {
-            Entry::Vacant(v) => {
-                if len >= *cap_cells {
-                    let _ = v;
-                    *dead = true;
-                    cells.clear();
-                    cells.shrink_to_fit();
-                    sbc_obs::counter!("stream.store.kill.runaway_kill").incr();
-                    trace::event(TraceKind::StoreKill, "runaway_kill", ids, updates);
-                    return;
-                }
-                *peak_cells = (*peak_cells).max(len + 1);
-                let rec = v.insert(CellRec {
-                    count: 0,
-                    dirty: false,
-                    cell: cell.clone(),
-                    points: Key128Map::default(),
-                });
-                rec.count += delta;
-                debug_assert!(rec.count >= 0, "stream model: no over-deletion");
-                update_points(rec, p, point_key, delta, beta);
-                if obs_on && cells.capacity() != cap_before {
-                    sbc_obs::counter!("stream.store.map_resizes").incr();
-                    trace::instant("store.map_resize", ids, updates);
-                }
-                return; // a just-inserted record cannot net to zero
-            }
-            Entry::Occupied(o) => o,
-        };
-        let rec = rec_entry.get_mut();
-        rec.count += delta;
-        debug_assert!(rec.count >= 0, "stream model: no over-deletion");
-        update_points(rec, p, point_key, delta, beta);
-        if rec.count == 0 && rec.points.is_empty() {
-            rec_entry.remove();
+        let (cx, inner) = self.parts();
+        match inner {
+            Inner::Narrow(a) if !a.dead => a.apply(&cx, p, point_key, cell_key, delta, updates),
+            Inner::Wide(a) if !a.dead => a.apply(&cx, p, point_key, cell_key, delta, updates),
+            Inner::Sketch { .. } => self.update_sketch(point_key, cell_key, delta),
+            _ => {}
         }
     }
 
-    /// Post-prelude update body for [`Inner::Arena`] — the same decision
-    /// sequence as [`Self::update_exact`] (cap kill before insert, peak
-    /// tracking, eviction after the point update, emptied-cell removal)
-    /// over the flat table. Cell keys are the low 64 bits of the packed
-    /// `u128` key, lossless by the constructor's packability gate.
-    fn update_arena(&mut self, point_key: u128, cell_key: u128, delta: i64) {
-        let beta = self.cfg.beta as i64;
-        let updates = self.updates;
-        let ids = self.ids;
-        let Inner::Arena {
-            table,
-            cap_cells,
-            dead,
-            peak_cells,
-        } = &mut self.inner
-        else {
-            unreachable!("update_arena on a non-arena backend")
-        };
-        if *dead {
-            return;
-        }
-        if sbc_obs::enabled() {
-            sbc_obs::counter!("stream.store.map_probes").incr();
-        }
-        debug_assert!(cell_key <= u64::MAX as u128, "arena cell keys fit u64");
-        let key = cell_key as u64;
-        match table.get_mut(key) {
-            Some(rec) => {
-                rec.count += delta;
-                debug_assert!(rec.count >= 0, "stream model: no over-deletion");
-                update_points_arena(rec, point_key, delta, beta);
-                if rec.count == 0 && rec.points.is_empty() {
-                    table.remove(key);
-                }
-            }
-            None => {
-                let len = table.len();
-                if len >= *cap_cells {
-                    *dead = true;
-                    table.clear_shrink();
-                    sbc_obs::counter!("stream.store.kill.runaway_kill").incr();
-                    trace::event(TraceKind::StoreKill, "runaway_kill", ids, updates);
-                    return;
-                }
-                *peak_cells = (*peak_cells).max(len + 1);
-                let rec = table.insert_absent(
-                    key,
-                    ArenaRec {
-                        count: 0,
-                        dirty: false,
-                        points: Vec::new(),
-                    },
-                );
-                rec.count += delta;
-                debug_assert!(rec.count >= 0, "stream model: no over-deletion");
-                update_points_arena(rec, point_key, delta, beta);
-                // A just-inserted record cannot net to zero.
-            }
-        }
-    }
-
-    /// Post-prelude update body for [`Inner::Sketch`].
+    /// Update body for [`Inner::Sketch`].
     fn update_sketch(&mut self, point_key: u128, cell_key: u128, delta: i64) {
         let updates = self.updates;
         let ids = self.ids;
@@ -769,88 +957,8 @@ impl Storing {
     /// Decodes the structure (Lemma 4.2 output).
     pub fn finish(&self) -> Result<StoringOutput, StoringFail> {
         match &self.inner {
-            Inner::Exact { cells, dead, .. } => {
-                if *dead {
-                    return Err(StoringFail::Overflowed);
-                }
-                let live: Vec<&CellRec> = cells.values().filter(|r| r.count > 0).collect();
-                if live.len() > self.cfg.alpha {
-                    return Err(StoringFail::TooManyCells {
-                        found: live.len(),
-                        alpha: self.cfg.alpha,
-                    });
-                }
-                let beta = self.cfg.beta as i64;
-                let mut out_cells = Vec::with_capacity(live.len());
-                let mut small_points = Vec::new();
-                let mut dirty_small_cells = Vec::new();
-                for rec in live {
-                    out_cells.push((rec.cell.clone(), rec.count));
-                    if rec.count <= beta {
-                        if rec.dirty {
-                            dirty_small_cells.push(rec.cell.clone());
-                            continue;
-                        }
-                        for (p, c) in rec.points.values() {
-                            if *c > 0 {
-                                small_points.push((p.clone(), *c));
-                            }
-                        }
-                    }
-                }
-                out_cells.sort_by(|a, b| a.0.cmp(&b.0));
-                small_points.sort_by(|a, b| a.0.cmp(&b.0));
-                dirty_small_cells.sort();
-                Ok(StoringOutput {
-                    cells: out_cells,
-                    small_points,
-                    dirty_small_cells,
-                })
-            }
-            Inner::Arena { table, dead, .. } => {
-                if *dead {
-                    return Err(StoringFail::Overflowed);
-                }
-                let live: Vec<(u64, &ArenaRec)> =
-                    table.iter().filter(|(_, r)| r.count > 0).collect();
-                if live.len() > self.cfg.alpha {
-                    return Err(StoringFail::TooManyCells {
-                        found: live.len(),
-                        alpha: self.cfg.alpha,
-                    });
-                }
-                let gp = self.grid.params();
-                let beta = self.cfg.beta as i64;
-                let mut out_cells = Vec::with_capacity(live.len());
-                let mut small_points = Vec::new();
-                let mut dirty_small_cells = Vec::new();
-                for (key, rec) in live {
-                    let cell = CellId::unpack(key as u128, self.level, gp.d)
-                        .expect("arena cell keys are valid packings");
-                    if rec.count <= beta {
-                        if rec.dirty {
-                            dirty_small_cells.push(cell.clone());
-                        } else {
-                            for &(pk, c) in &rec.points {
-                                if c > 0 {
-                                    let p = Point::unpack(pk, gp.delta, gp.d)
-                                        .expect("arena point keys are valid packings");
-                                    small_points.push((p, c));
-                                }
-                            }
-                        }
-                    }
-                    out_cells.push((cell, rec.count));
-                }
-                out_cells.sort_by(|a, b| a.0.cmp(&b.0));
-                small_points.sort_by(|a, b| a.0.cmp(&b.0));
-                dirty_small_cells.sort();
-                Ok(StoringOutput {
-                    cells: out_cells,
-                    small_points,
-                    dirty_small_cells,
-                })
-            }
+            Inner::Narrow(a) => a.finish(&self.ctx()),
+            Inner::Wide(a) => a.finish(&self.ctx()),
             Inner::Sketch {
                 cell_sketch,
                 rows,
@@ -926,9 +1034,9 @@ impl Storing {
     /// Whether the structure has irrecoverably overflowed.
     pub fn is_dead(&self) -> bool {
         match &self.inner {
-            Inner::Exact { dead, .. } | Inner::Arena { dead, .. } | Inner::Sketch { dead, .. } => {
-                *dead
-            }
+            Inner::Narrow(a) => a.dead,
+            Inner::Wide(a) => a.dead,
+            Inner::Sketch { dead, .. } => *dead,
         }
     }
 
@@ -939,13 +1047,11 @@ impl Storing {
         if let Some(kind) = self.injected {
             return Some(kind);
         }
-        match &self.inner {
-            Inner::Exact { dead: true, .. } | Inner::Arena { dead: true, .. } => {
-                Some(StoreDeath::RunawayKill)
-            }
-            Inner::Sketch { dead: true, .. } => Some(StoreDeath::SketchOverflow),
-            _ => None,
-        }
+        let natural = match self.inner {
+            Inner::Narrow(_) | Inner::Wide(_) => StoreDeath::RunawayKill,
+            Inner::Sketch { .. } => StoreDeath::SketchOverflow,
+        };
+        self.is_dead().then_some(natural)
     }
 
     /// Measured bytes of state right now. Deterministic given the
@@ -953,36 +1059,8 @@ impl Storing {
     /// space reports agree across ingest paths and checkpoint restores.
     pub fn stored_bytes(&self) -> usize {
         match &self.inner {
-            Inner::Exact { cells, .. } => {
-                let per_cell = 16 + 8 + 1 + 24; // key + count + flag + rec overhead
-                let per_point = 16 + 8 + 8; // key + multiplicity + point ref
-                cells
-                    .values()
-                    .map(|r| {
-                        per_cell
-                            + r.cell.coords.len() * 8
-                            + r.points.len() * (per_point + r.cell.coords.len() * 4)
-                    })
-                    .sum()
-            }
-            Inner::Arena {
-                table,
-                dead,
-                peak_cells,
-                ..
-            } => {
-                if *dead {
-                    return 0;
-                }
-                let per_cell = 8 + 8 + 1 + 24; // key + count + flag + vec header
-                let per_point = 16 + 8; // packed key + multiplicity
-                let slots = slots_for(*peak_cells) * 4;
-                slots
-                    + table
-                        .iter()
-                        .map(|(_, r)| per_cell + r.points.len() * per_point)
-                        .sum::<usize>()
-            }
+            Inner::Narrow(a) => a.stored_bytes(&self.ctx()),
+            Inner::Wide(a) => a.stored_bytes(&self.ctx()),
             Inner::Sketch {
                 cell_sketch, rows, ..
             } => {
@@ -999,150 +1077,51 @@ impl Storing {
     }
 
     /// Capacity-model bytes at *realized* occupancy: what a deployment
-    /// sized to this store's actual high-water marks reserves. Exact
-    /// and arena backends round their cell tables up to the power of
-    /// two covering `peak_cells` (hash-table style); the sketch backend
-    /// is genuinely fully allocated up front, so its reservation *is*
-    /// [`Self::nominal_sketch_bytes`]. Dead exact/arena stores freed
-    /// their memory and reserve nothing. Deterministic given logical
-    /// state, like [`Self::stored_bytes`] — the two bracket each other
-    /// within the power-of-two rounding slack, which the space tests
-    /// pin to a small constant factor.
+    /// sized to this store's actual high-water marks reserves. The arena
+    /// backend rounds its cell table up to the power of two covering
+    /// `peak_cells` (hash-table style); the sketch backend is genuinely
+    /// fully allocated up front, so its reservation *is*
+    /// [`Self::nominal_sketch_bytes`]. Dead arenas freed their memory
+    /// and reserve nothing. Deterministic given logical state, like
+    /// [`Self::stored_bytes`] — the two bracket each other within the
+    /// power-of-two rounding slack, which the space tests pin to a small
+    /// constant factor.
     pub fn expected_bytes(&self) -> usize {
         match &self.inner {
-            Inner::Exact {
-                cells,
-                dead,
-                peak_cells,
-                ..
-            } => {
-                if *dead {
-                    return 0;
-                }
-                let per_cell = 16 + 8 + 1 + 24;
-                let per_point = 16 + 8 + 8;
-                let cap_cells = peak_cells.next_power_of_two().max(8);
-                cap_cells * per_cell
-                    + cells
-                        .values()
-                        .map(|r| {
-                            r.cell.coords.len() * 8
-                                + r.points.len() * (per_point + r.cell.coords.len() * 4)
-                        })
-                        .sum::<usize>()
-            }
-            Inner::Arena {
-                table,
-                dead,
-                peak_cells,
-                ..
-            } => {
-                if *dead {
-                    return 0;
-                }
-                let per_cell = 8 + 8 + 1 + 24;
-                let per_point = 16 + 8;
-                let slots = slots_for(*peak_cells) * 4;
-                slots
-                    + peak_cells.next_power_of_two().max(8) * per_cell
-                    + table
-                        .iter()
-                        .map(|(_, r)| r.points.len() * per_point)
-                        .sum::<usize>()
-            }
+            Inner::Narrow(a) => a.expected_bytes(&self.ctx()),
+            Inner::Wide(a) => a.expected_bytes(&self.ctx()),
             Inner::Sketch { .. } => Self::nominal_sketch_bytes(&self.cfg),
         }
     }
 
     /// Arena-backend occupancy: `(deterministic slot capacity, live
     /// entries)` summed into the space report's load-factor fields.
-    /// `None` for the other backends and for dead (freed) arenas.
+    /// `None` for the sketch backend and for dead (freed) arenas.
     pub fn arena_occupancy(&self) -> Option<(usize, usize)> {
         match &self.inner {
-            Inner::Arena {
-                table,
-                dead: false,
-                peak_cells,
-                ..
-            } => Some((slots_for(*peak_cells), table.len())),
+            Inner::Narrow(a) if !a.dead => Some((slots_for(a.peak_cells), a.table.len())),
+            Inner::Wide(a) if !a.dead => Some((slots_for(a.peak_cells), a.table.len())),
             _ => None,
         }
     }
 
-    /// Captures the exact or arena backend's full dynamic state for
-    /// checkpointing, with cells and per-cell points sorted by packed
-    /// key so the encoding is canonical — both backends produce the
-    /// *same* snapshot for the same logical state (the arena's packed
-    /// keys unpack to the cells and points the exact backend stores
-    /// directly). Returns `None` for the sketch backend (not yet
-    /// checkpointable; the builder surfaces this as an
+    /// Captures the arena backend's full dynamic state for
+    /// checkpointing, with cells and per-cell points sorted by key so
+    /// the encoding is canonical. Returns `None` for the sketch backend
+    /// (not checkpointable; the builder surfaces this as an
     /// `UnsupportedBackend` checkpoint error).
     pub fn to_snapshot(&self) -> Option<StoringSnapshot> {
-        let cell_snaps = match &self.inner {
-            Inner::Exact { cells, .. } => {
-                let mut snaps: Vec<(u128, CellSnapshot)> = cells
-                    .iter()
-                    .map(|(key, rec)| {
-                        let mut points: Vec<(u128, (Point, i64))> =
-                            rec.points.iter().map(|(k, v)| (*k, v.clone())).collect();
-                        points.sort_unstable_by_key(|(k, _)| *k);
-                        (
-                            *key,
-                            CellSnapshot {
-                                cell: rec.cell.clone(),
-                                count: rec.count,
-                                dirty: rec.dirty,
-                                points: points.into_iter().map(|(_, pv)| pv).collect(),
-                            },
-                        )
-                    })
-                    .collect();
-                snaps.sort_unstable_by_key(|(k, _)| *k);
-                snaps
-            }
-            Inner::Arena { table, .. } => {
-                let gp = self.grid.params();
-                let mut snaps: Vec<(u128, CellSnapshot)> = table
-                    .iter()
-                    .map(|(key, rec)| {
-                        let mut points: Vec<(u128, (Point, i64))> = rec
-                            .points
-                            .iter()
-                            .map(|&(pk, m)| {
-                                let p = Point::unpack(pk, gp.delta, gp.d)
-                                    .expect("arena point keys are valid packings");
-                                (pk, (p, m))
-                            })
-                            .collect();
-                        points.sort_unstable_by_key(|(k, _)| *k);
-                        let cell = CellId::unpack(key as u128, self.level, gp.d)
-                            .expect("arena cell keys are valid packings");
-                        (
-                            key as u128,
-                            CellSnapshot {
-                                cell,
-                                count: rec.count,
-                                dirty: rec.dirty,
-                                points: points.into_iter().map(|(_, pv)| pv).collect(),
-                            },
-                        )
-                    })
-                    .collect();
-                snaps.sort_unstable_by_key(|(k, _)| *k);
-                snaps
-            }
+        let (cells, peak_cells) = match &self.inner {
+            Inner::Narrow(a) => (a.to_snapshot(&self.ctx()), a.peak_cells),
+            Inner::Wide(a) => (a.to_snapshot(&self.ctx()), a.peak_cells),
             Inner::Sketch { .. } => return None,
-        };
-        let peak_cells = match &self.inner {
-            Inner::Exact { peak_cells, .. } | Inner::Arena { peak_cells, .. } => *peak_cells,
-            Inner::Sketch { .. } => unreachable!(),
         };
         Some(StoringSnapshot {
             updates: self.updates,
             death: self.death(),
             injected: self.injected.is_some(),
             peak_cells: peak_cells as u64,
-            cells: cell_snaps.into_iter().map(|(_, c)| c).collect(),
+            cells,
         })
     }
 
@@ -1153,66 +1132,10 @@ impl Storing {
     /// checkpointed parameters before loading. Returns `false` (and
     /// leaves the store untouched) on the sketch backend.
     pub fn load_snapshot(&mut self, snap: &StoringSnapshot) -> bool {
-        let delta = self.grid.params().delta;
-        match &mut self.inner {
-            Inner::Exact {
-                cells,
-                dead,
-                peak_cells,
-                ..
-            } => {
-                cells.clear();
-                for c in &snap.cells {
-                    let mut points = Key128Map::default();
-                    for (p, m) in &c.points {
-                        points.insert(p.key128(delta), (p.clone(), *m));
-                    }
-                    cells.insert(
-                        c.cell.key128(),
-                        CellRec {
-                            count: c.count,
-                            dirty: c.dirty,
-                            cell: c.cell.clone(),
-                            points,
-                        },
-                    );
-                }
-                *dead = snap.death.is_some();
-                *peak_cells = snap.peak_cells as usize;
-            }
-            Inner::Arena {
-                table,
-                dead,
-                peak_cells,
-                ..
-            } => {
-                *dead = snap.death.is_some();
-                if *dead {
-                    table.clear_shrink();
-                } else {
-                    *table = OpenTable::from_entries(
-                        snap.cells
-                            .iter()
-                            .map(|c| {
-                                let key = c.cell.key128();
-                                debug_assert!(key <= u64::MAX as u128, "arena cell keys fit u64");
-                                let points = c
-                                    .points
-                                    .iter()
-                                    .map(|(p, m)| (p.key128(delta), *m))
-                                    .collect();
-                                let rec = ArenaRec {
-                                    count: c.count,
-                                    dirty: c.dirty,
-                                    points,
-                                };
-                                (key as u64, rec)
-                            })
-                            .collect(),
-                    );
-                }
-                *peak_cells = snap.peak_cells as usize;
-            }
+        let (cx, inner) = self.parts();
+        match inner {
+            Inner::Narrow(a) => a.load_snapshot(snap, &cx),
+            Inner::Wide(a) => a.load_snapshot(snap, &cx),
             Inner::Sketch { .. } => return false,
         }
         self.updates = snap.updates;
@@ -1221,7 +1144,7 @@ impl Storing {
     }
 
     /// Folds another store's state into this one — the composability
-    /// step of a coreset merge tree (exact backend only; returns `false`
+    /// step of a coreset merge tree (arena backend only; returns `false`
     /// without touching `self` when either side is sketch-backed).
     ///
     /// Both stores must summarize the *same* subsampled substream role
@@ -1230,7 +1153,7 @@ impl Storing {
     /// merge mirrors what the monolithic store would have held:
     ///
     /// * cell counts add; a cell netting to zero with no pending point
-    ///   payload is removed, exactly like [`Self::update_precomputed`];
+    ///   payload is removed, exactly like [`Self::update_many`];
     /// * point payloads union with multiplicity addition (zero entries
     ///   removed); a cell whose merged count exceeds `2β` evicts its
     ///   payload and turns dirty, mirroring the mid-stream eviction —
@@ -1248,234 +1171,17 @@ impl Storing {
     /// are positional per-store update counts, which each shard already
     /// advanced; the merged counter is their sum.
     pub fn merge_from(&mut self, other: &Storing) -> bool {
-        if matches!(self.inner, Inner::Sketch { .. }) || matches!(other.inner, Inner::Sketch { .. })
-        {
-            return false;
-        }
-        let other_peak = match &other.inner {
-            Inner::Exact { peak_cells, .. } | Inner::Arena { peak_cells, .. } => *peak_cells,
-            Inner::Sketch { .. } => unreachable!(),
-        };
-        let other_dead = other.is_dead();
-        let other_injected = other.injected;
-        let beta = self.cfg.beta as i64;
+        let poisoned = !self.is_dead() && other.is_dead();
         let updates = self.updates + other.updates;
-        let ids = self.ids;
-        let gp = self.grid.params();
-        let level = self.level;
+        let (cx, inner) = self.parts();
+        match (inner, &other.inner) {
+            (Inner::Narrow(a), Inner::Narrow(o)) => a.merge_from(o, &cx, updates),
+            (Inner::Wide(a), Inner::Wide(o)) => a.merge_from(o, &cx, updates),
+            _ => return false,
+        }
         self.updates = updates;
-        match (&mut self.inner, &other.inner) {
-            (
-                Inner::Exact {
-                    cells,
-                    cap_cells,
-                    dead,
-                    peak_cells,
-                },
-                o,
-            ) => {
-                *peak_cells = (*peak_cells).max(other_peak);
-                if *dead || other_dead {
-                    if !*dead && self.injected.is_none() {
-                        self.injected = other_injected;
-                    }
-                    *dead = true;
-                    cells.clear();
-                    cells.shrink_to_fit();
-                    sbc_obs::counter!("stream.merge.dead_stores").incr();
-                    return true;
-                }
-                // Unifies the two source representations: the exact side
-                // hands its records over directly; the arena side unpacks
-                // cells and points from their keys (same values, by the
-                // injectivity of the packings).
-                let mut merge_one = |key: u128,
-                                     ocount: i64,
-                                     odirty: bool,
-                                     opoints: &mut dyn Iterator<Item = (u128, Point, i64)>,
-                                     ocell: Option<&CellId>| {
-                    match cells.entry(key) {
-                        Entry::Vacant(v) => {
-                            let cell = match ocell {
-                                Some(c) => c.clone(),
-                                None => CellId::unpack(key, level, gp.d)
-                                    .expect("arena cell keys are valid packings"),
-                            };
-                            let mut points = Key128Map::default();
-                            for (pk, p, m) in opoints {
-                                points.insert(pk, (p, m));
-                            }
-                            v.insert(CellRec {
-                                count: ocount,
-                                dirty: odirty,
-                                cell,
-                                points,
-                            });
-                        }
-                        Entry::Occupied(mut o) => {
-                            let rec = o.get_mut();
-                            rec.count += ocount;
-                            if odirty {
-                                rec.dirty = true;
-                            }
-                            if rec.dirty {
-                                rec.points.clear();
-                                rec.points.shrink_to_fit();
-                            } else {
-                                for (pk, p, m) in opoints {
-                                    match rec.points.entry(pk) {
-                                        Entry::Vacant(v) => {
-                                            if m != 0 {
-                                                v.insert((p, m));
-                                            }
-                                        }
-                                        Entry::Occupied(mut po) => {
-                                            po.get_mut().1 += m;
-                                            if po.get().1 == 0 {
-                                                po.remove();
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                };
-                match o {
-                    Inner::Exact { cells: ocells, .. } => {
-                        for (key, orec) in ocells.iter() {
-                            let mut pts =
-                                orec.points.iter().map(|(pk, (p, m))| (*pk, p.clone(), *m));
-                            merge_one(*key, orec.count, orec.dirty, &mut pts, Some(&orec.cell));
-                        }
-                    }
-                    Inner::Arena { table: otable, .. } => {
-                        for (key, orec) in otable.iter() {
-                            let mut pts = orec.points.iter().map(|&(pk, m)| {
-                                let p = Point::unpack(pk, gp.delta, gp.d)
-                                    .expect("arena point keys are valid packings");
-                                (pk, p, m)
-                            });
-                            merge_one(key as u128, orec.count, orec.dirty, &mut pts, None);
-                        }
-                    }
-                    Inner::Sketch { .. } => unreachable!(),
-                }
-                // Post-pass: the eviction and emptied-cell rules over merged
-                // totals, then the occupancy cap over the merged cell set.
-                cells.retain(|_, rec| {
-                    if !rec.dirty && rec.count > 2 * beta.max(1) {
-                        rec.points.clear();
-                        rec.points.shrink_to_fit();
-                        rec.dirty = true;
-                    }
-                    rec.count != 0 || !rec.points.is_empty()
-                });
-                *peak_cells = (*peak_cells).max(cells.len());
-                sbc_obs::counter!("stream.merge.cells").add(cells.len() as u64);
-                if cells.len() > *cap_cells {
-                    *dead = true;
-                    cells.clear();
-                    cells.shrink_to_fit();
-                    sbc_obs::counter!("stream.store.kill.runaway_kill").incr();
-                    trace::event(TraceKind::StoreKill, "runaway_kill", ids, updates);
-                }
-            }
-            (
-                Inner::Arena {
-                    table,
-                    cap_cells,
-                    dead,
-                    peak_cells,
-                },
-                o,
-            ) => {
-                *peak_cells = (*peak_cells).max(other_peak);
-                if *dead || other_dead {
-                    if !*dead && self.injected.is_none() {
-                        self.injected = other_injected;
-                    }
-                    *dead = true;
-                    table.clear_shrink();
-                    sbc_obs::counter!("stream.merge.dead_stores").incr();
-                    return true;
-                }
-                let mut merge_one =
-                    |key: u64,
-                     ocount: i64,
-                     odirty: bool,
-                     opoints: &mut dyn Iterator<Item = (u128, i64)>| {
-                        match table.get_mut(key) {
-                            None => {
-                                table.insert_absent(
-                                    key,
-                                    ArenaRec {
-                                        count: ocount,
-                                        dirty: odirty,
-                                        points: opoints.collect(),
-                                    },
-                                );
-                            }
-                            Some(rec) => {
-                                rec.count += ocount;
-                                if odirty {
-                                    rec.dirty = true;
-                                }
-                                if rec.dirty {
-                                    rec.points = Vec::new();
-                                } else {
-                                    for (pk, m) in opoints {
-                                        match rec.points.iter().position(|&(k, _)| k == pk) {
-                                            None => {
-                                                if m != 0 {
-                                                    rec.points.push((pk, m));
-                                                }
-                                            }
-                                            Some(i) => {
-                                                rec.points[i].1 += m;
-                                                if rec.points[i].1 == 0 {
-                                                    rec.points.swap_remove(i);
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    };
-                match o {
-                    Inner::Exact { cells: ocells, .. } => {
-                        for (key, orec) in ocells.iter() {
-                            debug_assert!(*key <= u64::MAX as u128, "arena cell keys fit u64");
-                            let mut pts = orec.points.iter().map(|(pk, (_, m))| (*pk, *m));
-                            merge_one(*key as u64, orec.count, orec.dirty, &mut pts);
-                        }
-                    }
-                    Inner::Arena { table: otable, .. } => {
-                        for (key, orec) in otable.iter() {
-                            let mut pts = orec.points.iter().copied();
-                            merge_one(key, orec.count, orec.dirty, &mut pts);
-                        }
-                    }
-                    Inner::Sketch { .. } => unreachable!(),
-                }
-                table.retain(|_, rec| {
-                    if !rec.dirty && rec.count > 2 * beta.max(1) {
-                        rec.points = Vec::new();
-                        rec.dirty = true;
-                    }
-                    rec.count != 0 || !rec.points.is_empty()
-                });
-                *peak_cells = (*peak_cells).max(table.len());
-                sbc_obs::counter!("stream.merge.cells").add(table.len() as u64);
-                if table.len() > *cap_cells {
-                    *dead = true;
-                    table.clear_shrink();
-                    sbc_obs::counter!("stream.store.kill.runaway_kill").incr();
-                    trace::event(TraceKind::StoreKill, "runaway_kill", ids, updates);
-                }
-            }
-            (Inner::Sketch { .. }, _) => unreachable!(),
+        if poisoned && self.injected.is_none() {
+            self.injected = other.injected;
         }
         true
     }
@@ -1509,36 +1215,43 @@ mod tests {
         (grid, pts)
     }
 
-    fn run_backend(backend: Backend) -> (StoringOutput, StoringOutput) {
-        let (grid, pts) = setup();
+    const ARENA: Backend = Backend::Arena { cap_cells: 4096 };
+
+    /// Inserts `pts`, deletes the second half, and returns the store's
+    /// output next to a ground-truth recount of the surviving half.
+    fn run_backend(
+        grid: &GridHierarchy,
+        pts: &[Point],
+        level: i32,
+        backend: Backend,
+    ) -> (StoringOutput, StoringOutput) {
         let cfg = StoringConfig {
             alpha: 256,
             beta: 8,
             rows: 4,
         };
         let mut rng = StdRng::seed_from_u64(3);
-        let mut st = Storing::new(&grid, 4, cfg, backend, &mut rng);
-        // Insert everything, delete the second half.
-        for p in &pts {
+        let mut st = Storing::new(grid, level, cfg, backend, &mut rng);
+        let half = pts.len() / 2;
+        for p in pts {
             st.update(p, 1);
         }
-        for p in &pts[60..] {
+        for p in &pts[half..] {
             st.update(p, -1);
         }
         let got = st.finish().expect("within budget");
 
-        // Ground truth: exact recount of the surviving 60 points.
         let mut truth_cells: HashMap<CellId, i64> = HashMap::new();
-        for p in &pts[..60] {
-            *truth_cells.entry(grid.cell_of(p, 4)).or_insert(0) += 1;
+        for p in &pts[..half] {
+            *truth_cells.entry(grid.cell_of(p, level)).or_insert(0) += 1;
         }
         let mut cells: Vec<(CellId, i64)> = truth_cells.clone().into_iter().collect();
         cells.sort_by(|a, b| a.0.cmp(&b.0));
         // Merge duplicate points (generators may repeat coordinates; the
         // store reports one entry with the net multiplicity).
         let mut small_map: HashMap<Point, i64> = HashMap::new();
-        for p in &pts[..60] {
-            if truth_cells[&grid.cell_of(p, 4)] <= 8 {
+        for p in &pts[..half] {
+            if truth_cells[&grid.cell_of(p, level)] <= 8 {
                 *small_map.entry(p.clone()).or_insert(0) += 1;
             }
         }
@@ -1555,17 +1268,95 @@ mod tests {
     }
 
     #[test]
-    fn exact_backend_matches_ground_truth_under_deletions() {
-        let (got, want) = run_backend(Backend::Exact { cap_cells: 4096 });
+    fn sketch_backend_matches_ground_truth_under_deletions() {
+        let (grid, pts) = setup();
+        let (got, want) = run_backend(&grid, &pts, 4, Backend::Sketch);
         assert_eq!(got.cells, want.cells);
         assert_eq!(got.small_points, want.small_points);
     }
 
     #[test]
-    fn sketch_backend_matches_ground_truth_under_deletions() {
-        let (got, want) = run_backend(Backend::Sketch);
+    fn arena_backend_matches_ground_truth_under_deletions() {
+        let (grid, pts) = setup();
+        let (got, want) = run_backend(&grid, &pts, 4, ARENA);
         assert_eq!(got.cells, want.cells);
         assert_eq!(got.small_points, want.small_points);
+    }
+
+    /// The same ground truth where keys do not pack into 64 bits: cells
+    /// packed in 128 bits, cells named by mixing hash, and (d = 16)
+    /// points named by mixing hash too.
+    #[test]
+    fn arena_backend_matches_ground_truth_at_wide_geometries() {
+        for (d, level) in [(12, 8), (12, 9), (16, 4), (16, 7)] {
+            let gp = GridParams::from_log_delta(10, d);
+            let mut rng = StdRng::seed_from_u64(d as u64);
+            let grid = GridHierarchy::new(gp, &mut rng);
+            let pts = uniform(gp, 120, d as u64);
+            let st = Storing::new(&grid, level, cfg_small(), ARENA, &mut rng);
+            assert!(matches!(st.inner, Inner::Wide(_)), "d = {d}, level {level}");
+            let (got, want) = run_backend(&grid, &pts, level, ARENA);
+            assert_eq!(got.cells, want.cells, "d = {d}, level {level}");
+            assert_eq!(
+                got.small_points, want.small_points,
+                "d = {d}, level {level}"
+            );
+            assert!(!got.small_points.is_empty());
+        }
+    }
+
+    fn cfg_small() -> StoringConfig {
+        StoringConfig {
+            alpha: 64,
+            beta: 2,
+            rows: 2,
+        }
+    }
+
+    /// Name tables hold exactly the live keys: one cell name per live
+    /// cell, one point name per payload entry, through insertions,
+    /// evictions, deletions and a merge — so a wide store's memory
+    /// follows its occupancy, not the keys it ever saw.
+    #[test]
+    fn name_tables_track_live_keys_only() {
+        let gp = GridParams::from_log_delta(10, 16);
+        let mut rng = StdRng::seed_from_u64(21);
+        let grid = GridHierarchy::new(gp, &mut rng);
+        let pts = uniform(gp, 200, 21);
+        let hot = pts[0].clone();
+        let check = |st: &Storing| {
+            let Inner::Wide(a) = &st.inner else {
+                panic!("d = 16 at level 7 is keyed wide")
+            };
+            let payload: usize = a.table.iter().map(|(_, r)| r.points.len()).sum();
+            let cells = a.cell_names.as_ref().expect("named cells").len();
+            let points = a.point_names.as_ref().expect("named points").len();
+            assert_eq!((cells, points), (a.table.len(), payload));
+        };
+        let mk = |rng: &mut StdRng| Storing::new(&grid, 7, cfg_small(), ARENA, rng);
+        let (mut a, mut b) = (mk(&mut rng), mk(&mut rng));
+        for p in &pts[..100] {
+            a.update(p, 1);
+        }
+        for _ in 0..6 {
+            a.update(&hot, 1); // past 2β: evicts the hot cell's payload
+        }
+        check(&a);
+        for p in &pts[..60] {
+            a.update(p, -1);
+        }
+        check(&a);
+        for p in &pts[50..] {
+            b.update(p, 1);
+        }
+        assert!(a.merge_from(&b));
+        check(&a);
+        let snap = a.to_snapshot().expect("arena snapshot");
+        let mut c = mk(&mut rng);
+        assert!(c.load_snapshot(&snap));
+        check(&c);
+        assert_eq!(c.to_snapshot(), Some(snap));
+        assert_eq!(c.finish(), a.finish());
     }
 
     #[test]
@@ -1577,11 +1368,7 @@ mod tests {
             rows: 3,
         };
         let mut rng = StdRng::seed_from_u64(4);
-        for backend in [
-            Backend::Exact { cap_cells: 4096 },
-            Backend::Arena { cap_cells: 4096 },
-            Backend::Sketch,
-        ] {
+        for backend in [ARENA, Backend::Sketch] {
             let mut st = Storing::new(&grid, 6, cfg, backend, &mut rng);
             for p in &pts {
                 st.update(p, 1);
@@ -1595,25 +1382,6 @@ mod tests {
                 "{err:?}"
             );
         }
-    }
-
-    #[test]
-    fn exact_cap_kills_runaway_stream() {
-        let (grid, pts) = setup();
-        let cfg = StoringConfig {
-            alpha: 4,
-            beta: 2,
-            rows: 2,
-        };
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut st = Storing::new(&grid, 6, cfg, Backend::Exact { cap_cells: 8 }, &mut rng);
-        for p in &pts {
-            st.update(p, 1);
-        }
-        assert!(st.is_dead());
-        assert_eq!(st.finish().unwrap_err(), StoringFail::Overflowed);
-        // Dead structures hold (almost) no memory.
-        assert!(st.stored_bytes() < 256);
     }
 
     #[test]
@@ -1655,8 +1423,8 @@ mod tests {
     }
 
     #[test]
-    fn exact_dirty_small_cell_detected() {
-        // Blow a cell past 2β, then delete back under β: the exact
+    fn arena_dirty_small_cell_detected() {
+        // Blow a cell past 2β, then delete back under β: the arena
         // backend must refuse rather than silently return partial points.
         let gp = GridParams::from_log_delta(6, 2);
         let grid = GridHierarchy::unshifted(gp);
@@ -1666,12 +1434,10 @@ mod tests {
             rows: 2,
         };
         let mut rng = StdRng::seed_from_u64(7);
-        let mut st = Storing::new(&grid, 5, cfg, Backend::Exact { cap_cells: 512 }, &mut rng);
-        let cell_pts: Vec<Point> = (1..=8u32).map(|i| Point::new(vec![i % 2 + 1, i])).collect();
-        // All 8 land near the origin corner; level 5 cells have side 2, so
-        // pick 8 points in one cell: (1..2)×(1..2) — use multiplicity.
+        let mut st = Storing::new(&grid, 5, cfg, Backend::Arena { cap_cells: 512 }, &mut rng);
+        // Level-5 cells have side 2: one point with multiplicity 8 fills
+        // one cell past 2β.
         let p = Point::new(vec![1, 1]);
-        let _ = cell_pts;
         for _ in 0..8 {
             st.update(&p, 1);
         }
@@ -1690,116 +1456,53 @@ mod tests {
     }
 
     #[test]
-    fn arena_backend_matches_ground_truth_under_deletions() {
-        let (got, want) = run_backend(Backend::Arena { cap_cells: 4096 });
-        assert_eq!(got.cells, want.cells);
-        assert_eq!(got.small_points, want.small_points);
-    }
-
-    /// Drives the exact and arena backends through the same churned
-    /// stream — inserts, a cell blown past 2β (eviction), deletions back
-    /// down — and pins every observable equal: finish output, canonical
-    /// snapshot, update count.
-    #[test]
-    fn arena_matches_exact_bitwise_under_churn() {
-        let (grid, pts) = setup();
-        let cfg = StoringConfig {
-            alpha: 256,
-            beta: 3,
-            rows: 4,
-        };
-        let mk = |backend| {
-            let mut rng = StdRng::seed_from_u64(9);
-            Storing::new(&grid, 4, cfg, backend, &mut rng)
-        };
-        let mut ex = mk(Backend::Exact { cap_cells: 4096 });
-        let mut ar = mk(Backend::Arena { cap_cells: 4096 });
-        let hot = Point::new(vec![5, 5]);
-        for st in [&mut ex, &mut ar] {
-            for p in &pts {
-                st.update(p, 1);
-            }
-            for _ in 0..10 {
-                st.update(&hot, 1); // past 2β: evicts the cell's points
-            }
-            for p in &pts[40..] {
-                st.update(p, -1);
-            }
-        }
-        assert_eq!(ex.update_count(), ar.update_count());
-        assert_eq!(ex.to_snapshot(), ar.to_snapshot());
-        assert_eq!(ex.finish(), ar.finish());
-    }
-
-    /// The key-only entry point must be bit-identical to the unpacked
-    /// one on both backends.
-    #[test]
-    fn update_packed_matches_update() {
-        let (grid, pts) = setup();
-        let cfg = StoringConfig {
-            alpha: 256,
-            beta: 8,
-            rows: 4,
-        };
-        let delta = grid.params().delta;
-        for backend in [
-            Backend::Exact { cap_cells: 4096 },
-            Backend::Arena { cap_cells: 4096 },
-        ] {
-            let mk = || {
-                let mut rng = StdRng::seed_from_u64(10);
-                Storing::new(&grid, 4, cfg, backend, &mut rng)
-            };
-            let (mut by_point, mut by_key) = (mk(), mk());
-            for p in &pts {
-                by_point.update(p, 1);
-                let cell_key = grid.cell_of(p, 4).key128();
-                by_key.update_packed(p.key128(delta), cell_key, 1);
-            }
-            assert_eq!(by_point.to_snapshot(), by_key.to_snapshot());
-            assert_eq!(by_point.finish(), by_key.finish());
-        }
-    }
-
-    #[test]
-    fn update_packed_many_matches_per_op_path() {
-        // The batched drain must be indistinguishable from per-op
-        // update_packed — including with churn (zero-removal), on the
-        // exact-backend fallback, and when the occupancy cap kills the
+    fn update_many_matches_per_update_path() {
+        // The hoisted batch drain must be indistinguishable from the
+        // per-update path (forced here by a fault plan that is armed but
+        // never fires) — including with churn (zero-removal), at narrow
+        // and wide key widths, and when the occupancy cap kills the
         // store mid-batch (the update counter must keep advancing for
         // the items after the kill).
-        let (grid, pts) = setup();
-        let delta = grid.params().delta;
+        let never = FaultPlan {
+            store_kill_at: Some(u64::MAX),
+            store_kill_permille: 1000,
+            ..FaultPlan::NONE
+        };
         let cfg = StoringConfig {
             alpha: 256,
             beta: 2,
             rows: 4,
         };
-        let ops: Vec<(u128, u128, i64)> = pts
-            .iter()
-            .flat_map(|p| {
-                let pk = p.key128(delta);
-                let ck = grid.cell_of(p, 4).key128();
-                [(pk, ck, 1), (pk, ck, 1), (pk, ck, -1)]
-            })
-            .collect();
-        for backend in [
-            Backend::Exact { cap_cells: 4096 },
-            Backend::Arena { cap_cells: 4096 },
-            Backend::Arena { cap_cells: 8 }, // cap-kill fires mid-batch
-        ] {
-            let mk = || {
-                let mut rng = StdRng::seed_from_u64(10);
-                Storing::new(&grid, 4, cfg, backend, &mut rng)
-            };
-            let (mut per_op, mut batched) = (mk(), mk());
-            for &(pk, ck, d) in &ops {
-                per_op.update_packed(pk, ck, d);
+        let (narrow, narrow_pts) = setup();
+        let wide_gp = GridParams::from_log_delta(10, 16);
+        let wide = GridHierarchy::new(wide_gp, &mut StdRng::seed_from_u64(8));
+        let wide_pts = uniform(wide_gp, 120, 8);
+        for (grid, pts, level) in [(&narrow, &narrow_pts, 4), (&wide, &wide_pts, 7)] {
+            let delta = grid.params().delta;
+            let ops: Vec<(&Point, u128, u128, i64)> = pts
+                .iter()
+                .flat_map(|p| {
+                    let pk = p.key128(delta);
+                    let ck = grid.cell_of(p, level).key128();
+                    [(p, pk, ck, 1), (p, pk, ck, 1), (p, pk, ck, -1)]
+                })
+                .collect();
+            for backend in [ARENA, Backend::Arena { cap_cells: 8 }] {
+                let mk = || {
+                    let mut rng = StdRng::seed_from_u64(10);
+                    Storing::new(grid, level, cfg, backend, &mut rng)
+                };
+                let (mut per_update, mut batched) = (mk(), mk());
+                per_update.arm_fault(never, 1);
+                for &(p, pk, ck, d) in &ops {
+                    per_update.update_precomputed(p, pk, ck, d);
+                }
+                batched.update_many(ops.iter().copied());
+                assert_eq!(per_update.update_count(), batched.update_count());
+                assert_eq!(per_update.to_snapshot(), batched.to_snapshot());
+                assert_eq!(per_update.finish(), batched.finish());
+                assert_eq!(per_update.is_dead(), batched.is_dead());
             }
-            batched.update_packed_many(ops.iter().copied());
-            assert_eq!(per_op.to_snapshot(), batched.to_snapshot());
-            assert_eq!(per_op.finish(), batched.finish());
-            assert_eq!(per_op.is_dead(), batched.is_dead());
         }
     }
 
@@ -1819,84 +1522,9 @@ mod tests {
         assert!(st.is_dead());
         assert_eq!(st.death(), Some(StoreDeath::RunawayKill));
         assert_eq!(st.finish().unwrap_err(), StoringFail::Overflowed);
+        // Dead structures hold (almost) no memory.
         assert!(st.stored_bytes() < 256);
         assert_eq!(st.arena_occupancy(), None);
-    }
-
-    /// Snapshots restore across backends in both directions: an arena
-    /// snapshot loaded into an exact store (and vice versa) continues
-    /// bit-identically.
-    #[test]
-    fn arena_snapshot_restores_across_backends() {
-        let (grid, pts) = setup();
-        let cfg = StoringConfig {
-            alpha: 256,
-            beta: 4,
-            rows: 4,
-        };
-        let mk = |backend| {
-            let mut rng = StdRng::seed_from_u64(11);
-            Storing::new(&grid, 4, cfg, backend, &mut rng)
-        };
-        let exact = Backend::Exact { cap_cells: 4096 };
-        let arena = Backend::Arena { cap_cells: 4096 };
-        for (src, dst) in [(exact, arena), (arena, exact), (arena, arena)] {
-            let mut a = mk(src);
-            for p in &pts[..80] {
-                a.update(p, 1);
-            }
-            let snap = a.to_snapshot().expect("snapshot");
-            let mut b = mk(dst);
-            assert!(b.load_snapshot(&snap));
-            for p in &pts[80..] {
-                a.update(p, 1);
-                b.update(p, 1);
-            }
-            assert_eq!(a.to_snapshot(), b.to_snapshot());
-            assert_eq!(a.finish(), b.finish());
-        }
-    }
-
-    /// Merging produces the same result for every backend pairing,
-    /// including the post-merge eviction and emptied-cell rules.
-    #[test]
-    fn merge_identical_across_backend_pairings() {
-        let (grid, pts) = setup();
-        let cfg = StoringConfig {
-            alpha: 256,
-            beta: 3,
-            rows: 4,
-        };
-        let mk = |backend| {
-            let mut rng = StdRng::seed_from_u64(12);
-            Storing::new(&grid, 4, cfg, backend, &mut rng)
-        };
-        let exact = Backend::Exact { cap_cells: 4096 };
-        let arena = Backend::Arena { cap_cells: 4096 };
-        let fill = |st: &mut Storing, half: &[Point]| {
-            for p in half {
-                st.update(p, 1);
-            }
-            // Churn so merges see dirty cells and cancellations.
-            for p in &half[..half.len() / 3] {
-                st.update(p, -1);
-            }
-        };
-        let reference = {
-            let (mut l, mut r) = (mk(exact), mk(exact));
-            fill(&mut l, &pts[..60]);
-            fill(&mut r, &pts[60..]);
-            assert!(l.merge_from(&r));
-            (l.to_snapshot(), l.finish())
-        };
-        for (bl, br) in [(arena, arena), (arena, exact), (exact, arena)] {
-            let (mut l, mut r) = (mk(bl), mk(br));
-            fill(&mut l, &pts[..60]);
-            fill(&mut r, &pts[60..]);
-            assert!(l.merge_from(&r), "{bl:?} <- {br:?}");
-            assert_eq!(l.to_snapshot(), reference.0, "{bl:?} <- {br:?}");
-            assert_eq!(l.finish(), reference.1, "{bl:?} <- {br:?}");
-        }
     }
 
     /// A dead side poisons the merge identically for arena stores.
@@ -1930,7 +1558,7 @@ mod tests {
             rows: 4,
         };
         let mut rng = StdRng::seed_from_u64(14);
-        let mut st = Storing::new(&grid, 4, cfg, Backend::Arena { cap_cells: 4096 }, &mut rng);
+        let mut st = Storing::new(&grid, 4, cfg, ARENA, &mut rng);
         assert_eq!(
             st.arena_occupancy(),
             Some((st.arena_occupancy().unwrap().0, 0))
@@ -1942,10 +1570,9 @@ mod tests {
         assert!(live > 0);
         assert!(slots >= live, "load factor below 1: {live}/{slots}");
         assert!(live * 8 <= slots * 7, "within the ⅞ load bound");
-        // Exact backends report nothing.
-        let mut rng = StdRng::seed_from_u64(14);
-        let ex = Storing::new(&grid, 4, cfg, Backend::Exact { cap_cells: 4096 }, &mut rng);
-        assert_eq!(ex.arena_occupancy(), None);
+        // Sketch backends report nothing.
+        let sk = Storing::new(&grid, 4, cfg, Backend::Sketch, &mut rng);
+        assert_eq!(sk.arena_occupancy(), None);
     }
 
     #[test]

@@ -117,7 +117,7 @@ fn dynamic_streams_are_path_independent() {
 
 #[test]
 fn mid_stream_store_death_is_path_independent() {
-    // A tiny cap_cells forces exact-backend stores to overflow and die
+    // A tiny cap_cells forces arena-backend stores to overflow and die
     // mid-stream. Death is order-sensitive (a store dies when a *new*
     // cell arrives at cap occupancy), so this is the sharpest test that
     // pruning routes the exact accepting set in the exact stream order.

@@ -174,7 +174,7 @@ proptest! {
 
 #[test]
 fn metrics_invisible_under_store_death() {
-    // A tight cap_cells kills exact-backend stores mid-stream; the
+    // A tight cap_cells kills arena-backend stores mid-stream; the
     // kill-path counters must not perturb death order or accounting.
     let _guard = REGISTRY_GUARD.lock().unwrap();
     let p = params(7);

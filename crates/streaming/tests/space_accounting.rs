@@ -13,7 +13,7 @@ use sbc_core::CoresetParams;
 use sbc_geometry::dataset::{gaussian_mixture, two_phase_dynamic};
 use sbc_geometry::GridParams;
 use sbc_streaming::model::{insertion_stream, StreamOp};
-use sbc_streaming::{Kernel, Snapshot, StreamCoresetBuilder, StreamParams};
+use sbc_streaming::{Snapshot, StreamCoresetBuilder, StreamParams};
 
 fn params(log_delta: u32) -> CoresetParams {
     CoresetParams::builder(3, GridParams::from_log_delta(log_delta, 2))
@@ -145,10 +145,7 @@ fn peak_measured_bytes_is_a_monotone_high_water_mark() {
 #[test]
 fn tombstone_purge_shrinks_measured_footprint_and_survives_restore() {
     let p = params(7);
-    let sp = StreamParams {
-        kernel: Kernel::Simd,
-        ..StreamParams::default()
-    };
+    let sp = StreamParams::default();
     let data = two_phase_dynamic(p.grid, 400, 1200, 3, 13);
     let inserts: Vec<StreamOp> = data
         .kept
@@ -164,7 +161,7 @@ fn tombstone_purge_shrinks_measured_footprint_and_survives_restore() {
     let before = b.space_report();
     assert!(
         before.arena_slots > 0,
-        "the packed kernel must actually run on flat arenas here"
+        "stores must actually run on flat arenas here"
     );
     assert!(before.arena_entries > 0);
 
@@ -234,10 +231,7 @@ fn arenas_are_sized_to_occupancy_not_to_alpha() {
     const WINDOW: usize = 600;
     const BATCH: usize = 40;
     let p = params(8);
-    let sp = StreamParams {
-        kernel: Kernel::Simd,
-        ..StreamParams::default()
-    };
+    let sp = StreamParams::default();
     let mut b = build(&p, sp, 29);
     let fresh = b.space_report();
     assert!(fresh.live_stores > 0 && fresh.arena_slots > 0);
@@ -267,10 +261,7 @@ fn arenas_are_sized_to_occupancy_not_to_alpha() {
     );
 
     let bytes = b.checkpoint().expect("arena stores checkpoint").to_bytes();
-    let mut snap = Snapshot::from_bytes(&bytes).expect("round-trips");
-    // The kernel is not serialized; restore onto arenas whatever
-    // `SBC_FORCE_SCALAR` says, so both reports come from one backend.
-    snap.sparams.kernel = Kernel::Simd;
+    let snap = Snapshot::from_bytes(&bytes).expect("round-trips");
     let restored = StreamCoresetBuilder::restore(&snap).expect("restores");
     let mut got = restored.space_report();
     let mut want = b.space_report();

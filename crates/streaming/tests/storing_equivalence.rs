@@ -1,5 +1,5 @@
 //! Cross-backend equivalence of the `Storing` subroutine: on any
-//! insert/delete sequence whose final state fits the budgets, the exact
+//! insert/delete sequence whose final state fits the budgets, the arena
 //! and sketch backends must produce identical Lemma 4.2 outputs.
 
 use proptest::prelude::*;
@@ -12,7 +12,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn exact_and_sketch_agree_on_random_streams(
+    fn arena_and_sketch_agree_on_random_streams(
         ops in prop::collection::vec(((1u32..=32, 1u32..=32), prop::bool::ANY), 1..120),
         level in 2i32..=5,
         shift_seed in 0u64..500,
@@ -22,7 +22,7 @@ proptest! {
         let grid = GridHierarchy::new(gp, &mut rng);
         let cfg = StoringConfig { alpha: 256, beta: 6, rows: 5 };
 
-        let mut exact = Storing::new(&grid, level, cfg, Backend::Exact { cap_cells: 4096 }, &mut rng);
+        let mut arena = Storing::new(&grid, level, cfg, Backend::Arena { cap_cells: 4096 }, &mut rng);
         let mut sketch = Storing::new(&grid, level, cfg, Backend::Sketch, &mut rng);
 
         // Maintain ground-truth multiplicities so deletes stay legal.
@@ -32,32 +32,32 @@ proptest! {
             let e = truth.entry(p.clone()).or_insert(0);
             if insert {
                 *e += 1;
-                exact.update(&p, 1);
+                arena.update(&p, 1);
                 sketch.update(&p, 1);
             } else if *e > 0 {
                 *e -= 1;
-                exact.update(&p, -1);
+                arena.update(&p, -1);
                 sketch.update(&p, -1);
             }
         }
 
-        match (exact.finish(), sketch.finish()) {
+        match (arena.finish(), sketch.finish()) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(&a.cells, &b.cells, "cell counts differ");
                 prop_assert_eq!(&a.small_points, &b.small_points, "small points differ");
             }
             (Err(_), Err(_)) => {} // both reject (over budget): consistent
             (a, b) => {
-                // The exact backend can fail on dirty small cells where
+                // The arena backend can fail on dirty small cells where
                 // the sketch succeeds — that is the documented asymmetry;
                 // anything else is a bug.
-                let exact_dirty = matches!(
+                let arena_dirty = matches!(
                     &a,
                     Ok(out) if !out.dirty_small_cells.is_empty()
                 );
                 prop_assert!(
-                    exact_dirty || a.is_err(),
-                    "backends disagree: exact {a:?} vs sketch {b:?}"
+                    arena_dirty || a.is_err(),
+                    "backends disagree: arena {a:?} vs sketch {b:?}"
                 );
             }
         }
@@ -65,9 +65,9 @@ proptest! {
 }
 
 /// Deterministic heavy-churn scenario: a cell is pumped far above 2β and
-/// drained back; the sketch recovers, the exact backend flags the cell.
+/// drained back; the sketch recovers, the arena backend flags the cell.
 #[test]
-fn churned_cell_sketch_recovers_exact_flags() {
+fn churned_cell_sketch_recovers_arena_flags() {
     let gp = GridParams::from_log_delta(5, 2);
     let grid = GridHierarchy::unshifted(gp);
     let cfg = StoringConfig {
@@ -76,15 +76,15 @@ fn churned_cell_sketch_recovers_exact_flags() {
         rows: 5,
     };
     let mut rng = StdRng::seed_from_u64(3);
-    let mut exact = Storing::new(&grid, 4, cfg, Backend::Exact { cap_cells: 1024 }, &mut rng);
+    let mut arena = Storing::new(&grid, 4, cfg, Backend::Arena { cap_cells: 1024 }, &mut rng);
     let mut sketch = Storing::new(&grid, 4, cfg, Backend::Sketch, &mut rng);
 
     // Pump one point's multiplicity past 2β, then drain back to 1: the
-    // final state is small, but the exact backend lost the payload.
+    // final state is small, but the arena backend lost the payload.
     let a = Point::new(vec![1, 1]);
-    for st in [&mut exact, &mut sketch] {
+    for st in [&mut arena, &mut sketch] {
         for _ in 0..6 {
-            st.update(&a, 1); // count 6 > 2β = 4 ⇒ exact evicts
+            st.update(&a, 1); // count 6 > 2β = 4 ⇒ arena evicts
         }
         for _ in 0..5 {
             st.update(&a, -1); // final multiplicity 1 ≤ β
@@ -98,19 +98,19 @@ fn churned_cell_sketch_recovers_exact_flags() {
     );
     assert!(sk.dirty_small_cells.is_empty());
 
-    let ex = exact.finish().expect("counts remain exact");
+    let ex = arena.finish().expect("counts remain exact");
     assert_eq!(ex.cells, sk.cells, "counts agree");
     assert!(ex.small_points.is_empty(), "payload was evicted");
     assert_eq!(
         ex.dirty_small_cells.len(),
         1,
-        "exact backend flags the evicted cell"
+        "arena backend flags the evicted cell"
     );
 
     // Draining a dirty cell all the way to zero clears it entirely — an
     // empty cell needs no flag.
     let mut rng2 = StdRng::seed_from_u64(4);
-    let mut drained = Storing::new(&grid, 4, cfg, Backend::Exact { cap_cells: 1024 }, &mut rng2);
+    let mut drained = Storing::new(&grid, 4, cfg, Backend::Arena { cap_cells: 1024 }, &mut rng2);
     for _ in 0..6 {
         drained.update(&a, 1);
     }

@@ -36,7 +36,7 @@ fn params() -> CoresetParams {
 }
 
 /// A killing workload: enough churned points that the tight `cap_cells`
-/// below reliably retires exact-backend stores mid-stream.
+/// below reliably retires arena-backend stores mid-stream.
 fn workload() -> Vec<StreamOp> {
     let p = params();
     let pts = gaussian_mixture(p.grid, 1200, 3, 0.05, 41);

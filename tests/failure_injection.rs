@@ -38,7 +38,7 @@ fn storing_overflow_and_alpha_fail_paths() {
     let pts = sbc_geometry::dataset::uniform(gp, 400, 2);
     let mut rng = StdRng::seed_from_u64(2);
 
-    // α exceeded (exact backend, generous cap).
+    // α exceeded (arena backend, generous cap).
     let mut st = Storing::new(
         &grid,
         6,
@@ -47,7 +47,7 @@ fn storing_overflow_and_alpha_fail_paths() {
             beta: 2,
             rows: 2,
         },
-        Backend::Exact { cap_cells: 10_000 },
+        Backend::Arena { cap_cells: 10_000 },
         &mut rng,
     );
     for p in &pts {
@@ -55,7 +55,7 @@ fn storing_overflow_and_alpha_fail_paths() {
     }
     assert!(matches!(st.finish(), Err(StoringFail::TooManyCells { .. })));
 
-    // Occupancy cap (exact backend, tight cap) ⇒ Overflowed, memory freed.
+    // Occupancy cap (arena backend, tight cap) ⇒ Overflowed, memory freed.
     let mut st2 = Storing::new(
         &grid,
         6,
@@ -64,7 +64,7 @@ fn storing_overflow_and_alpha_fail_paths() {
             beta: 2,
             rows: 2,
         },
-        Backend::Exact { cap_cells: 16 },
+        Backend::Arena { cap_cells: 16 },
         &mut rng,
     );
     for p in &pts {

@@ -207,22 +207,18 @@ fn sharded_deletion_streams_match_the_oracle_too() {
 }
 
 #[test]
-fn scalar_and_simd_kernels_are_bit_identical() {
-    // Kernel differential on every E1 family: the arena/SIMD batch
-    // kernels must reproduce the scalar reference path bit for bit
-    // across per-op, batched, and parallel-batched ingest, with a
-    // checkpoint cut mid-stream on top. Compared: net counts, exported
-    // summaries (cells, small points, rates), canonical store
-    // snapshots, and the finished coresets. Space reports are *not*
-    // compared — the two kernels lay the same logical state out
-    // differently and report different byte figures by design.
-    use sbc_streaming::{Kernel, Snapshot, StreamCoresetBuilder};
+fn per_op_batched_and_parallel_ingest_are_bit_identical() {
+    // Ingest-path differential on every E1 family: batched and
+    // parallel-batched ingest must reproduce the per-op reference path
+    // bit for bit, with a checkpoint cut mid-stream on top. Compared:
+    // net counts, exported summaries (cells, small points, rates),
+    // canonical store snapshots, and the finished coresets.
+    use sbc_streaming::{Snapshot, StreamCoresetBuilder};
     let faults = env_faults();
     for (name, pts) in workloads() {
         let ops = insertion_stream(&pts);
-        let mk = |kernel: Kernel, parallel: bool| {
+        let mk = |parallel: bool| {
             let sp = StreamParams::builder()
-                .kernel(kernel)
                 .parallel(parallel)
                 .threads(2)
                 .faults(faults)
@@ -232,28 +228,27 @@ fn scalar_and_simd_kernels_are_bit_identical() {
             StreamCoresetBuilder::new(params(2.0), sp, &mut rng)
         };
 
-        // Scalar reference: per-op ingest, with a mid-stream checkpoint.
-        let mut reference = mk(Kernel::Scalar, false);
+        // Per-op reference, with a mid-stream checkpoint.
+        let mut reference = mk(false);
         for op in &ops[..N / 2] {
             reference.process(op);
         }
-        let scalar_cut = reference.checkpoint().expect("scalar checkpoint");
+        let per_op_cut = reference.checkpoint().expect("per-op checkpoint");
         for op in &ops[N / 2..] {
             reference.process(op);
         }
         let ref_summaries = reference.export_summaries();
 
-        // SIMD kernels: per-op, batched, and parallel-batched, each cut
-        // at the same point.
+        // Batched and parallel-batched, each cut at the same point.
         for parallel in [false, true] {
-            let mut b = mk(Kernel::Simd, parallel);
+            let mut b = mk(parallel);
             b.process_all(&ops[..N / 2]);
-            let cut = b.checkpoint().expect("simd checkpoint");
+            let cut = b.checkpoint().expect("batched checkpoint");
             assert_eq!(
-                cut.instances, scalar_cut.instances,
+                cut.instances, per_op_cut.instances,
                 "{name} parallel={parallel}: mid-stream snapshots diverged"
             );
-            assert_eq!(cut.net_count, scalar_cut.net_count);
+            assert_eq!(cut.net_count, per_op_cut.net_count);
             b.process_all(&ops[N / 2..]);
             assert_eq!(b.net_count(), reference.net_count());
             assert_eq!(
@@ -262,36 +257,25 @@ fn scalar_and_simd_kernels_are_bit_identical() {
                 "{name} parallel={parallel}: summaries diverged"
             );
         }
-        let mut simd_per_op = mk(Kernel::Simd, false);
-        for op in &ops {
-            simd_per_op.process(op);
-        }
-        assert_eq!(
-            simd_per_op.export_summaries(),
-            ref_summaries,
-            "{name}: per-op SIMD path diverged"
-        );
 
-        // Cross-kernel resume: a scalar builder's checkpoint, pushed
-        // through the byte codec (which drops the kernel field),
-        // restores onto this host's default kernel and must continue to
-        // the same final state.
-        let roundtrip = Snapshot::from_bytes(&scalar_cut.to_bytes()).expect("codec roundtrip");
+        // Resume: the per-op builder's checkpoint, pushed through the
+        // byte codec, continues batched to the same final state.
+        let roundtrip = Snapshot::from_bytes(&per_op_cut.to_bytes()).expect("codec roundtrip");
         let mut resumed = StreamCoresetBuilder::restore(&roundtrip).expect("restore");
         resumed.process_all(&ops[N / 2..]);
         assert_eq!(
             resumed.export_summaries(),
             ref_summaries,
-            "{name}: cross-kernel resume diverged"
+            "{name}: resume diverged"
         );
 
         // And the coresets themselves agree (fault-free only: a kill
         // storm can leave nothing to assemble).
         if faults == FaultPlan::NONE {
-            let a = reference.finish_ref().expect("scalar coreset");
-            let mut b = mk(Kernel::Simd, false);
+            let a = reference.finish_ref().expect("per-op coreset");
+            let mut b = mk(false);
             b.process_all(&ops);
-            let b = b.finish_ref().expect("simd coreset");
+            let b = b.finish_ref().expect("batched coreset");
             assert_eq!(a.o, b.o, "{name}");
             assert_eq!(a.entries(), b.entries(), "{name}: coresets diverged");
         }
