@@ -230,6 +230,15 @@ impl<K: TableKey, V> OpenTable<K, V> {
         &mut self.entries.last_mut().expect("just pushed").1
     }
 
+    /// Returns `key`'s value, inserting `make()` first when the key is
+    /// absent; the flag says whether it was inserted.
+    pub fn get_or_insert_with<F: FnOnce() -> V>(&mut self, key: K, make: F) -> (&mut V, bool) {
+        match self.find(key) {
+            Some(e) => (&mut self.entries[e].1, false),
+            None => (self.insert_absent(key, make()), true),
+        }
+    }
+
     /// Removes `key`, returning its value if present. The last entry is
     /// swapped into the hole and its slot patched, keeping `entries`
     /// dense.

@@ -21,24 +21,17 @@
 //!   eviction (cells whose multiplicity exceeds `2β` drop their point
 //!   list, mirroring the sketch's bucket overflow) and a distinct-cell
 //!   occupancy cap that kills runaway substreams cheaply. Behaviourally
-//!   faithful, measured (not bounded) space; what the streaming builder
-//!   runs, and the only backend that checkpoints and merges.
-//!
-//! The arena keys cells by `CellId::pack` and points by `Point::pack`.
-//! Where a packing does not fit 128 bits the key is a mixing hash
-//! (`key128`), which does not invert; the store then keeps a name table
-//! (key → `CellId`, key → `Point`), filled from the point each update
-//! carries, to decode those keys at finish, snapshot and merge. Cell
-//! keys live in a `u64` when the level's packing fits 64 bits and every
-//! key unpacks (no name table), and in a `u128` otherwise. Which width
-//! and which name tables a store uses follows from the grid parameters
-//! and the level alone.
+//!   faithful, measured (not bounded) space; the only backend that
+//!   checkpoints and merges. It is the one-view case of the nested arena
+//!   the streaming builder keeps per (role, level) (`nested.rs`),
+//!   which also describes its key widths and name tables.
 
+use crate::nested::{Lifecycle, Nested, ViewSpec};
 use crate::sparse::SSparseRecovery;
 use rand::Rng;
 use sbc_geometry::{CellId, GridHierarchy, Point};
-use sbc_hash::{slots_for, KWiseHash, OpenTable, TableKey};
-use sbc_obs::fault::{FaultPlan, StoreFaultKind};
+use sbc_hash::KWiseHash;
+use sbc_obs::fault::FaultPlan;
 use sbc_obs::trace::{self, CausalIds, TraceKind};
 use std::collections::HashMap;
 
@@ -61,8 +54,9 @@ pub struct StoringConfig {
 pub enum Backend {
     /// Flat open-addressing arena backend (DESIGN.md §9) with per-cell
     /// eviction and an occupancy cap: cells are keyed by their packed
-    /// ids (or mixing hashes, see the module docs) in an [`OpenTable`]
-    /// and point payloads are dense `(point key, multiplicity)` vectors.
+    /// ids (or mixing hashes, see `nested.rs`) in an
+    /// `sbc_hash::OpenTable` and point payloads are dense
+    /// `(point key, multiplicity)` vectors.
     Arena {
         /// Maximum distinct non-empty cells tracked before the structure
         /// declares itself overflowed (frees its memory, FAILs at
@@ -131,505 +125,6 @@ pub struct StoringOutput {
     pub dirty_small_cells: Vec<CellId>,
 }
 
-/// One cell's state in the arena backend: the cell id lives in the
-/// table key, points live as `u128` keys — both turned back into a
-/// `CellId` / [`Point`] only at finish, snapshot and merge boundaries.
-#[derive(Clone, Default)]
-struct ArenaRec {
-    count: i64,
-    dirty: bool,
-    points: Vec<(u128, i64)>,
-}
-
-/// A cell-key width of the arena: `u64` when the level's packed cell ids
-/// fit 64 bits and every key unpacks, `u128` otherwise.
-trait CellKey: TableKey + Into<u128> {
-    /// Whether an arena of this width may keep name tables; the narrow
-    /// one never does, which compiles the name upkeep out of its hot
-    /// path.
-    const NAMED: bool;
-
-    /// The key from its 128-bit form, which fits by the constructor's
-    /// choice of width.
-    fn from_wide(key: u128) -> Self;
-}
-
-impl CellKey for u64 {
-    const NAMED: bool = false;
-
-    #[inline]
-    fn from_wide(key: u128) -> Self {
-        debug_assert!(key <= u64::MAX as u128, "narrow cell keys fit u64");
-        key as u64
-    }
-}
-
-impl CellKey for u128 {
-    const NAMED: bool = true;
-
-    #[inline]
-    fn from_wide(key: u128) -> Self {
-        key
-    }
-}
-
-/// Key → name table for keys that are mixing hashes (boxed: most stores
-/// have none, and an unboxed pair would grow every store).
-type Names<V> = Option<Box<OpenTable<u128, V>>>;
-
-/// What an [`Arena`] needs of the store that owns it.
-struct Ctx<'a> {
-    grid: &'a GridHierarchy,
-    level: i32,
-    cfg: StoringConfig,
-    ids: CausalIds,
-}
-
-/// The arena backend over one cell-key width.
-struct Arena<K> {
-    table: OpenTable<K, ArenaRec>,
-    cap_cells: usize,
-    dead: bool,
-    peak_cells: usize,
-    /// `CellId` of every live cell key, when the level's cell keys are
-    /// mixing hashes.
-    cell_names: Names<CellId>,
-    /// [`Point`] of every payload point key, when point keys are mixing
-    /// hashes.
-    point_names: Names<Point>,
-}
-
-/// Drops the names of `points` (a payload being evicted or merged away).
-fn forget_points(names: &mut Names<Point>, points: &[(u128, i64)]) {
-    if let Some(names) = names {
-        for &(pk, _) in points {
-            names.remove(pk);
-        }
-    }
-}
-
-/// Applies one update to a cell's point payload: tracks net
-/// multiplicities while the cell is small, and mirrors the sketch's
-/// bucket overflow by dropping the payload once the cell grows past
-/// `2β`. Payloads hold at most ~`2β` entries (the eviction bound), so a
-/// linear scan beats a hash probe on both instructions and cache lines.
-#[inline]
-fn update_payload(
-    rec: &mut ArenaRec,
-    names: &mut Names<Point>,
-    p: &Point,
-    point_key: u128,
-    delta: i64,
-    beta: i64,
-) {
-    if rec.dirty {
-        return;
-    }
-    if sbc_obs::enabled() {
-        sbc_obs::counter!("stream.store.map_probes").incr();
-    }
-    match rec.points.iter().position(|&(k, _)| k == point_key) {
-        None => {
-            if delta != 0 {
-                rec.points.push((point_key, delta));
-                if let Some(names) = names {
-                    names.insert_absent(point_key, p.clone());
-                }
-            }
-        }
-        Some(i) => {
-            rec.points[i].1 += delta;
-            if rec.points[i].1 == 0 {
-                rec.points.swap_remove(i);
-                forget_points(names, &[(point_key, 0)]);
-            }
-        }
-    }
-    if rec.count > 2 * beta.max(1) {
-        forget_points(names, &rec.points);
-        rec.points = Vec::new();
-        rec.dirty = true;
-    }
-}
-
-impl<K: CellKey> Arena<K> {
-    fn new(cap_cells: usize, named_cells: bool, named_points: bool) -> Self {
-        debug_assert!(K::NAMED || !(named_cells || named_points));
-        Self {
-            table: OpenTable::default(),
-            cap_cells,
-            dead: false,
-            peak_cells: 0,
-            cell_names: named_cells.then(Box::default),
-            point_names: named_points.then(Box::default),
-        }
-    }
-
-    /// Marks the arena dead and frees its memory.
-    fn kill(&mut self) {
-        self.dead = true;
-        self.table.clear_shrink();
-        if let Some(names) = &mut self.cell_names {
-            names.clear_shrink();
-        }
-        if let Some(names) = &mut self.point_names {
-            names.clear_shrink();
-        }
-    }
-
-    /// The occupancy-cap kill: a runaway substream dies and frees its
-    /// memory; `updates` stamps the trace event.
-    fn kill_runaway(&mut self, ids: CausalIds, updates: u64) {
-        self.kill();
-        sbc_obs::counter!("stream.store.kill.runaway_kill").incr();
-        trace::event(TraceKind::StoreKill, "runaway_kill", ids, updates);
-    }
-
-    /// Applies one update to a live arena whose update counter already
-    /// reads `updates`: cap kill before insert, peak tracking, eviction
-    /// after the point update, emptied-cell removal.
-    #[inline]
-    fn apply(
-        &mut self,
-        cx: &Ctx,
-        p: &Point,
-        point_key: u128,
-        cell_key: u128,
-        delta: i64,
-        updates: u64,
-    ) {
-        if sbc_obs::enabled() {
-            sbc_obs::counter!("stream.store.map_probes").incr();
-        }
-        let beta = cx.cfg.beta as i64;
-        let key = K::from_wide(cell_key);
-        let mut unnamed = None;
-        let point_names = if K::NAMED {
-            &mut self.point_names
-        } else {
-            &mut unnamed
-        };
-        match self.table.get_mut(key) {
-            Some(rec) => {
-                rec.count += delta;
-                debug_assert!(rec.count >= 0, "stream model: no over-deletion");
-                update_payload(rec, point_names, p, point_key, delta, beta);
-                if rec.count == 0 && rec.points.is_empty() {
-                    self.table.remove(key);
-                    if let (true, Some(names)) = (K::NAMED, &mut self.cell_names) {
-                        names.remove(cell_key);
-                    }
-                }
-            }
-            None => {
-                let len = self.table.len();
-                if len >= self.cap_cells {
-                    self.kill_runaway(cx.ids, updates);
-                    return;
-                }
-                self.peak_cells = self.peak_cells.max(len + 1);
-                if let (true, Some(names)) = (K::NAMED, &mut self.cell_names) {
-                    names.insert_absent(cell_key, cx.grid.cell_of(p, cx.level));
-                }
-                let rec = self.table.insert_absent(key, ArenaRec::default());
-                rec.count += delta;
-                debug_assert!(rec.count >= 0, "stream model: no over-deletion");
-                update_payload(rec, point_names, p, point_key, delta, beta);
-                // A just-inserted record cannot net to zero.
-            }
-        }
-    }
-
-    /// Drains a batch of updates with nothing per-update observable (no
-    /// armed fault, no live metrics), starting from update count
-    /// `updates`; returns the count after the batch. The counter
-    /// advances even while dead (it drives fault-injection indices,
-    /// which must stay path-independent).
-    fn drain<'a, I: Iterator<Item = (&'a Point, u128, u128, i64)>>(
-        &mut self,
-        cx: &Ctx,
-        mut updates: u64,
-        mut items: I,
-    ) -> u64 {
-        while !self.dead {
-            let Some((p, point_key, cell_key, delta)) = items.next() else {
-                return updates;
-            };
-            updates += 1;
-            self.apply(cx, p, point_key, cell_key, delta, updates);
-        }
-        updates + items.count() as u64
-    }
-
-    fn cell_name(&self, key: u128, cx: &Ctx) -> CellId {
-        match &self.cell_names {
-            Some(names) => names.get(key).expect("every live cell is named").clone(),
-            None => CellId::unpack(key, cx.level, cx.grid.params().d)
-                .expect("arena cell keys are valid packings"),
-        }
-    }
-
-    fn point_name(&self, key: u128, cx: &Ctx) -> Point {
-        match &self.point_names {
-            Some(names) => names
-                .get(key)
-                .expect("every payload point is named")
-                .clone(),
-            None => {
-                let gp = cx.grid.params();
-                Point::unpack(key, gp.delta, gp.d).expect("arena point keys are valid packings")
-            }
-        }
-    }
-
-    fn finish(&self, cx: &Ctx) -> Result<StoringOutput, StoringFail> {
-        if self.dead {
-            return Err(StoringFail::Overflowed);
-        }
-        let live: Vec<(K, &ArenaRec)> = self.table.iter().filter(|(_, r)| r.count > 0).collect();
-        if live.len() > cx.cfg.alpha {
-            return Err(StoringFail::TooManyCells {
-                found: live.len(),
-                alpha: cx.cfg.alpha,
-            });
-        }
-        let beta = cx.cfg.beta as i64;
-        let mut out_cells = Vec::with_capacity(live.len());
-        let mut small_points = Vec::new();
-        let mut dirty_small_cells = Vec::new();
-        for (key, rec) in live {
-            let cell = self.cell_name(key.into(), cx);
-            if rec.count <= beta {
-                if rec.dirty {
-                    dirty_small_cells.push(cell.clone());
-                } else {
-                    for &(pk, c) in &rec.points {
-                        if c > 0 {
-                            small_points.push((self.point_name(pk, cx), c));
-                        }
-                    }
-                }
-            }
-            out_cells.push((cell, rec.count));
-        }
-        out_cells.sort_by(|a, b| a.0.cmp(&b.0));
-        small_points.sort_by(|a, b| a.0.cmp(&b.0));
-        dirty_small_cells.sort();
-        Ok(StoringOutput {
-            cells: out_cells,
-            small_points,
-            dirty_small_cells,
-        })
-    }
-
-    /// Bytes of cell records, payloads and name-table entries at the
-    /// current occupancy (the terms shared by [`Storing::stored_bytes`]
-    /// and [`Storing::expected_bytes`]): `(per-cell bytes, payload and
-    /// name bytes)`. The key width enters through `size_of::<K>()`, and
-    /// name entries only where names exist.
-    fn record_bytes(&self, cx: &Ctx) -> (usize, usize) {
-        let d = cx.grid.params().d;
-        let per_cell = std::mem::size_of::<K>() + 8 + 1 + 24; // key + count + flag + vec header
-        let per_point = 16 + 8; // point key + multiplicity
-        let cell_name = if self.cell_names.is_some() {
-            16 + 4 + 24 + 8 * d // key + level + coordinate vector
-        } else {
-            0
-        };
-        let point_name = if self.point_names.is_some() {
-            16 + 24 + 4 * d // key + coordinate vector
-        } else {
-            0
-        };
-        let payload = self
-            .table
-            .iter()
-            .map(|(_, r)| cell_name + r.points.len() * (per_point + point_name))
-            .sum();
-        (per_cell, payload)
-    }
-
-    fn stored_bytes(&self, cx: &Ctx) -> usize {
-        if self.dead {
-            return 0;
-        }
-        let (per_cell, payload) = self.record_bytes(cx);
-        slots_for(self.peak_cells) * 4 + self.table.len() * per_cell + payload
-    }
-
-    fn expected_bytes(&self, cx: &Ctx) -> usize {
-        if self.dead {
-            return 0;
-        }
-        let (per_cell, payload) = self.record_bytes(cx);
-        slots_for(self.peak_cells) * 4
-            + self.peak_cells.next_power_of_two().max(8) * per_cell
-            + payload
-    }
-
-    /// Live cells sorted by key, points sorted by key: the canonical
-    /// snapshot order.
-    fn to_snapshot(&self, cx: &Ctx) -> Vec<CellSnapshot> {
-        let mut snaps: Vec<(u128, CellSnapshot)> = self
-            .table
-            .iter()
-            .map(|(key, rec)| {
-                let mut points = rec.points.clone();
-                points.sort_unstable_by_key(|&(pk, _)| pk);
-                let key: u128 = key.into();
-                let snap = CellSnapshot {
-                    cell: self.cell_name(key, cx),
-                    count: rec.count,
-                    dirty: rec.dirty,
-                    points: points
-                        .into_iter()
-                        .map(|(pk, m)| (self.point_name(pk, cx), m))
-                        .collect(),
-                };
-                (key, snap)
-            })
-            .collect();
-        snaps.sort_unstable_by_key(|(k, _)| *k);
-        snaps.into_iter().map(|(_, c)| c).collect()
-    }
-
-    fn load_snapshot(&mut self, snap: &StoringSnapshot, cx: &Ctx) {
-        self.peak_cells = snap.peak_cells as usize;
-        if snap.death.is_some() {
-            self.kill();
-            return;
-        }
-        self.dead = false;
-        let delta = cx.grid.params().delta;
-        self.table = OpenTable::from_entries(
-            snap.cells
-                .iter()
-                .map(|c| {
-                    let rec = ArenaRec {
-                        count: c.count,
-                        dirty: c.dirty,
-                        points: c
-                            .points
-                            .iter()
-                            .map(|(p, m)| (p.key128(delta), *m))
-                            .collect(),
-                    };
-                    (K::from_wide(c.cell.key128()), rec)
-                })
-                .collect(),
-        );
-        if let Some(names) = &mut self.cell_names {
-            **names = OpenTable::from_entries(
-                snap.cells
-                    .iter()
-                    .map(|c| (c.cell.key128(), c.cell.clone()))
-                    .collect(),
-            );
-        }
-        if let Some(names) = &mut self.point_names {
-            **names = OpenTable::from_entries(
-                snap.cells
-                    .iter()
-                    .flat_map(|c| &c.points)
-                    .map(|(p, _)| (p.key128(delta), p.clone()))
-                    .collect(),
-            );
-        }
-    }
-
-    /// The arena half of [`Storing::merge_from`]; `updates` is the merged
-    /// update count, stamped on a cap kill's trace event.
-    fn merge_from(&mut self, other: &Self, cx: &Ctx, updates: u64) {
-        self.peak_cells = self.peak_cells.max(other.peak_cells);
-        if self.dead || other.dead {
-            self.kill();
-            sbc_obs::counter!("stream.merge.dead_stores").incr();
-            return;
-        }
-        let copy_name = |names: &mut Names<Point>, pk: u128| {
-            if let (Some(names), Some(onames)) = (names, &other.point_names) {
-                names.insert_absent(pk, onames.get(pk).expect("named point").clone());
-            }
-        };
-        for (key, orec) in other.table.iter() {
-            let Some(rec) = self.table.get_mut(key) else {
-                if let (Some(names), Some(onames)) = (&mut self.cell_names, &other.cell_names) {
-                    let wide = key.into();
-                    names.insert_absent(wide, onames.get(wide).expect("named cell").clone());
-                }
-                for &(pk, _) in &orec.points {
-                    copy_name(&mut self.point_names, pk);
-                }
-                self.table.insert_absent(key, orec.clone());
-                continue;
-            };
-            rec.count += orec.count;
-            rec.dirty |= orec.dirty;
-            if rec.dirty {
-                forget_points(&mut self.point_names, &rec.points);
-                rec.points = Vec::new();
-                continue;
-            }
-            for &(pk, m) in &orec.points {
-                match rec.points.iter().position(|&(k, _)| k == pk) {
-                    None => {
-                        if m != 0 {
-                            rec.points.push((pk, m));
-                            copy_name(&mut self.point_names, pk);
-                        }
-                    }
-                    Some(i) => {
-                        rec.points[i].1 += m;
-                        if rec.points[i].1 == 0 {
-                            rec.points.swap_remove(i);
-                            forget_points(&mut self.point_names, &[(pk, 0)]);
-                        }
-                    }
-                }
-            }
-        }
-        // Post-pass: the eviction and emptied-cell rules over merged
-        // totals, then the occupancy cap over the merged cell set.
-        let beta = cx.cfg.beta as i64;
-        let (cell_names, point_names) = (&mut self.cell_names, &mut self.point_names);
-        self.table.retain(|key, rec| {
-            if !rec.dirty && rec.count > 2 * beta.max(1) {
-                forget_points(point_names, &rec.points);
-                rec.points = Vec::new();
-                rec.dirty = true;
-            }
-            let keep = rec.count != 0 || !rec.points.is_empty();
-            if let (false, Some(names)) = (keep, cell_names.as_mut()) {
-                names.remove(key.into());
-            }
-            keep
-        });
-        self.peak_cells = self.peak_cells.max(self.table.len());
-        sbc_obs::counter!("stream.merge.cells").add(self.table.len() as u64);
-        if self.table.len() > self.cap_cells {
-            self.kill_runaway(cx.ids, updates);
-        }
-    }
-}
-
-enum Inner {
-    /// Arena whose cell ids pack into 64 bits at this level.
-    Narrow(Arena<u64>),
-    /// Arena keyed by 128-bit packings or mixing hashes.
-    Wide(Arena<u128>),
-    Sketch {
-        cell_sketch: SSparseRecovery,
-        /// Per row: a pairwise hash over cell keys and its lazily
-        /// allocated buckets of point sparse recoveries.
-        rows: Vec<(KWiseHash, HashMap<u32, SSparseRecovery>)>,
-        bucket_cols: u64,
-        bucket_sparsity: usize,
-        max_buckets: usize,
-        dead: bool,
-        seed: rand::rngs::StdRng,
-    },
-}
-
 /// Checkpointable state of one arena-backend [`Storing`] instance —
 /// everything [`Storing::load_snapshot`] needs to resume bit-identically
 /// (the grid and sizing configuration are *not* included; they are
@@ -669,16 +164,74 @@ pub struct Storing {
     grid: GridHierarchy,
     cfg: StoringConfig,
     inner: Inner,
-    updates: u64,
-    fault: FaultPlan,
-    fault_salt: u64,
-    /// Set when a death was *injected* (the natural kind is derivable
-    /// from the backend; an injected one can force either kind).
-    injected: Option<StoreDeath>,
-    /// Trace identity: positional store id + `(level, role)` tags stamped
-    /// on this store's lifecycle events. [`CausalIds::NONE`] until the
-    /// ladder assigns it via [`Self::set_trace_ids`].
-    ids: CausalIds,
+}
+
+enum Inner {
+    /// The one-view case of the ladder's nested arena.
+    Arena(Nested),
+    Sketch(Box<Sketch>),
+}
+
+/// The linear-sketch backend's state.
+struct Sketch {
+    cell_sketch: SSparseRecovery,
+    /// Per row: a pairwise hash over cell keys and its lazily allocated
+    /// buckets of point sparse recoveries.
+    rows: Vec<(KWiseHash, HashMap<u32, SSparseRecovery>)>,
+    bucket_cols: u64,
+    bucket_sparsity: usize,
+    max_buckets: usize,
+    dead: bool,
+    seed: rand::rngs::StdRng,
+    life: Lifecycle,
+}
+
+impl Sketch {
+    /// Frees the buckets of a dead sketch.
+    fn kill(&mut self) {
+        self.dead = true;
+        for (_, buckets) in self.rows.iter_mut() {
+            buckets.clear();
+            buckets.shrink_to_fit();
+        }
+    }
+
+    /// One update with the full prelude: advances the update counter and
+    /// fires any armed injected fault. Injected faults fire *before* the
+    /// update at the kill index is applied; the update counter still
+    /// advances while dead so the decision index stays path-independent.
+    fn update(&mut self, point_key: u128, cell_key: u128, delta: i64) {
+        sbc_obs::counter!("stream.store.updates").incr();
+        if let Some(kind) = self.life.tick(!self.dead) {
+            self.life.inject(kind);
+            self.kill();
+        }
+        if self.dead {
+            return;
+        }
+        self.cell_sketch.update(cell_key, delta);
+        let mut total_buckets = 0usize;
+        for (hash, buckets) in self.rows.iter_mut() {
+            let idx = (hash.eval(cell_key) % self.bucket_cols) as u32;
+            let sparsity = self.bucket_sparsity;
+            let seed = &mut self.seed;
+            let bucket = buckets
+                .entry(idx)
+                .or_insert_with(|| SSparseRecovery::new(sparsity, 2, seed));
+            bucket.update(point_key, delta);
+            total_buckets += buckets.len();
+        }
+        if total_buckets > self.max_buckets * self.rows.len() {
+            self.kill();
+            sbc_obs::counter!("stream.store.kill.sketch_overflow").incr();
+            trace::event(
+                TraceKind::StoreKill,
+                "sketch_overflow",
+                self.life.ids,
+                self.life.updates,
+            );
+        }
+    }
 }
 
 impl Storing {
@@ -695,22 +248,15 @@ impl Storing {
         rng: &mut R,
     ) -> Self {
         assert!(cfg.alpha >= 1 && cfg.rows >= 1);
-        let gp = grid.params();
-        let cell_width = if level >= 0 { (level + 2) as usize } else { 1 };
-        let cell_bits = 6 + cell_width * gp.d;
-        let point_bits = sbc_geometry::point::bits_for(gp.delta) as usize * gp.d;
         let inner = match backend {
             Backend::Arena { cap_cells } => {
-                // Mirrors `CellId::pack` / `Point::pack`: past 128 bits
-                // the keys are mixing hashes and need names.
-                let cap_cells = cap_cells.max(cfg.alpha);
-                if cell_bits <= 64 && point_bits <= 128 {
-                    Inner::Narrow(Arena::new(cap_cells, false, false))
-                } else {
-                    Inner::Wide(Arena::new(cap_cells, cell_bits > 128, point_bits > 128))
-                }
+                Inner::Arena(Nested::new(grid, level, &[ViewSpec { cfg, cap_cells }]))
             }
             Backend::Sketch => {
+                let gp = grid.params();
+                let cell_width = if level >= 0 { (level + 2) as usize } else { 1 };
+                let cell_bits = 6 + cell_width * gp.d;
+                let point_bits = sbc_geometry::point::bits_for(gp.delta) as usize * gp.d;
                 assert!(
                     point_bits <= 128 && cell_bits <= 128,
                     "sketch backend needs packable point/cell keys; use Backend::Arena"
@@ -719,7 +265,8 @@ impl Storing {
                 let rows = (0..cfg.rows)
                     .map(|_| (KWiseHash::new(2, rng), HashMap::new()))
                     .collect();
-                Inner::Sketch {
+                sbc_obs::counter!("stream.store.spawned").incr();
+                Inner::Sketch(Box::new(Sketch {
                     cell_sketch: SSparseRecovery::new(cfg.alpha, cfg.rows.max(3), rng),
                     rows,
                     bucket_cols: (4 * cfg.alpha).next_power_of_two() as u64,
@@ -727,51 +274,26 @@ impl Storing {
                     max_buckets: 8 * cfg.alpha,
                     dead: false,
                     seed: rand::rngs::StdRng::seed_from_u64(rng.gen()),
-                }
+                    life: Lifecycle::default(),
+                }))
             }
         };
-        sbc_obs::counter!("stream.store.spawned").incr();
         Self {
             level,
             grid: grid.clone(),
             cfg,
             inner,
-            updates: 0,
-            fault: FaultPlan::NONE,
-            fault_salt: 0,
-            injected: None,
-            ids: CausalIds::NONE,
-        }
-    }
-
-    /// The context an arena works in, next to the backend state it
-    /// works on.
-    fn parts(&mut self) -> (Ctx<'_>, &mut Inner) {
-        let cx = Ctx {
-            grid: &self.grid,
-            level: self.level,
-            cfg: self.cfg,
-            ids: self.ids,
-        };
-        (cx, &mut self.inner)
-    }
-
-    fn ctx(&self) -> Ctx<'_> {
-        Ctx {
-            grid: &self.grid,
-            level: self.level,
-            cfg: self.cfg,
-            ids: self.ids,
         }
     }
 
     /// Assigns the store's causal trace identity (positional store id,
     /// grid level, ladder role) and records its spawn in the flight
-    /// recorder. Called once by the ladder right after construction; the
-    /// spawn event's `arg` carries the cell budget `α`.
+    /// recorder. The spawn event's `arg` carries the cell budget `α`.
     pub fn set_trace_ids(&mut self, ids: CausalIds) {
-        self.ids = ids;
-        trace::event(TraceKind::StoreSpawn, "store", ids, self.cfg.alpha as u64);
+        match &mut self.inner {
+            Inner::Arena(a) => a.set_trace_ids(0, ids),
+            Inner::Sketch(s) => s.life.spawn(ids, self.cfg.alpha),
+        }
     }
 
     /// Arms deterministic fault injection: the store dies (with the
@@ -781,43 +303,10 @@ impl Storing {
     /// rather than anything arrival-order-dependent, so per-op, batched,
     /// and parallel ingest kill the same stores at the same points.
     pub fn arm_fault(&mut self, plan: FaultPlan, salt: u64) {
-        self.fault = plan;
-        self.fault_salt = salt;
-    }
-
-    /// Kills the store as an injected fault of the given kind: memory is
-    /// freed exactly like the corresponding natural death, and
-    /// [`Self::death`] reports the forced kind.
-    fn kill_injected(&mut self, kind: StoreFaultKind) {
-        let death = match kind {
-            StoreFaultKind::RunawayKill => StoreDeath::RunawayKill,
-            StoreFaultKind::SketchOverflow => StoreDeath::SketchOverflow,
-        };
-        self.injected = Some(death);
         match &mut self.inner {
-            Inner::Narrow(a) => a.kill(),
-            Inner::Wide(a) => a.kill(),
-            Inner::Sketch { rows, dead, .. } => {
-                *dead = true;
-                for (_, buckets) in rows.iter_mut() {
-                    buckets.clear();
-                    buckets.shrink_to_fit();
-                }
-            }
+            Inner::Arena(a) => a.arm_fault(0, plan, salt),
+            Inner::Sketch(s) => s.life.arm(plan, salt),
         }
-        match death {
-            StoreDeath::RunawayKill => sbc_obs::counter!("stream.store.kill.runaway_kill").incr(),
-            StoreDeath::SketchOverflow => {
-                sbc_obs::counter!("stream.store.kill.sketch_overflow").incr()
-            }
-        }
-        let label = match death {
-            StoreDeath::RunawayKill => "runaway_kill",
-            StoreDeath::SketchOverflow => "sketch_overflow",
-        };
-        // An injected kill is a Fault event (it also triggers a crash
-        // dump); `arg` is the update index the kill fired at.
-        trace::event(TraceKind::Fault, label, self.ids, self.updates);
     }
 
     /// The grid level this instance summarizes.
@@ -840,10 +329,17 @@ impl Storing {
         &self.cfg
     }
 
+    fn life(&self) -> &Lifecycle {
+        match &self.inner {
+            Inner::Arena(a) => a.lifecycle(0),
+            Inner::Sketch(s) => &s.life,
+        }
+    }
+
     /// Total updates this structure has absorbed (including ones ignored
     /// because the structure was already dead).
     pub fn update_count(&self) -> u64 {
-        self.updates
+        self.life().updates
     }
 
     /// Applies `(p, ±1)` (or any delta) to the structure.
@@ -861,182 +357,93 @@ impl Storing {
     }
 
     /// Drains a batch of `(point, point key, cell key, delta)` updates,
-    /// in order — the one ingest entry point, which per-op and batched
-    /// ingest both drive. The point itself is read only to name keys
-    /// that are mixing hashes (see the module docs).
-    ///
-    /// The arena path hoists the per-update overhead (backend dispatch,
-    /// fault checks, counter write-back) out of the loop when nothing
-    /// per-update can observe the difference: no armed fault plan (kill
-    /// decisions are indexed by individual updates) and no live metrics
-    /// recording (per-probe counters). Otherwise each update runs the
-    /// full prelude.
+    /// in order — the one ingest entry point. The point itself is read
+    /// only to name keys that are mixing hashes (see `nested.rs`).
     pub fn update_many<'a, I: Iterator<Item = (&'a Point, u128, u128, i64)>>(&mut self, items: I) {
-        if self.fault.is_active()
-            || sbc_obs::enabled()
-            || matches!(self.inner, Inner::Sketch { .. })
-        {
-            for (p, point_key, cell_key, delta) in items {
-                self.update_one(p, point_key, cell_key, delta);
+        match &mut self.inner {
+            Inner::Arena(a) => a.drain(&self.grid, items.map(|(p, pk, ck, d)| (p, pk, ck, d, 1))),
+            Inner::Sketch(s) => {
+                for (_, point_key, cell_key, delta) in items {
+                    s.update(point_key, cell_key, delta);
+                }
             }
-            return;
-        }
-        let updates = self.updates;
-        let (cx, inner) = self.parts();
-        let updates = match inner {
-            Inner::Narrow(a) => a.drain(&cx, updates, items),
-            Inner::Wide(a) => a.drain(&cx, updates, items),
-            Inner::Sketch { .. } => unreachable!("sketch updates take the per-update path"),
-        };
-        self.updates = updates;
-    }
-
-    /// One update with the full prelude: advances the update counter and
-    /// fires any armed injected fault. Injected faults fire *before* the
-    /// update at the kill index is applied; the update counter still
-    /// advances while dead so the decision index stays path-independent.
-    fn update_one(&mut self, p: &Point, point_key: u128, cell_key: u128, delta: i64) {
-        self.updates += 1;
-        sbc_obs::counter!("stream.store.updates").incr();
-        if self.injected.is_none() && self.fault.is_active() && !self.is_dead() {
-            if let Some(kind) = self.fault.store_fault(self.fault_salt, self.updates - 1) {
-                self.kill_injected(kind);
-            }
-        }
-        let updates = self.updates;
-        let (cx, inner) = self.parts();
-        match inner {
-            Inner::Narrow(a) if !a.dead => a.apply(&cx, p, point_key, cell_key, delta, updates),
-            Inner::Wide(a) if !a.dead => a.apply(&cx, p, point_key, cell_key, delta, updates),
-            Inner::Sketch { .. } => self.update_sketch(point_key, cell_key, delta),
-            _ => {}
-        }
-    }
-
-    /// Update body for [`Inner::Sketch`].
-    fn update_sketch(&mut self, point_key: u128, cell_key: u128, delta: i64) {
-        let updates = self.updates;
-        let ids = self.ids;
-        let Inner::Sketch {
-            cell_sketch,
-            rows,
-            bucket_cols,
-            bucket_sparsity,
-            max_buckets,
-            dead,
-            seed,
-        } = &mut self.inner
-        else {
-            unreachable!("update_sketch on a non-sketch backend")
-        };
-        if *dead {
-            return;
-        }
-        cell_sketch.update(cell_key, delta);
-        let mut total_buckets = 0usize;
-        for (hash, buckets) in rows.iter_mut() {
-            let idx = (hash.eval(cell_key) % *bucket_cols) as u32;
-            let sparsity = *bucket_sparsity;
-            let bucket = buckets
-                .entry(idx)
-                .or_insert_with(|| SSparseRecovery::new(sparsity, 2, seed));
-            bucket.update(point_key, delta);
-            total_buckets += buckets.len();
-        }
-        if total_buckets > *max_buckets * rows.len() {
-            *dead = true;
-            for (_, buckets) in rows.iter_mut() {
-                buckets.clear();
-                buckets.shrink_to_fit();
-            }
-            sbc_obs::counter!("stream.store.kill.sketch_overflow").incr();
-            trace::event(TraceKind::StoreKill, "sketch_overflow", ids, updates);
         }
     }
 
     /// Decodes the structure (Lemma 4.2 output).
     pub fn finish(&self) -> Result<StoringOutput, StoringFail> {
-        match &self.inner {
-            Inner::Narrow(a) => a.finish(&self.ctx()),
-            Inner::Wide(a) => a.finish(&self.ctx()),
-            Inner::Sketch {
-                cell_sketch,
-                rows,
-                bucket_cols,
-                dead,
-                ..
-            } => {
-                if *dead {
-                    return Err(StoringFail::Overflowed);
-                }
-                let gp = self.grid.params();
-                let decoded = cell_sketch.decode().ok_or(StoringFail::DecodeFailed)?;
-                let live: Vec<(u128, i64)> = decoded.into_iter().filter(|&(_, c)| c > 0).collect();
-                if live.len() > self.cfg.alpha {
-                    return Err(StoringFail::TooManyCells {
-                        found: live.len(),
-                        alpha: self.cfg.alpha,
-                    });
-                }
-                let beta = self.cfg.beta as i64;
-                let mut out_cells = Vec::with_capacity(live.len());
-                let mut small_points = Vec::new();
-                for (cell_key, count) in live {
-                    let cell = CellId::unpack(cell_key, self.level, gp.d)
-                        .ok_or(StoringFail::DecodeFailed)?;
-                    if count <= beta {
-                        // Try each row until one bucket isolates the cell.
-                        let mut recovered: Option<Vec<(Point, i64)>> = None;
-                        for (hash, buckets) in rows {
-                            let idx = (hash.eval(cell_key) % *bucket_cols) as u32;
-                            let Some(bucket) = buckets.get(&idx) else {
-                                continue; // never touched yet count > 0: try another row
+        let s = match &self.inner {
+            Inner::Arena(a) => return a.finish(&self.grid, 0),
+            Inner::Sketch(s) => s,
+        };
+        if s.dead {
+            return Err(StoringFail::Overflowed);
+        }
+        let gp = self.grid.params();
+        let decoded = s.cell_sketch.decode().ok_or(StoringFail::DecodeFailed)?;
+        let live: Vec<(u128, i64)> = decoded.into_iter().filter(|&(_, c)| c > 0).collect();
+        if live.len() > self.cfg.alpha {
+            return Err(StoringFail::TooManyCells {
+                found: live.len(),
+                alpha: self.cfg.alpha,
+            });
+        }
+        let beta = self.cfg.beta as i64;
+        let mut out_cells = Vec::with_capacity(live.len());
+        let mut small_points = Vec::new();
+        for (cell_key, count) in live {
+            let cell =
+                CellId::unpack(cell_key, self.level, gp.d).ok_or(StoringFail::DecodeFailed)?;
+            if count <= beta {
+                // Try each row until one bucket isolates the cell.
+                let mut recovered: Option<Vec<(Point, i64)>> = None;
+                for (hash, buckets) in &s.rows {
+                    let idx = (hash.eval(cell_key) % s.bucket_cols) as u32;
+                    let Some(bucket) = buckets.get(&idx) else {
+                        continue; // never touched yet count > 0: try another row
+                    };
+                    if let Some(items) = bucket.decode() {
+                        let mut pts = Vec::new();
+                        let mut mass = 0i64;
+                        for (pkey, c) in items {
+                            if c <= 0 {
+                                continue;
+                            }
+                            let Some(pt) = Point::unpack(pkey, gp.delta, gp.d) else {
+                                continue;
                             };
-                            if let Some(items) = bucket.decode() {
-                                let mut pts = Vec::new();
-                                let mut mass = 0i64;
-                                for (pkey, c) in items {
-                                    if c <= 0 {
-                                        continue;
-                                    }
-                                    let Some(pt) = Point::unpack(pkey, gp.delta, gp.d) else {
-                                        continue;
-                                    };
-                                    if self.grid.cell_of(&pt, self.level) == cell {
-                                        mass += c;
-                                        pts.push((pt, c));
-                                    }
-                                }
-                                if mass == count {
-                                    recovered = Some(pts);
-                                    break;
-                                }
+                            if self.grid.cell_of(&pt, self.level) == cell {
+                                mass += c;
+                                pts.push((pt, c));
                             }
                         }
-                        match recovered {
-                            Some(pts) => small_points.extend(pts),
-                            None => return Err(StoringFail::DecodeFailed),
+                        if mass == count {
+                            recovered = Some(pts);
+                            break;
                         }
                     }
-                    out_cells.push((cell, count));
                 }
-                out_cells.sort_by(|a, b| a.0.cmp(&b.0));
-                small_points.sort_by(|a, b| a.0.cmp(&b.0));
-                Ok(StoringOutput {
-                    cells: out_cells,
-                    small_points,
-                    dirty_small_cells: Vec::new(),
-                })
+                match recovered {
+                    Some(pts) => small_points.extend(pts),
+                    None => return Err(StoringFail::DecodeFailed),
+                }
             }
+            out_cells.push((cell, count));
         }
+        out_cells.sort_by(|a, b| a.0.cmp(&b.0));
+        small_points.sort_by(|a, b| a.0.cmp(&b.0));
+        Ok(StoringOutput {
+            cells: out_cells,
+            small_points,
+            dirty_small_cells: Vec::new(),
+        })
     }
 
     /// Whether the structure has irrecoverably overflowed.
     pub fn is_dead(&self) -> bool {
         match &self.inner {
-            Inner::Narrow(a) => a.dead,
-            Inner::Wide(a) => a.dead,
-            Inner::Sketch { dead, .. } => *dead,
+            Inner::Arena(a) => a.is_dead(0),
+            Inner::Sketch(s) => s.dead,
         }
     }
 
@@ -1044,14 +451,13 @@ impl Storing {
     /// its natural end of stream). An injected death reports its forced
     /// kind, which may differ from the backend's natural one.
     pub fn death(&self) -> Option<StoreDeath> {
-        if let Some(kind) = self.injected {
-            return Some(kind);
+        match &self.inner {
+            Inner::Arena(a) => a.death(0),
+            Inner::Sketch(s) => s
+                .life
+                .injected
+                .or(s.dead.then_some(StoreDeath::SketchOverflow)),
         }
-        let natural = match self.inner {
-            Inner::Narrow(_) | Inner::Wide(_) => StoreDeath::RunawayKill,
-            Inner::Sketch { .. } => StoreDeath::SketchOverflow,
-        };
-        self.is_dead().then_some(natural)
     }
 
     /// Measured bytes of state right now. Deterministic given the
@@ -1059,13 +465,10 @@ impl Storing {
     /// space reports agree across ingest paths and checkpoint restores.
     pub fn stored_bytes(&self) -> usize {
         match &self.inner {
-            Inner::Narrow(a) => a.stored_bytes(&self.ctx()),
-            Inner::Wide(a) => a.stored_bytes(&self.ctx()),
-            Inner::Sketch {
-                cell_sketch, rows, ..
-            } => {
-                cell_sketch.stored_bytes()
-                    + rows
+            Inner::Arena(a) => a.stored_bytes(&self.grid),
+            Inner::Sketch(s) => {
+                s.cell_sketch.stored_bytes()
+                    + s.rows
                         .iter()
                         .map(|(h, buckets)| {
                             h.stored_bytes()
@@ -1088,9 +491,8 @@ impl Storing {
     /// constant factor.
     pub fn expected_bytes(&self) -> usize {
         match &self.inner {
-            Inner::Narrow(a) => a.expected_bytes(&self.ctx()),
-            Inner::Wide(a) => a.expected_bytes(&self.ctx()),
-            Inner::Sketch { .. } => Self::nominal_sketch_bytes(&self.cfg),
+            Inner::Arena(a) => a.expected_bytes(&self.grid),
+            Inner::Sketch(_) => Self::nominal_sketch_bytes(&self.cfg),
         }
     }
 
@@ -1099,9 +501,8 @@ impl Storing {
     /// `None` for the sketch backend and for dead (freed) arenas.
     pub fn arena_occupancy(&self) -> Option<(usize, usize)> {
         match &self.inner {
-            Inner::Narrow(a) if !a.dead => Some((slots_for(a.peak_cells), a.table.len())),
-            Inner::Wide(a) if !a.dead => Some((slots_for(a.peak_cells), a.table.len())),
-            _ => None,
+            Inner::Arena(a) => a.occupancy(),
+            Inner::Sketch(_) => None,
         }
     }
 
@@ -1111,36 +512,23 @@ impl Storing {
     /// (not checkpointable; the builder surfaces this as an
     /// `UnsupportedBackend` checkpoint error).
     pub fn to_snapshot(&self) -> Option<StoringSnapshot> {
-        let (cells, peak_cells) = match &self.inner {
-            Inner::Narrow(a) => (a.to_snapshot(&self.ctx()), a.peak_cells),
-            Inner::Wide(a) => (a.to_snapshot(&self.ctx()), a.peak_cells),
-            Inner::Sketch { .. } => return None,
-        };
-        Some(StoringSnapshot {
-            updates: self.updates,
-            death: self.death(),
-            injected: self.injected.is_some(),
-            peak_cells: peak_cells as u64,
-            cells,
-        })
+        match &self.inner {
+            Inner::Arena(a) => a.snapshots(&self.grid).pop(),
+            Inner::Sketch(_) => None,
+        }
     }
 
     /// Overwrites this store's dynamic state with a snapshot's. The
     /// store must be freshly built with the same structural parameters
     /// (grid, level, config, backend) the snapshot was taken under —
     /// the builder guarantees this by reconstructing the ladder from the
-    /// checkpointed parameters before loading. Returns `false` (and
-    /// leaves the store untouched) on the sketch backend.
+    /// checkpointed parameters before loading. Returns `false` on the
+    /// sketch backend and on a snapshot that contradicts itself.
     pub fn load_snapshot(&mut self, snap: &StoringSnapshot) -> bool {
-        let (cx, inner) = self.parts();
-        match inner {
-            Inner::Narrow(a) => a.load_snapshot(snap, &cx),
-            Inner::Wide(a) => a.load_snapshot(snap, &cx),
-            Inner::Sketch { .. } => return false,
+        match &mut self.inner {
+            Inner::Arena(a) => a.load(&self.grid, &[snap], &|_| 1),
+            Inner::Sketch(_) => false,
         }
-        self.updates = snap.updates;
-        self.injected = if snap.injected { snap.death } else { None };
-        true
     }
 
     /// Folds another store's state into this one — the composability
@@ -1171,19 +559,10 @@ impl Storing {
     /// are positional per-store update counts, which each shard already
     /// advanced; the merged counter is their sum.
     pub fn merge_from(&mut self, other: &Storing) -> bool {
-        let poisoned = !self.is_dead() && other.is_dead();
-        let updates = self.updates + other.updates;
-        let (cx, inner) = self.parts();
-        match (inner, &other.inner) {
-            (Inner::Narrow(a), Inner::Narrow(o)) => a.merge_from(o, &cx, updates),
-            (Inner::Wide(a), Inner::Wide(o)) => a.merge_from(o, &cx, updates),
-            _ => return false,
+        match (&mut self.inner, &other.inner) {
+            (Inner::Arena(a), Inner::Arena(o)) => a.merge_from(o),
+            _ => false,
         }
-        self.updates = updates;
-        if poisoned && self.injected.is_none() {
-            self.injected = other.injected;
-        }
-        true
     }
 
     /// The space a fully allocated sketch of this configuration occupies
@@ -1294,7 +673,10 @@ mod tests {
             let grid = GridHierarchy::new(gp, &mut rng);
             let pts = uniform(gp, 120, d as u64);
             let st = Storing::new(&grid, level, cfg_small(), ARENA, &mut rng);
-            assert!(matches!(st.inner, Inner::Wide(_)), "d = {d}, level {level}");
+            assert!(
+                matches!(&st.inner, Inner::Arena(a) if a.is_wide()),
+                "d = {d}, level {level}"
+            );
             let (got, want) = run_backend(&grid, &pts, level, ARENA);
             assert_eq!(got.cells, want.cells, "d = {d}, level {level}");
             assert_eq!(
@@ -1325,13 +707,12 @@ mod tests {
         let pts = uniform(gp, 200, 21);
         let hot = pts[0].clone();
         let check = |st: &Storing| {
-            let Inner::Wide(a) = &st.inner else {
-                panic!("d = 16 at level 7 is keyed wide")
+            let Inner::Arena(a) = &st.inner else {
+                panic!("arena backend")
             };
-            let payload: usize = a.table.iter().map(|(_, r)| r.points.len()).sum();
-            let cells = a.cell_names.as_ref().expect("named cells").len();
-            let points = a.point_names.as_ref().expect("named points").len();
-            assert_eq!((cells, points), (a.table.len(), payload));
+            assert!(a.is_wide(), "d = 16 at level 7 is keyed wide");
+            let (cells, payload, cell_names, point_names) = a.name_counts();
+            assert_eq!((cell_names, point_names), (Some(cells), Some(payload)));
         };
         let mk = |rng: &mut StdRng| Storing::new(&grid, 7, cfg_small(), ARENA, rng);
         let (mut a, mut b) = (mk(&mut rng), mk(&mut rng));
