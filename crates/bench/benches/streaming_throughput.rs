@@ -1,11 +1,12 @@
 //! Streaming update throughput: operations per second through the full
 //! o-ladder (all instances, all levels, all three roles).
 //!
-//! Three ingest paths over the same stream (state is bit-identical, see
-//! the `ingest_determinism` tests): `per_op` — the reference linear scan
-//! over every instance per operation; `batched` — SoA precompute plus
-//! nested-threshold ladder pruning; `batched_parallel` — the batched
-//! path with the instance ladder sharded across threads. The `mixed`
+//! Three ways to drive the one ingest path over the same stream (state
+//! is bit-identical, see the `ingest_determinism` tests): `per_op` —
+//! batches of one; `batched` — the whole stream in batches, SoA
+//! precompute plus nested-threshold ladder pruning; `batched_parallel` —
+//! the batched path with the (role, level) stores split across threads.
+//! The `mixed`
 //! group repeats the comparison on a deletion-heavy interleaved stream,
 //! where per-op overhead (not end-state size) dominates.
 

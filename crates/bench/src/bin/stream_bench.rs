@@ -1,7 +1,8 @@
 //! Headline streaming-ingest throughput numbers → `BENCH_streaming.json`.
 //!
-//! Measures ops/sec of the three ingest paths (per-op reference scan,
-//! batched ladder-pruned, batched + instance-sharded parallel) on the
+//! Measures ops/sec of three ways to drive the one ingest path (per-op,
+//! i.e. batches of one; whole-stream batches; and whole-stream batches
+//! routed in parallel over the (role, level) stores) on the
 //! canonical Gaussian n=4000 workload — insert-only and deletion-heavy
 //! mixed-op — and writes a machine-readable JSON report plus a human
 //! summary to stdout.
@@ -75,8 +76,8 @@ static ALLOC: sbc_obs::alloc::TrackingAlloc = sbc_obs::alloc::TrackingAlloc;
 /// before the batched/ladder-pruned/store-major ingest landed), measured
 /// on this machine with the exact workloads below, best of 3. Kept so
 /// the report records progress against the original implementation even
-/// though the live `per_op` row also benefits from the shared `Storing`
-/// speedups.
+/// though the live `per_op` row (batches of one) also benefits from every
+/// later store speedup.
 fn seed_baseline(label: &str) -> Option<f64> {
     match label {
         "insert_only" => Some(9_926.0),
