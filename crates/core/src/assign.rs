@@ -11,7 +11,7 @@
 //!    under capacity `t′` (min-cost flow), round it integral (≤ k−1
 //!    splits, `sbc-flow::rounding`);
 //! 2. per coreset level `i` (where all weights are equal), re-optimize
-//!    `π` at *fixed cluster sizes* by another min-cost flow, then apply
+//!    `π` at *fixed cluster sizes* by another transport solve, then apply
 //!    the alphabetical tie-switching of Lemma 3.8 — making the level's
 //!    assignment representable by assignment half-spaces `Hᵢ`;
 //! 3. per part `P ∈ PIᵢ`, record the region masses `B^{P,i}` of the
@@ -30,8 +30,7 @@ use crate::params::CoresetParams;
 use crate::partition::Partition;
 use crate::transfer::TransferRule;
 use sbc_flow::rounding::round_to_integral;
-use sbc_flow::transport::optimal_fractional_assignment;
-use sbc_flow::MinCostFlow;
+use sbc_flow::transport::{optimal_fractional_assignment, optimal_fractional_assignment_caps};
 use sbc_geometry::metric::dist_r_pow;
 use sbc_geometry::{GridHierarchy, Point};
 use std::collections::HashMap;
@@ -245,8 +244,10 @@ pub fn build_assignment_oracle(
 
 /// Minimum-cost reassignment with *fixed cluster sizes* (paper §3.3
 /// step 1b): unit supplies, center `j` receives exactly its current
-/// count. Because total supply equals total capacity, the max flow
-/// saturates every center arc, preserving `s(π)` while minimizing cost.
+/// count. Because total supply equals total capacity, the optimal
+/// transport fills every center, preserving `s(π)` while minimizing
+/// cost; with integral data its shares are whole, so each point lands
+/// at exactly one center.
 ///
 /// Public because size-optimal assignments are exactly the class
 /// Lemma 3.8 proves half-space-separable: run this, then
@@ -254,37 +255,17 @@ pub fn build_assignment_oracle(
 /// assignment that came out of rounding (whose nearest-center snap can
 /// leave it slightly off-optimal for its own size vector).
 pub fn reoptimize_fixed_sizes(points: &[Point], assign: &mut [usize], centers: &[Point], r: f64) {
-    let n = points.len();
-    let k = centers.len();
-    let mut sizes = vec![0usize; k];
+    let mut sizes = vec![0.0f64; centers.len()];
     for &a in assign.iter() {
-        sizes[a] += 1;
+        sizes[a] += 1.0;
     }
-    let source = 0usize;
-    let sink = n + k + 1;
-    let mut g = MinCostFlow::new(n + k + 2);
-    let mut pc_edges = vec![Vec::with_capacity(k); n];
-    for (i, p) in points.iter().enumerate() {
-        g.add_edge(source, 1 + i, 1.0, 0.0);
-        for (j, z) in centers.iter().enumerate() {
-            pc_edges[i].push(g.add_edge(1 + i, 1 + n + j, 1.0, dist_r_pow(p, z, r)));
+    let frac = optimal_fractional_assignment_caps(points, None, centers, &sizes, r)
+        .expect("the current sizes sum to the point count, so they fit");
+    for (a, shares) in assign.iter_mut().zip(&frac.shares) {
+        // Unit supplies: exactly one center carries the point.
+        if let Some(&(j, _)) = shares.iter().max_by(|x, y| x.1.total_cmp(&y.1)) {
+            *a = j;
         }
-    }
-    for (j, &sz) in sizes.iter().enumerate() {
-        g.add_edge(1 + n + j, sink, sz as f64, 0.0);
-    }
-    let res = g.min_cost_flow(source, sink, n as f64);
-    debug_assert!((res.flow - n as f64).abs() < 1e-6);
-    for i in 0..n {
-        // Unit supplies: exactly one center edge carries ~1 flow.
-        let mut best = (assign[i], 0.0);
-        for (j, &e) in pc_edges[i].iter().enumerate() {
-            let f = g.flow_on(e);
-            if f > best.1 {
-                best = (j, f);
-            }
-        }
-        assign[i] = best.0;
     }
 }
 

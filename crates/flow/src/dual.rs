@@ -60,7 +60,22 @@ pub fn certify_optimal(
     r: f64,
     tol: f64,
 ) -> Certificate {
+    certify_optimal_caps(frac, points, centers, &vec![cap; centers.len()], r, tol)
+}
+
+/// [`certify_optimal`] under per-center capacities `caps` (the
+/// counterpart of
+/// [`optimal_fractional_assignment_caps`](crate::transport::optimal_fractional_assignment_caps)).
+pub fn certify_optimal_caps(
+    frac: &FractionalAssignment,
+    points: &[Point],
+    centers: &[Point],
+    caps: &[f64],
+    r: f64,
+    tol: f64,
+) -> Certificate {
     let k = centers.len();
+    assert_eq!(caps.len(), k, "one capacity per center");
     // Exchange-arc weights.
     let mut w = vec![vec![f64::INFINITY; k]; k];
     for (i, shares) in frac.shares.iter().enumerate() {
@@ -80,7 +95,12 @@ pub fn certify_optimal(
             }
         }
     }
-    let slack: Vec<bool> = frac.loads.iter().map(|&l| l < cap - EPS).collect();
+    let slack: Vec<bool> = frac
+        .loads
+        .iter()
+        .zip(caps)
+        .map(|(&l, &cap)| l < cap - EPS)
+        .collect();
 
     // Bellman–Ford from a virtual source connected to every node with
     // weight 0: detects negative cycles and computes shortest walk costs.

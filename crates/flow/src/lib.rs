@@ -11,10 +11,13 @@
 //!
 //! * [`mcmf`] — a general min-cost max-flow solver (successive shortest
 //!   paths with Johnson potentials; on transportation instances each
-//!   augmentation permanently saturates a source or sink arc, so at most
-//!   `n + k` Dijkstra passes run);
-//! * [`transport`] — the points×centers transportation wrapper producing
-//!   a [`FractionalAssignment`];
+//!   augmentation saturates a source or sink arc or empties a point's
+//!   share at a center), and the reference the transport solver is
+//!   tested against;
+//! * [`transport`] — the points×centers transportation problem, solved by
+//!   successive shortest paths on the k-center exchange graph (a Dijkstra
+//!   pass over k nodes per augmentation), producing a
+//!   [`FractionalAssignment`];
 //! * [`rounding`] — §3.3 cycle canceling → [`IntegralAssignment`];
 //! * [`brute`] — exact integral capacitated assignment by exhaustive
 //!   search, for cross-validation on tiny instances;

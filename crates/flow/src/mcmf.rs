@@ -7,12 +7,18 @@
 //! and every Dijkstra pass runs on non-negative reduced costs.
 //!
 //! On bipartite transportation instances (`source → points → centers →
-//! sink`) the solver performs at most `n + k` augmentations: a shortest
-//! augmenting path never traverses a reverse source/sink arc (the source
-//! has no in-arcs and the sink no out-arcs), so each augmentation pushes
-//! the full bottleneck and permanently saturates at least one source or
-//! sink arc.
+//! sink`) a shortest augmenting path never traverses a reverse
+//! source/sink arc (the source has no in-arcs and the sink no out-arcs),
+//! so each augmentation saturates a source arc (a point fully routed) or
+//! a sink arc (a center filled), *or* empties a point's share at a center
+//! (a reverse point→center arc on the path). Shares can refill, so the
+//! count is not bounded by `n + k`. [`crate::transport`] solves these
+//! instances on the k-center exchange graph instead; this solver stays
+//! as the general one and as the reference tests compare against
+//! ([`transportation_reference`]).
 
+use sbc_geometry::metric::dist_r_pow;
+use sbc_geometry::Point;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -222,6 +228,33 @@ impl MinCostFlow {
             cost: total_cost,
         }
     }
+}
+
+/// Min-cost flow on the full `source → points → centers → sink`
+/// transportation network: point `i` supplies `weights[i]`, center `j`
+/// takes at most `caps[j]`, arc `i → j` costs `dist^r`. The reference
+/// that [`crate::transport`]'s exchange-graph solver is tested and
+/// benchmarked against; asks for the whole supply.
+pub fn transportation_reference(
+    points: &[Point],
+    weights: &[f64],
+    centers: &[Point],
+    caps: &[f64],
+    r: f64,
+) -> FlowResult {
+    let (n, k) = (points.len(), centers.len());
+    let (source, sink) = (0, n + k + 1);
+    let mut g = MinCostFlow::new(n + k + 2);
+    for (i, p) in points.iter().enumerate() {
+        g.add_edge(source, 1 + i, weights[i], 0.0);
+        for (j, z) in centers.iter().enumerate() {
+            g.add_edge(1 + i, 1 + n + j, weights[i], dist_r_pow(p, z, r));
+        }
+    }
+    for (j, &c) in caps.iter().enumerate() {
+        g.add_edge(1 + n + j, sink, c, 0.0);
+    }
+    g.min_cost_flow(source, sink, weights.iter().sum())
 }
 
 #[cfg(test)]

@@ -7,10 +7,18 @@
 //! exactly this relaxation (§3.3: "the optimal assignment for the relaxed
 //! problem can be solved by the minimum-cost flow"); integral rounding is
 //! in [`crate::rounding`].
+//!
+//! The flow is computed by successive shortest paths on the k-center
+//! exchange graph (see `ExchangeGraph`): `O((n + A)·k² log n)` for `A`
+//! augmentations, against `O(A·nk log nk)` for Dijkstra over the full
+//! `(n+k+2)`-node network. The work is counted in
+//! `flow.transport.augmentations` beside `flow.transport.solves`.
 
-use crate::mcmf::{FlowResult, MinCostFlow, EPS};
+use crate::mcmf::EPS;
 use sbc_geometry::metric::dist_r_pow;
 use sbc_geometry::Point;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// A fractional assignment: per point, the centers it is split across
 /// with the (positive) weight routed to each.
@@ -57,6 +65,9 @@ pub fn optimal_fractional_assignment(
 /// Generalization to **non-uniform per-center capacities** — an extension
 /// beyond the paper's uniform `t` (useful for heterogeneous shards /
 /// machine sizes; the flow formulation is unchanged).
+///
+/// Zero-weight points are left unrouted (empty share lists); a negative
+/// weight panics.
 pub fn optimal_fractional_assignment_caps(
     points: &[Point],
     weights: Option<&[f64]>,
@@ -74,6 +85,7 @@ pub fn optimal_fractional_assignment_caps(
     let _mem = sbc_obs::alloc::scope(sbc_obs::alloc::Component::Flow);
     if let Some(w) = weights {
         assert_eq!(w.len(), n);
+        assert!(w.iter().all(|&x| x >= 0.0), "negative point weight");
     }
     let total_weight: f64 = match weights {
         Some(w) => w.iter().sum(),
@@ -93,46 +105,278 @@ pub fn optimal_fractional_assignment_caps(
         });
     }
 
-    // Node layout: 0 = source, 1..=n points, n+1..=n+k centers, n+k+1 sink.
-    let source = 0usize;
-    let sink = n + k + 1;
-    let mut g = MinCostFlow::new(n + k + 2);
-    let mut point_edges = Vec::with_capacity(n);
-    let mut pc_edges = vec![Vec::with_capacity(k); n];
-    for (i, p) in points.iter().enumerate() {
-        let w = weights.map_or(1.0, |ws| ws[i]);
-        point_edges.push(g.add_edge(source, 1 + i, w, 0.0));
-        for (j, z) in centers.iter().enumerate() {
-            pc_edges[i].push(g.add_edge(1 + i, 1 + n + j, w, dist_r_pow(p, z, r)));
-        }
-    }
-    for (j, &cj) in caps.iter().enumerate() {
-        g.add_edge(1 + n + j, sink, cj, 0.0);
-    }
-
-    let FlowResult { flow, cost } = g.min_cost_flow(source, sink, total_weight);
-    if flow + 1e-6 * total_weight.max(1.0) < total_weight {
+    let mut g = ExchangeGraph::new(points, weights, centers, caps, r);
+    let augmentations = g.route_all();
+    sbc_obs::counter!("flow.transport.augmentations").add(augmentations);
+    let unrouted: f64 = g.rem.iter().sum();
+    if unrouted > 1e-6 * total_weight.max(1.0) {
         // Should not happen when the feasibility check passed, but guard
         // against accumulated fp error in extreme instances.
         return None;
     }
+    Some(g.into_assignment())
+}
 
-    let mut shares = vec![Vec::new(); n];
-    let mut loads = vec![0.0f64; k];
-    for i in 0..n {
-        for j in 0..k {
-            let f = g.flow_on(pc_edges[i][j]);
-            if f > EPS {
-                shares[i].push((j, f));
-                loads[j] += f;
+/// No predecessor center: the path enters its first center from the
+/// source through an unrouted point.
+const SOURCE: usize = usize::MAX;
+
+/// Successive shortest paths on the k-center exchange graph.
+///
+/// The transportation network `source → points → centers → sink` is
+/// never built. A path leaves the source through a point `i` with
+/// unrouted weight into some center `j` (cost `c(i,j)`), then moves
+/// through *exchange arcs* `j → j′` (re-route some point's mass from `j`
+/// to `j′`, cost `c(i,j′) − c(i,j)`), and ends at a center with room. So
+/// a shortest path is a Dijkstra pass over the k centers only, with
+///
+/// * the cheapest entry into `j` read off `by_cost[j]` past a cursor
+///   that skips fully routed points (a point's unrouted weight never
+///   grows: no shortest path re-enters the source), and
+/// * the cheapest exchange arc `j → j′` at the top of a lazy-deletion
+///   heap over the points with flow on `j`.
+///
+/// Each augmentation pushes the path's bottleneck, which routes a point
+/// fully, fills a center, or empties a point's share at a center. Ties
+/// go to the lowest center index, then the lowest point index.
+struct ExchangeGraph {
+    k: usize,
+    /// `cost[i * k + j]` = `dist^r(point i, center j)`.
+    cost: Vec<f64>,
+    /// `flow[i * k + j]` = weight of point `i` routed to center `j`.
+    flow: Vec<f64>,
+    /// Unrouted weight per point.
+    rem: Vec<f64>,
+    /// Residual capacity per center.
+    room: Vec<f64>,
+    /// Per center, the point indices by ascending `(cost, index)`.
+    by_cost: Vec<Vec<u32>>,
+    /// Per center, the first `by_cost` position not known to be routed.
+    cursor: Vec<usize>,
+    /// `exchange[j * k + j′]`: points that had flow on `j` when pushed,
+    /// keyed by `c(i,j′) − c(i,j)`; entries whose share at `j` has since
+    /// emptied are dropped when they reach the top.
+    exchange: Vec<BinaryHeap<ExchangeArc>>,
+    /// Johnson potentials: each center's shortest-path distance in the
+    /// previous pass, so reduced arc costs stay non-negative.
+    potential: Vec<f64>,
+}
+
+/// An exchange-heap entry; the heap's top is the lowest `(delta, point)`.
+struct ExchangeArc {
+    delta: f64,
+    point: u32,
+}
+
+impl PartialEq for ExchangeArc {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for ExchangeArc {}
+impl PartialOrd for ExchangeArc {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for ExchangeArc {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: BinaryHeap is a max-heap.
+        other
+            .delta
+            .total_cmp(&self.delta)
+            .then(other.point.cmp(&self.point))
+    }
+}
+
+impl ExchangeGraph {
+    fn new(
+        points: &[Point],
+        weights: Option<&[f64]>,
+        centers: &[Point],
+        caps: &[f64],
+        r: f64,
+    ) -> Self {
+        let (n, k) = (points.len(), centers.len());
+        let cost: Vec<f64> = points
+            .iter()
+            .flat_map(|p| centers.iter().map(move |z| dist_r_pow(p, z, r)))
+            .collect();
+        let by_cost = (0..k)
+            .map(|j| {
+                let mut order: Vec<u32> = (0..n as u32).collect();
+                order.sort_by(|&a, &b| {
+                    cost[a as usize * k + j]
+                        .total_cmp(&cost[b as usize * k + j])
+                        .then(a.cmp(&b))
+                });
+                order
+            })
+            .collect();
+        Self {
+            k,
+            flow: vec![0.0; n * k],
+            rem: weights.map_or_else(|| vec![1.0; n], <[f64]>::to_vec),
+            room: caps.to_vec(),
+            cost,
+            by_cost,
+            cursor: vec![0; k],
+            exchange: (0..k * k).map(|_| BinaryHeap::new()).collect(),
+            potential: vec![0.0; k],
+        }
+    }
+
+    /// Augments until every point is routed or no center has room;
+    /// returns the number of augmentations.
+    fn route_all(&mut self) -> u64 {
+        let k = self.k;
+        let mut dist = vec![0.0f64; k];
+        // Per center: (predecessor center or SOURCE, point on the arc).
+        let mut pred = vec![(SOURCE, 0u32); k];
+        let mut settled = vec![false; k];
+        let mut augmentations = 0u64;
+        loop {
+            // Entry arcs; every center has one while any point is unrouted.
+            for j in 0..k {
+                let Some(i) = self.cheapest_unrouted(j) else {
+                    return augmentations;
+                };
+                dist[j] = (self.cost[i as usize * k + j] - self.potential[j]).max(0.0);
+                pred[j] = (SOURCE, i);
+            }
+            // Dense Dijkstra over the centers on reduced costs.
+            settled.fill(false);
+            for _ in 0..k {
+                let mut u = SOURCE;
+                for j in 0..k {
+                    if !settled[j] && (u == SOURCE || dist[j] < dist[u]) {
+                        u = j;
+                    }
+                }
+                settled[u] = true;
+                for v in 0..k {
+                    if settled[v] {
+                        continue;
+                    }
+                    if let Some((delta, i)) = self.cheapest_exchange(u, v) {
+                        let rc = (delta + self.potential[u] - self.potential[v]).max(0.0);
+                        if dist[u] + rc < dist[v] {
+                            dist[v] = dist[u] + rc;
+                            pred[v] = (u, i);
+                        }
+                    }
+                }
+            }
+            for (p, d) in self.potential.iter_mut().zip(&dist) {
+                *p += d;
+            }
+            // The path ends at the nearest center with room.
+            let Some(t) = (0..k)
+                .filter(|&j| self.room[j] > EPS)
+                .min_by(|&a, &b| self.potential[a].total_cmp(&self.potential[b]))
+            else {
+                return augmentations;
+            };
+            self.augment(t, &pred);
+            augmentations += 1;
+        }
+    }
+
+    /// The cheapest point with unrouted weight, by its cost to `j`.
+    fn cheapest_unrouted(&mut self, j: usize) -> Option<u32> {
+        let order = &self.by_cost[j];
+        let c = &mut self.cursor[j];
+        while *c < order.len() && self.rem[order[*c] as usize] <= EPS {
+            *c += 1;
+        }
+        order.get(*c).copied()
+    }
+
+    /// The cheapest exchange arc `u → v` as `(delta, point)`.
+    fn cheapest_exchange(&mut self, u: usize, v: usize) -> Option<(f64, u32)> {
+        let heap = &mut self.exchange[u * self.k + v];
+        while let Some(top) = heap.peek() {
+            if self.flow[top.point as usize * self.k + u] > EPS {
+                return Some((top.delta, top.point));
+            }
+            heap.pop();
+        }
+        None
+    }
+
+    /// Pushes the bottleneck along the path that `pred` traces back from
+    /// center `t`.
+    fn augment(&mut self, t: usize, pred: &[(usize, u32)]) {
+        let k = self.k;
+        let mut amount = self.room[t];
+        let mut v = t;
+        loop {
+            let (u, i) = pred[v];
+            if u == SOURCE {
+                amount = amount.min(self.rem[i as usize]);
+                break;
+            }
+            amount = amount.min(self.flow[i as usize * k + u]);
+            v = u;
+        }
+        self.room[t] -= amount;
+        let mut v = t;
+        loop {
+            let (u, i) = pred[v];
+            self.add_flow(i as usize, v, amount);
+            if u == SOURCE {
+                self.rem[i as usize] -= amount;
+                break;
+            }
+            self.flow[i as usize * k + u] -= amount;
+            v = u;
+        }
+    }
+
+    /// Routes `amount` more of point `i` to center `j`, opening its
+    /// exchange arcs out of `j` when its share there was empty.
+    fn add_flow(&mut self, i: usize, j: usize, amount: f64) {
+        let k = self.k;
+        let f = &mut self.flow[i * k + j];
+        let opened = *f <= EPS;
+        *f += amount;
+        if opened {
+            let c_ij = self.cost[i * k + j];
+            for jp in (0..k).filter(|&jp| jp != j) {
+                self.exchange[j * k + jp].push(ExchangeArc {
+                    delta: self.cost[i * k + jp] - c_ij,
+                    point: i as u32,
+                });
             }
         }
     }
-    Some(FractionalAssignment {
-        shares,
-        cost,
-        loads,
-    })
+
+    fn into_assignment(self) -> FractionalAssignment {
+        let k = self.k;
+        let mut loads = vec![0.0f64; k];
+        let mut cost = 0.0;
+        let shares = self
+            .flow
+            .chunks_exact(k)
+            .zip(self.cost.chunks_exact(k))
+            .map(|(fs, cs)| {
+                let mut s = Vec::new();
+                for (j, (&f, &c)) in fs.iter().zip(cs).enumerate() {
+                    if f > EPS {
+                        s.push((j, f));
+                        loads[j] += f;
+                        cost += f * c;
+                    }
+                }
+                s
+            })
+            .collect();
+        FractionalAssignment {
+            shares,
+            cost,
+            loads,
+        }
+    }
 }
 
 /// Convenience: the optimal fractional capacitated cost, or `f64::INFINITY`

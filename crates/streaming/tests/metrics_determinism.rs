@@ -214,7 +214,7 @@ fn metrics_invisible_under_store_death() {
             .snapshot
             .counters
             .iter()
-            .filter(|(n, _)| n.starts_with("stream.store.killed_"))
+            .filter(|(n, _)| n.starts_with("stream.store.kill."))
             .map(|(_, v)| *v)
             .sum::<u64>();
         assert_eq!(killed, serial.space.dead_stores as u64);
