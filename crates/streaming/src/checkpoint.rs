@@ -3,8 +3,9 @@
 //! A [`Snapshot`] captures *everything* that determines the rest of a
 //! run: the coreset and stream parameters, the grid shift, the three
 //! hash-polynomial coefficient families, the net point count, the
-//! builder's RNG state, every `Storing` instance's cells and counters,
-//! and (when the `obs` feature is on) the metrics registry. Restoring a
+//! builder's RNG state, every (role, level) arena's cells, view tallies,
+//! payload points and per-view counters, and (when the `obs` feature is
+//! on) the metrics registry. Restoring a
 //! snapshot in a fresh process and continuing the stream is
 //! **bit-identical** to the uninterrupted run — property-tested in
 //! `tests/checkpoint_determinism.rs`, including runs with injected
@@ -16,17 +17,25 @@
 //! cell and point key at snapshot time), so encode → decode → encode is the
 //! identity on bytes.
 //!
+//! Version 4 writes each (role, level) arena once ([`ArenaCheckpoint`]):
+//! every cell with the tally prefix of its views, every payload point
+//! with its multiplicity and ladder cut. Version 3 wrote one store
+//! snapshot per instance view, repeating each point in every view that
+//! holds it. [`Snapshot::from_bytes`] still reads version 3 — builders
+//! spilled or migrated by an older binary — by loading its views into
+//! the arenas and taking their version-4 image; nothing writes it.
+//!
 //! Only the arena store backend, which every builder runs, supports
 //! checkpointing; a ladder with sketch-backed stores would yield
 //! [`CheckpointError::UnsupportedBackend`].
 
 use sbc_core::{ConstantsProfile, CoresetParams};
-use sbc_geometry::GridParams;
+use sbc_geometry::{GridParams, Point};
 use sbc_obs::fault::{FaultPlan, StoreFaultKind};
 use sbc_obs::{HistogramSnapshot, MetricsSnapshot};
 
 use crate::codec::{Decode, Encode};
-use crate::coreset_stream::StreamParams;
+use crate::coreset_stream::{StreamCoresetBuilder, StreamParams};
 use crate::storing::{CellSnapshot, StoreDeath, StoringSnapshot};
 
 /// File magic: identifies a byte buffer as an sbc checkpoint.
@@ -36,8 +45,12 @@ pub const MAGIC: [u8; 8] = *b"SBCCKPT\0";
 /// so a restored run's trace stitches onto the pre-cut one at the right
 /// stream-op index. Version 3 added [`Snapshot::merge_depth`] and
 /// `StreamParams::shards`, so a merge-tree node can checkpoint/restore
-/// mid-fold with its ε-budget accounting intact.
-pub const VERSION: u32 = 3;
+/// mid-fold with its ε-budget accounting intact. Version 4 stores each
+/// (role, level) arena once instead of one snapshot per view.
+pub const VERSION: u32 = 4;
+
+/// The per-view format, still read by [`Snapshot::from_bytes`].
+const VIEWS_VERSION: u32 = 3;
 
 /// Why a checkpoint could not be taken, serialized, or restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,7 +60,8 @@ pub enum CheckpointError {
     UnsupportedBackend,
     /// The buffer does not start with the checkpoint magic.
     BadMagic,
-    /// The buffer's format version is not [`VERSION`].
+    /// The buffer's format version is neither [`VERSION`] nor the
+    /// version 3 it still reads.
     UnsupportedVersion {
         /// The version found in the header.
         found: u32,
@@ -77,17 +91,85 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// One `o`-instance's store states: roles h, h′ and ĥ in ladder order.
-/// Realized rates and acceptance thresholds are *not* stored — they are
-/// pure functions of the parameters and are rebuilt on restore.
-#[derive(Clone, Debug, PartialEq)]
-pub struct InstanceCheckpoint {
+/// One `o`-instance's store states in a version-3 image: roles h, h′
+/// and ĥ in ladder order. Decoded, never written.
+pub(crate) struct InstanceCheckpoint {
     /// Role h, levels `−1..=L−1`.
     pub h: Vec<StoringSnapshot>,
     /// Role h′, levels `0..=L`.
     pub hp: Vec<StoringSnapshot>,
     /// Role ĥ, levels `0..=L` (`None` where `Tᵢ(o) ≤ 1`).
     pub hhat: Vec<Option<StoringSnapshot>>,
+}
+
+/// A view's lifecycle in an [`ArenaCheckpoint`]. The view's sizing is
+/// not stored — it is a pure function of the parameters.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ViewCheckpoint {
+    /// Updates absorbed so far (drives fault-injection indices).
+    pub updates: u64,
+    /// Whether the view died mid-stream, and how.
+    pub death: Option<StoreDeath>,
+    /// Whether the death was injected (vs the natural occupancy cap).
+    pub injected: bool,
+    /// High-water mark of the view's distinct non-empty cells.
+    pub peak_cells: u64,
+}
+
+/// A cell's identity in an [`ArenaCheckpoint`]: its key where the key is
+/// a packing of the cell id (64 or 128 bits wide, as the arena keys the
+/// level), else its index vector, whose key is a mixing hash.
+#[derive(Clone, Debug, PartialEq)]
+pub enum CellName {
+    /// A `CellId::pack` that fits 64 bits.
+    Narrow(u64),
+    /// A `CellId::pack` of 65 to 128 bits.
+    Wide(u128),
+    /// The cell's index vector (the level is the arena's).
+    Coords(Vec<i64>),
+}
+
+/// A payload point's identity in an [`ArenaCheckpoint`]: its
+/// `Point::pack`, or the point itself where points do not pack.
+#[derive(Clone, Debug, PartialEq)]
+pub enum PointName {
+    /// A `Point::pack`.
+    Packed(u128),
+    /// The point, whose key is a mixing hash.
+    Coords(Point),
+}
+
+/// One payload point of a cell.
+#[derive(Clone, Debug, PartialEq)]
+pub struct EntryCheckpoint {
+    /// The point.
+    pub point: PointName,
+    /// Its net multiplicity.
+    pub mult: i64,
+    /// The ladder cut it was routed by: it belongs to views `0..cut`.
+    pub cut: u32,
+}
+
+/// One cell of an [`ArenaCheckpoint`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct CellCheckpoint {
+    /// The cell.
+    pub cell: CellName,
+    /// `(count, evicted)` of each view from the arena's first live view
+    /// on, trailing views that do not hold the cell trimmed.
+    pub tallies: Vec<(i64, bool)>,
+    /// The shared payload, sorted by point key.
+    pub points: Vec<EntryCheckpoint>,
+}
+
+/// One (role, level) store: a nested arena whose view `j` is the store
+/// of the `j`-th instance that has one there.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ArenaCheckpoint {
+    /// Every view's lifecycle, in ladder order.
+    pub views: Vec<ViewCheckpoint>,
+    /// Cells held by some live view, sorted by cell key.
+    pub cells: Vec<CellCheckpoint>,
 }
 
 /// A complete, restartable image of a [`crate::StreamCoresetBuilder`].
@@ -118,8 +200,9 @@ pub struct Snapshot {
     pub merge_depth: u32,
     /// The builder's xoshiro256++ state (drives end-of-stream assembly).
     pub rng_state: [u64; 4],
-    /// Per-`o`-instance store states, ascending `o`.
-    pub instances: Vec<InstanceCheckpoint>,
+    /// The (role, level) arenas in the builder's store order: role h at
+    /// levels `−1..=L−1`, then h′ and ĥ at levels `0..=L`.
+    pub stores: Vec<ArenaCheckpoint>,
     /// Metrics registry at checkpoint time, merged back on restore so
     /// counters survive the restart. Empty unless recording was enabled
     /// when the checkpoint was cut: the registry is process-global, so
@@ -141,7 +224,9 @@ impl Snapshot {
     }
 
     /// Parses a snapshot, checking magic and version and requiring every
-    /// byte be consumed.
+    /// byte be consumed. A version-3 image is loaded view by view into a
+    /// builder rebuilt from its parameters, and its stores are that
+    /// builder's arenas — so the result encodes as version 4.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, CheckpointError> {
         if buf.len() < MAGIC.len() || buf[..MAGIC.len()] != MAGIC {
             return Err(CheckpointError::BadMagic);
@@ -149,13 +234,55 @@ impl Snapshot {
         let _mem = sbc_obs::alloc::scope(sbc_obs::alloc::Component::Checkpoint);
         let mut cursor = MAGIC.len();
         let version = u32::decode(buf, &mut cursor).ok_or(CheckpointError::Malformed)?;
-        if version != VERSION {
+        if version != VERSION && version != VIEWS_VERSION {
             return Err(CheckpointError::UnsupportedVersion { found: version });
         }
-        let snap = Snapshot::decode(buf, &mut cursor).ok_or(CheckpointError::Malformed)?;
-        (cursor == buf.len())
-            .then_some(snap)
-            .ok_or(CheckpointError::Malformed)
+        let body = |cursor: &mut usize| {
+            let mut snap = Snapshot::decode_header(buf, cursor)?;
+            let views = if version == VERSION {
+                snap.stores = Vec::decode(buf, cursor)?;
+                None
+            } else {
+                Some(Vec::<InstanceCheckpoint>::decode(buf, cursor)?)
+            };
+            snap.metrics = MetricsSnapshot::decode(buf, cursor)?;
+            Some((snap, views))
+        };
+        let (mut snap, views) = body(&mut cursor)
+            .filter(|_| cursor == buf.len())
+            .ok_or(CheckpointError::Malformed)?;
+        if let Some(instances) = views {
+            snap.stores = StreamCoresetBuilder::arenas_from_views(&snap, &instances)?;
+        }
+        Ok(snap)
+    }
+
+    /// Decodes everything before the stores (which are left empty, as
+    /// is the metrics registry).
+    fn decode_header(buf: &[u8], cursor: &mut usize) -> Option<Self> {
+        let snap = Snapshot {
+            params: CoresetParams::decode(buf, cursor)?,
+            sparams: StreamParams::decode(buf, cursor)?,
+            shift: Vec::decode(buf, cursor)?,
+            h_coeffs: Vec::decode(buf, cursor)?,
+            hp_coeffs: Vec::decode(buf, cursor)?,
+            hhat_coeffs: Vec::decode(buf, cursor)?,
+            net_count: i64::decode(buf, cursor)?,
+            ops_seen: u64::decode(buf, cursor)?,
+            merge_depth: u32::decode(buf, cursor)?,
+            rng_state: <[u64; 4]>::decode(buf, cursor)?,
+            stores: Vec::new(),
+            metrics: MetricsSnapshot::default(),
+        };
+        // Shape checks that don't need the rebuilt ladder: the shift must
+        // match the grid's dimension and lie in [0, Δ).
+        let gp = snap.params.grid;
+        (snap.shift.len() == gp.d
+            && snap
+                .shift
+                .iter()
+                .all(|&s| (0.0..gp.delta as f64).contains(&s)))
+        .then_some(snap)
     }
 }
 
@@ -176,11 +303,7 @@ impl Decode for GridParams {
         let delta = u64::decode(buf, cursor)?;
         let l = u32::decode(buf, cursor)?;
         let d = usize::decode(buf, cursor)?;
-        (delta.is_power_of_two() && delta == 1u64 << l && l <= 40 && d >= 1).then_some(GridParams {
-            delta,
-            l,
-            d,
-        })
+        (l <= 40 && delta == 1u64 << l && d >= 1).then_some(GridParams { delta, l, d })
     }
 }
 
@@ -235,15 +358,21 @@ impl Encode for CoresetParams {
     }
 }
 impl Decode for CoresetParams {
+    /// Checked like [`CoresetParams::builder`] checks them.
     fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
-        Some(CoresetParams {
-            k: usize::decode(buf, cursor)?,
-            r: f64::decode(buf, cursor)?,
-            eps: f64::decode(buf, cursor)?,
-            eta: f64::decode(buf, cursor)?,
-            grid: GridParams::decode(buf, cursor)?,
-            profile: ConstantsProfile::decode(buf, cursor)?,
-        })
+        let k = usize::decode(buf, cursor)?;
+        let r = f64::decode(buf, cursor)?;
+        let eps = f64::decode(buf, cursor)?;
+        let eta = f64::decode(buf, cursor)?;
+        let grid = GridParams::decode(buf, cursor)?;
+        let profile = ConstantsProfile::decode(buf, cursor)?;
+        CoresetParams::builder(k, grid)
+            .r(r)
+            .eps(eps)
+            .eta(eta)
+            .profile(profile)
+            .build()
+            .ok()
     }
 }
 
@@ -304,8 +433,9 @@ impl Encode for StreamParams {
     }
 }
 impl Decode for StreamParams {
+    /// Checked like [`StreamParams::builder`] checks them.
     fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
-        Some(StreamParams {
+        StreamParams::validate(StreamParams {
             est_rate: f64::decode(buf, cursor)?,
             alpha_factor: f64::decode(buf, cursor)?,
             rows: usize::decode(buf, cursor)?,
@@ -316,6 +446,7 @@ impl Decode for StreamParams {
             shards: usize::decode(buf, cursor)?,
             faults: FaultPlan::decode(buf, cursor)?,
         })
+        .ok()
     }
 }
 
@@ -337,14 +468,6 @@ impl Decode for StoreDeath {
     }
 }
 
-impl Encode for CellSnapshot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.cell.encode(buf);
-        self.count.encode(buf);
-        self.dirty.encode(buf);
-        self.points.encode(buf);
-    }
-}
 impl Decode for CellSnapshot {
     fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
         Some(CellSnapshot {
@@ -356,15 +479,6 @@ impl Decode for CellSnapshot {
     }
 }
 
-impl Encode for StoringSnapshot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.updates.encode(buf);
-        self.death.encode(buf);
-        self.injected.encode(buf);
-        self.peak_cells.encode(buf);
-        self.cells.encode(buf);
-    }
-}
 impl Decode for StoringSnapshot {
     fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
         Some(StoringSnapshot {
@@ -377,19 +491,133 @@ impl Decode for StoringSnapshot {
     }
 }
 
-impl Encode for InstanceCheckpoint {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.h.encode(buf);
-        self.hp.encode(buf);
-        self.hhat.encode(buf);
-    }
-}
 impl Decode for InstanceCheckpoint {
     fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
         Some(InstanceCheckpoint {
             h: Vec::decode(buf, cursor)?,
             hp: Vec::decode(buf, cursor)?,
             hhat: Vec::decode(buf, cursor)?,
+        })
+    }
+}
+
+impl Encode for ViewCheckpoint {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.updates.encode(buf);
+        self.death.encode(buf);
+        self.injected.encode(buf);
+        self.peak_cells.encode(buf);
+    }
+}
+impl Decode for ViewCheckpoint {
+    fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
+        Some(ViewCheckpoint {
+            updates: u64::decode(buf, cursor)?,
+            death: Option::decode(buf, cursor)?,
+            injected: bool::decode(buf, cursor)?,
+            peak_cells: u64::decode(buf, cursor)?,
+        })
+    }
+}
+
+impl Encode for CellName {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match self {
+            CellName::Narrow(key) => {
+                0u8.encode(buf);
+                key.encode(buf);
+            }
+            CellName::Wide(key) => {
+                1u8.encode(buf);
+                key.encode(buf);
+            }
+            CellName::Coords(coords) => {
+                2u8.encode(buf);
+                coords.encode(buf);
+            }
+        }
+    }
+}
+impl Decode for CellName {
+    fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
+        match u8::decode(buf, cursor)? {
+            0 => Some(CellName::Narrow(u64::decode(buf, cursor)?)),
+            1 => Some(CellName::Wide(u128::decode(buf, cursor)?)),
+            2 => Some(CellName::Coords(Vec::decode(buf, cursor)?)),
+            _ => None,
+        }
+    }
+}
+
+impl Encode for PointName {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match self {
+            PointName::Packed(key) => {
+                0u8.encode(buf);
+                key.encode(buf);
+            }
+            PointName::Coords(p) => {
+                1u8.encode(buf);
+                p.encode(buf);
+            }
+        }
+    }
+}
+impl Decode for PointName {
+    fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
+        match u8::decode(buf, cursor)? {
+            0 => Some(PointName::Packed(u128::decode(buf, cursor)?)),
+            1 => Some(PointName::Coords(Point::decode(buf, cursor)?)),
+            _ => None,
+        }
+    }
+}
+
+impl Encode for EntryCheckpoint {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.point.encode(buf);
+        self.mult.encode(buf);
+        self.cut.encode(buf);
+    }
+}
+impl Decode for EntryCheckpoint {
+    fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
+        Some(EntryCheckpoint {
+            point: PointName::decode(buf, cursor)?,
+            mult: i64::decode(buf, cursor)?,
+            cut: u32::decode(buf, cursor)?,
+        })
+    }
+}
+
+impl Encode for CellCheckpoint {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.cell.encode(buf);
+        self.tallies.encode(buf);
+        self.points.encode(buf);
+    }
+}
+impl Decode for CellCheckpoint {
+    fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
+        Some(CellCheckpoint {
+            cell: CellName::decode(buf, cursor)?,
+            tallies: Vec::decode(buf, cursor)?,
+            points: Vec::decode(buf, cursor)?,
+        })
+    }
+}
+
+impl Encode for ArenaCheckpoint {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.views.encode(buf);
+        self.cells.encode(buf);
+    }
+}
+impl Decode for ArenaCheckpoint {
+    fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
+        Some(ArenaCheckpoint {
+            views: Vec::decode(buf, cursor)?,
+            cells: Vec::decode(buf, cursor)?,
         })
     }
 }
@@ -440,35 +668,8 @@ impl Encode for Snapshot {
         self.ops_seen.encode(buf);
         self.merge_depth.encode(buf);
         self.rng_state.encode(buf);
-        self.instances.encode(buf);
+        self.stores.encode(buf);
         self.metrics.encode(buf);
-    }
-}
-impl Decode for Snapshot {
-    fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
-        let snap = Snapshot {
-            params: CoresetParams::decode(buf, cursor)?,
-            sparams: StreamParams::decode(buf, cursor)?,
-            shift: Vec::decode(buf, cursor)?,
-            h_coeffs: Vec::decode(buf, cursor)?,
-            hp_coeffs: Vec::decode(buf, cursor)?,
-            hhat_coeffs: Vec::decode(buf, cursor)?,
-            net_count: i64::decode(buf, cursor)?,
-            ops_seen: u64::decode(buf, cursor)?,
-            merge_depth: u32::decode(buf, cursor)?,
-            rng_state: <[u64; 4]>::decode(buf, cursor)?,
-            instances: Vec::decode(buf, cursor)?,
-            metrics: MetricsSnapshot::decode(buf, cursor)?,
-        };
-        // Shape checks that don't need the rebuilt ladder: the shift must
-        // match the grid's dimension and lie in [0, Δ).
-        let gp = snap.params.grid;
-        (snap.shift.len() == gp.d
-            && snap
-                .shift
-                .iter()
-                .all(|&s| (0.0..gp.delta as f64).contains(&s)))
-        .then_some(snap)
     }
 }
 

@@ -26,11 +26,11 @@
 //! the *same* `CoresetBuilderCtx` the offline path uses (including the
 //! per-part nested sub-thresholding of `CoresetParams::part_phi`).
 
-use crate::checkpoint::{CheckpointError, InstanceCheckpoint, Snapshot};
+use crate::checkpoint::{ArenaCheckpoint, CheckpointError, InstanceCheckpoint, Snapshot};
 use crate::merge::{EpsSchedule, MergeError};
 use crate::model::StreamOp;
-use crate::nested::{Nested, ViewSpec};
-use crate::storing::{StoreDeath, Storing, StoringConfig, StoringSnapshot};
+use crate::nested::{CutsOf, Nested, ViewSpec};
+use crate::storing::{StoreDeath, Storing, StoringConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sbc_core::coreset::{
@@ -186,7 +186,13 @@ impl StreamParamsBuilder {
 
     /// Validates and returns the parameters.
     pub fn build(self) -> Result<StreamParams, ParamsError> {
-        let p = self.inner;
+        StreamParams::validate(self.inner)
+    }
+}
+
+impl StreamParams {
+    /// The checks of [`StreamParamsBuilder::build`].
+    pub(crate) fn validate(p: StreamParams) -> Result<StreamParams, ParamsError> {
         if !(p.est_rate > 0.0 && p.est_rate.is_finite()) {
             return Err(ParamsError::out_of_range(
                 "est_rate",
@@ -1304,7 +1310,7 @@ impl StreamCoresetBuilder {
                 // deployment of the same configurations reserves as
                 // linear sketches. Dead stores count too — a fixed-size
                 // sketch does not give memory back mid-stream.
-                nominal += Storing::nominal_sketch_bytes(store.config(j));
+                nominal = nominal.saturating_add(Storing::nominal_sketch_bytes(store.config(j)));
             }
         }
         let measured = hash_bytes + store_bytes;
@@ -1382,44 +1388,17 @@ impl StreamCoresetBuilder {
     }
 
     /// Captures a complete, restartable image of the builder: parameters,
-    /// grid shift, hash coefficients, RNG state, every store's cells and
-    /// counters, and the metrics registry. Restoring it (in this process
-    /// or a fresh one) and continuing the stream is bit-identical to
-    /// never having stopped — see [`crate::checkpoint`]. The image keeps
-    /// one store snapshot per instance, role and level, each a view of
-    /// the (role, level) arena.
+    /// grid shift, hash coefficients, RNG state, every (role, level)
+    /// arena's cells, tallies, payload and view counters, and the
+    /// metrics registry. Restoring it (in this process or a fresh one)
+    /// and continuing the stream is bit-identical to never having
+    /// stopped — see [`crate::checkpoint`].
     pub fn checkpoint(&self) -> Result<Snapshot, CheckpointError> {
         // Checkpoints are observation points for the measured-space
         // high-water mark (the report is discarded; the side effect is
         // the peak fold). The peak itself is never serialized — the
         // snapshot byte stream stays canonical.
         let _ = self.space_report();
-        let mut views: Vec<_> = self
-            .stores
-            .iter()
-            .map(|st| st.store.snapshots(&self.grid).into_iter())
-            .collect();
-        let levels = self.params.l() as usize + 1;
-        let mut take = |i: usize, role: u8| -> Vec<Option<StoringSnapshot>> {
-            let start = usize::from(role) * levels;
-            (start..start + levels)
-                .map(|s| {
-                    self.stores[s]
-                        .view(i)
-                        .map(|_| views[s].next().expect("one snapshot per view"))
-                })
-                .collect()
-        };
-        let instances = (0..self.instances.len())
-            .map(|i| {
-                let every = |v: Vec<Option<StoringSnapshot>>| v.into_iter().flatten().collect();
-                InstanceCheckpoint {
-                    h: every(take(i, trace::role::H)),
-                    hp: every(take(i, trace::role::HP)),
-                    hhat: take(i, trace::role::HHAT),
-                }
-            })
-            .collect();
         let coeffs = |hs: &[KWiseHash]| hs.iter().map(|h| h.coeffs().to_vec()).collect();
         trace::event(
             TraceKind::Checkpoint,
@@ -1438,7 +1417,7 @@ impl StreamCoresetBuilder {
             ops_seen: self.ops_seen,
             merge_depth: self.merge_depth,
             rng_state: self.rng.state(),
-            instances,
+            stores: self.stores.iter().map(|st| st.store.checkpoint()).collect(),
             // The registry is process-global and registers names lazily
             // even while recording is off, so capturing it unguarded
             // would leak whatever the host process happened to register
@@ -1456,15 +1435,86 @@ impl StreamCoresetBuilder {
     /// Reconstructs a builder from a [`Snapshot`], e.g. in a fresh
     /// process after a crash. The instance ladder, its (role, level)
     /// stores and the routing tables are rebuilt from the embedded
-    /// parameters (they are pure functions of them); then each store is
-    /// loaded from its views' snapshots, every payload point's ladder
-    /// cut recomputed from the snapshot's hash coefficients. The
+    /// parameters (they are pure functions of them); then each store's
+    /// arena is loaded from its checkpoint, every payload point's ladder
+    /// cut checked against the snapshot's hash coefficients. The
     /// snapshot's metrics are merged into the registry so counters
     /// survive the restart. The merge is a monotonic fold (every metric
     /// is raised to at least its snapshot reading), so restoring in the
     /// *same* process — eviction churn in a serving tier — never double
     /// counts.
     pub fn restore(snap: &Snapshot) -> Result<Self, CheckpointError> {
+        let builder = Self::rebuild(snap, |s, st, grid, cuts| {
+            snap.stores
+                .get(s)
+                .is_some_and(|ck| st.store.load_arena(grid, ck, cuts))
+        })?;
+        if builder.stores.len() != snap.stores.len() {
+            return Err(CheckpointError::Malformed);
+        }
+        sbc_obs::merge_snapshot(&snap.metrics);
+        // The restore cut carries the same op index the checkpoint cut
+        // recorded, so the post-restore timeline stitches onto the
+        // pre-cut one at a visibly matching point.
+        trace::event(
+            TraceKind::Restore,
+            "checkpoint.restore",
+            CausalIds::NONE.op(snap.ops_seen),
+            snap.net_count.unsigned_abs(),
+        );
+        Ok(builder)
+    }
+
+    /// The arenas of a version-3 image: `snap`'s header with the stores
+    /// loaded view by view from `instances` (each payload point's cut
+    /// recomputed from the hash coefficients), then checkpointed.
+    pub(crate) fn arenas_from_views(
+        snap: &Snapshot,
+        instances: &[InstanceCheckpoint],
+    ) -> Result<Vec<ArenaCheckpoint>, CheckpointError> {
+        let levels = snap.params.l() as usize + 1;
+        if instances
+            .iter()
+            .any(|ck| ck.h.len() != levels || ck.hp.len() != levels || ck.hhat.len() != levels)
+        {
+            return Err(CheckpointError::Malformed);
+        }
+        let builder = Self::rebuild(snap, |_, st, grid, cuts| {
+            let mut views = Vec::with_capacity(st.store.len());
+            for (i, ck) in instances.iter().enumerate() {
+                let view = match st.role {
+                    trace::role::H => Some(&ck.h[st.idx]),
+                    trace::role::HP => Some(&ck.hp[st.idx]),
+                    _ => ck.hhat[st.idx].as_ref(),
+                };
+                if view.is_some() != st.view(i).is_some() {
+                    return false;
+                }
+                views.extend(view);
+            }
+            let cut_of = |key: u128| {
+                let mut cut = Vec::with_capacity(1);
+                cuts(&[key], &mut cut);
+                cut[0]
+            };
+            st.store.load(grid, &views, &cut_of)
+        })?;
+        Ok(builder
+            .stores
+            .iter()
+            .map(|st| st.store.checkpoint())
+            .collect())
+    }
+
+    /// The builder `snap`'s header describes — parameters, grid shift,
+    /// hash coefficients, counters and RNG state — with each store filled
+    /// by `load(store index, store, grid, ladder cuts of point keys)`,
+    /// which returns `false` when its state does not fit. Has no side
+    /// effects on metrics or traces.
+    fn rebuild(
+        snap: &Snapshot,
+        mut load: impl FnMut(usize, &mut LadderStore, &GridHierarchy, CutsOf) -> bool,
+    ) -> Result<Self, CheckpointError> {
         let params = snap.params.clone();
         let sparams = snap.sparams;
         let gp = params.grid;
@@ -1481,7 +1531,15 @@ impl StreamCoresetBuilder {
 
         let lambda = params.lambda().min(1 << 12);
         let rebuild = |coeffs: &[Vec<u64>]| -> Result<Vec<KWiseHash>, CheckpointError> {
-            if coeffs.len() != l + 1 || coeffs.iter().any(|c| c.len() != lambda) {
+            // Coefficients are field elements: one outside the field would
+            // be reduced, and the restored builder would checkpoint other
+            // bytes than it was read from.
+            let element = |c: &u64| *c < sbc_hash::field::P;
+            if coeffs.len() != l + 1
+                || coeffs
+                    .iter()
+                    .any(|c| c.len() != lambda || !c.iter().all(element))
+            {
                 return Err(CheckpointError::Malformed);
             }
             Ok(coeffs
@@ -1494,28 +1552,8 @@ impl StreamCoresetBuilder {
         let hhat_hashes = rebuild(&snap.hhat_coeffs)?;
 
         let (instances, mut stores) = Self::build_ladder(&params, &sparams, &grid);
-        if instances.len() != snap.instances.len()
-            || snap
-                .instances
-                .iter()
-                .any(|ck| ck.h.len() != l + 1 || ck.hp.len() != l + 1 || ck.hhat.len() != l + 1)
-        {
-            return Err(CheckpointError::Malformed);
-        }
         let routes = RouteTables::build(&instances, l);
-        for st in &mut stores {
-            let mut views = Vec::with_capacity(st.store.len());
-            for (i, ck) in snap.instances.iter().enumerate() {
-                let view = match st.role {
-                    trace::role::H => Some(&ck.h[st.idx]),
-                    trace::role::HP => Some(&ck.hp[st.idx]),
-                    _ => ck.hhat[st.idx].as_ref(),
-                };
-                if view.is_some() != st.view(i).is_some() {
-                    return Err(CheckpointError::Malformed);
-                }
-                views.extend(view);
-            }
+        for (s, st) in stores.iter_mut().enumerate() {
             let hash = match st.role {
                 trace::role::H => &h_hashes[st.idx],
                 trace::role::HP => &hp_hashes[st.idx],
@@ -1523,23 +1561,19 @@ impl StreamCoresetBuilder {
             };
             let column = routes.column(st.role, st.idx);
             let first = st.first;
-            let cut_of = |key: u128| {
-                (RouteTables::cut(column, hash.eval(key)) as usize).saturating_sub(first)
+            let cuts = |keys: &[u128], out: &mut Vec<usize>| {
+                let mut values = Vec::with_capacity(keys.len());
+                hash.eval_many(keys, &mut values);
+                out.extend(
+                    values
+                        .iter()
+                        .map(|&v| (RouteTables::cut(column, v) as usize).saturating_sub(first)),
+                );
             };
-            if !st.store.load(&grid, &views, &cut_of) {
+            if !load(s, st, &grid, &cuts) {
                 return Err(CheckpointError::Malformed);
             }
         }
-        sbc_obs::merge_snapshot(&snap.metrics);
-        // The restore cut carries the same op index the checkpoint cut
-        // recorded, so the post-restore timeline stitches onto the
-        // pre-cut one at a visibly matching point.
-        trace::event(
-            TraceKind::Restore,
-            "checkpoint.restore",
-            CausalIds::NONE.op(snap.ops_seen),
-            snap.net_count.unsigned_abs(),
-        );
 
         Ok(Self {
             params,
@@ -1808,7 +1842,11 @@ impl OInstance {
                 beta,
                 rows: sparams.rows,
             },
-            cap_cells: (8 * alpha + 1024).min(sparams.cap_cells).max(alpha + 1),
+            cap_cells: alpha
+                .saturating_mul(8)
+                .saturating_add(1024)
+                .min(sparams.cap_cells)
+                .max(alpha.saturating_add(1)),
         };
 
         let mut psi = Vec::new();

@@ -356,6 +356,50 @@ proptest! {
     }
 }
 
+/// A small version-4 image: a short ladder over a churned stream, with
+/// evicted payloads and an injected store death.
+fn small_v4_image() -> Vec<u8> {
+    let p = params(5);
+    let sp = StreamParams {
+        o_ladder_max: Some(16.0),
+        faults: FaultPlan::parse("kill-early@5").unwrap(),
+        ..StreamParams::default()
+    };
+    let pts = gaussian_mixture(p.grid, 40, 2, 0.05, 31);
+    let mut b = build(&p, sp, 31);
+    b.insert_batch(&pts);
+    b.process_all(
+        &pts[..25]
+            .iter()
+            .cloned()
+            .map(StreamOp::Delete)
+            .collect::<Vec<_>>(),
+    );
+    let mut snap = b.checkpoint().unwrap();
+    snap.metrics = Default::default();
+    snap.to_bytes()
+}
+
+/// Decodes and restores `bytes`; every accepted image must restore into
+/// a builder that checkpoints back to the same image (metrics aside).
+fn decode_and_restore(bytes: &[u8]) -> Result<(), CheckpointError> {
+    let mut snap = Snapshot::from_bytes(bytes)?;
+    let restored = StreamCoresetBuilder::restore(&snap)?;
+    snap.metrics = Default::default();
+    let mut again = restored.checkpoint().unwrap();
+    again.metrics = Default::default();
+    let (a, b) = (again.to_bytes(), snap.to_bytes());
+    assert!(
+        a == b,
+        "accepted image is canonical: first diff at {:?} of {}/{}",
+        a.iter().zip(&b).position(|(x, y)| x != y),
+        a.len(),
+        b.len()
+    );
+    let _ = restored.space_report();
+    Ok(())
+}
+
 #[test]
 fn corrupted_checkpoints_fail_loudly() {
     let p = params(6);
@@ -379,6 +423,38 @@ fn corrupted_checkpoints_fail_loudly() {
         Snapshot::from_bytes(&wrong),
         Err(CheckpointError::UnsupportedVersion { .. })
     ));
+
+    // Every proper prefix of a small version-4 image is refused, and
+    // every single-byte flip is refused or restores into a builder
+    // whose checkpoint is the flipped image. Nothing panics.
+    let small = small_v4_image();
+    assert!(small.len() < 40_000, "{} bytes", small.len());
+    assert_eq!(decode_and_restore(&small), Ok(()));
+    for len in 0..small.len() {
+        assert!(Snapshot::from_bytes(&small[..len]).is_err(), "prefix {len}");
+    }
+    let mut accepted = 0;
+    for at in 12..small.len() {
+        for flip in [0x01, 0x80, 0xFF] {
+            let mut bad = small.clone();
+            bad[at] ^= flip;
+            accepted += usize::from(decode_and_restore(&bad).is_ok());
+        }
+    }
+    assert!(
+        accepted > 0,
+        "some flips (counters, multiplicities) are benign"
+    );
+
+    // A length prefix claiming more elements than bytes remain is
+    // refused before anything is allocated for it: here, the arena list.
+    let mut empty = Snapshot::from_bytes(&small).unwrap();
+    empty.stores.clear();
+    let head = empty.to_bytes();
+    let stores_at = head.len() - sbc_streaming::codec::to_bytes(&empty.metrics).len() - 8;
+    let mut huge = small.clone();
+    huge[stores_at..stores_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    assert_eq!(Snapshot::from_bytes(&huge), Err(CheckpointError::Malformed));
 }
 
 #[test]
@@ -388,20 +464,40 @@ fn restore_rejects_shape_mismatches() {
     let mut b = build(&p, StreamParams::default(), 29);
     b.insert_batch(&pts);
     let snap = b.checkpoint().unwrap();
+    let malformed = |s: &Snapshot| {
+        matches!(
+            StreamCoresetBuilder::restore(s),
+            Err(CheckpointError::Malformed)
+        )
+    };
 
-    // An instance ladder that contradicts the embedded parameters.
+    // An arena list that contradicts the embedded parameters.
     let mut truncated = snap.clone();
-    truncated.instances.pop();
-    assert!(matches!(
-        StreamCoresetBuilder::restore(&truncated),
-        Err(CheckpointError::Malformed)
-    ));
+    truncated.stores.pop();
+    assert!(malformed(&truncated));
+    let mut extra = snap.clone();
+    extra.stores.push(snap.stores[0].clone());
+    assert!(malformed(&extra));
+
+    // An arena with a view missing.
+    let mut short_ladder = snap.clone();
+    short_ladder.stores[3].views.pop();
+    assert!(malformed(&short_ladder));
+
+    // A payload point whose recorded cut is not the one its hash gives.
+    let mut bad_cut = snap.clone();
+    let point = bad_cut
+        .stores
+        .iter_mut()
+        .flat_map(|st| st.cells.iter_mut())
+        .flat_map(|c| c.points.iter_mut())
+        .next()
+        .expect("some payload");
+    point.cut += 1;
+    assert!(malformed(&bad_cut));
 
     // Hash coefficient families of the wrong arity.
     let mut short_hashes = snap;
     short_hashes.h_coeffs.pop();
-    assert!(matches!(
-        StreamCoresetBuilder::restore(&short_hashes),
-        Err(CheckpointError::Malformed)
-    ));
+    assert!(malformed(&short_hashes));
 }

@@ -219,9 +219,9 @@ fn sliding_window_like_solve_balanced() {
     check(
         run(StreamParams::default(), &writes, 1),
         [
-            0x22ed27aa3fdf212f,
+            0x5b558c7d60142297,
             0xc873acd6ac282be3,
-            0xe6d13daa8eecedbd,
+            0x48881639f9139866,
             0xc31dec8a65803a81,
         ],
     );
@@ -237,9 +237,9 @@ fn interleaved_two_phase_dynamic() {
     check(
         run(StreamParams::default(), &writes, 2),
         [
-            0x7f5a5059e8e24159,
+            0xea24f77e3c7f07d6,
             0x3fcea275c208e87f,
-            0xd02a32681fdc32dd,
+            0x87cf3261278a42cb,
             0x224b479ea16b61bf,
         ],
     );
@@ -264,9 +264,9 @@ fn small_cap_kills_runaway_stores() {
     check(
         run(sp, &writes, 3),
         [
-            0xf6616c386a5d398a,
+            0x037ab94bbdc42cba,
             0x91286d5e5d1fef26,
-            0x9af7d5079c8f94d2,
+            0x8c87ca072872b7a1,
             0x62ad1b4d1bc712c1,
         ],
     );
@@ -289,9 +289,9 @@ fn kill_early_fault_plan() {
     check(
         got,
         [
-            0xcba8fa20833a22e5,
+            0x91e44b56f46368a9,
             0xe8d6567609acd2d2,
-            0x29758dfd342840cb,
+            0x2b942dcfe7b66cab,
             0xa7fea5cab5b070bc,
         ],
     );

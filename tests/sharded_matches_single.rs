@@ -245,7 +245,7 @@ fn per_op_batched_and_parallel_ingest_are_bit_identical() {
             b.process_all(&ops[..N / 2]);
             let cut = b.checkpoint().expect("batched checkpoint");
             assert_eq!(
-                cut.instances, per_op_cut.instances,
+                cut.stores, per_op_cut.stores,
                 "{name} parallel={parallel}: mid-stream snapshots diverged"
             );
             assert_eq!(cut.net_count, per_op_cut.net_count);
