@@ -18,7 +18,8 @@
 //!
 //! Absolute ops/sec are *not* compared — they vary with the host — only
 //! the relative speedups of the batched paths over the per-op reference
-//! path measured in the same process.
+//! path measured in the same process: `stream_bench` times the paths in
+//! interleaved rounds and reports the median of the per-round ratios.
 //!
 //! With `--prom <file>` the guard also validates a Prometheus
 //! text-exposition artifact (e.g. the `.prom` sibling a `stream_bench

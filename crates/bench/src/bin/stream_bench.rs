@@ -88,41 +88,72 @@ fn seed_baseline(label: &str) -> Option<f64> {
 
 struct PathResult {
     name: &'static str,
+    /// Throughput of the fastest rep.
     ops_per_sec: f64,
     best_secs: f64,
+    /// Median over reps of the per-op time over this path's time in the
+    /// same rep.
+    speedup_vs_per_op: f64,
 }
 
-/// Best-of-`reps` wall-clock of one full ingest; returns ops/sec.
-fn measure(
-    name: &'static str,
-    params: &CoresetParams,
-    sp: StreamParams,
-    ops: &[StreamOp],
-    per_op: bool,
-    reps: usize,
-) -> PathResult {
-    let mut best = f64::INFINITY;
-    let mut sink = 0i64;
-    for _ in 0..reps {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut builder = StreamCoresetBuilder::new(params.clone(), sp, &mut rng);
-        let start = Instant::now();
-        if per_op {
-            for op in ops {
-                builder.process(op);
-            }
-        } else {
-            builder.process_all(ops);
+/// Seconds of one full ingest of `ops` into a fresh builder.
+fn time_ingest(params: &CoresetParams, sp: StreamParams, ops: &[StreamOp], per_op: bool) -> f64 {
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut builder = StreamCoresetBuilder::new(params.clone(), sp, &mut rng);
+    let start = Instant::now();
+    if per_op {
+        for op in ops {
+            builder.process(op);
         }
-        best = best.min(start.elapsed().as_secs_f64());
-        sink = sink.wrapping_add(builder.net_count());
+    } else {
+        builder.process_all(ops);
     }
-    std::hint::black_box(sink);
-    PathResult {
-        name,
-        ops_per_sec: ops.len() as f64 / best,
-        best_secs: best,
+    let secs = start.elapsed().as_secs_f64();
+    std::hint::black_box(builder.net_count());
+    secs
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
     }
+}
+
+/// Times the per-op, batched and batched-parallel paths, `reps` rounds
+/// of one run each, interleaved so that host noise hits every path of a
+/// round alike. Throughput is best-of-`reps`; the speedup is the median
+/// of the per-round ratios, which one slow run cannot move.
+fn measure_paths(params: &CoresetParams, ops: &[StreamOp], reps: usize) -> [PathResult; 3] {
+    let seq = StreamParams::default();
+    let par = StreamParams {
+        parallel: true,
+        ..seq
+    };
+    let paths = [
+        ("per_op", seq, true),
+        ("batched", seq, false),
+        ("batched_parallel", par, false),
+    ];
+    let mut secs = [Vec::new(), Vec::new(), Vec::new()];
+    for _ in 0..reps {
+        for ((_, sp, per_op), times) in paths.iter().zip(&mut secs) {
+            times.push(time_ingest(params, *sp, ops, *per_op));
+        }
+    }
+    let per_op = secs[0].clone();
+    std::array::from_fn(|k| {
+        let best = secs[k].iter().copied().fold(f64::INFINITY, f64::min);
+        PathResult {
+            name: paths[k].0,
+            ops_per_sec: ops.len() as f64 / best,
+            best_secs: best,
+            speedup_vs_per_op: median(per_op.iter().zip(&secs[k]).map(|(p, t)| p / t).collect()),
+        }
+    })
 }
 
 fn bench_workload(
@@ -132,30 +163,20 @@ fn bench_workload(
     reps: usize,
     json: &mut String,
 ) {
-    let seq = StreamParams::default();
-    let par = StreamParams {
-        parallel: true,
-        ..seq
-    };
-    let results = [
-        measure("per_op", params, seq, ops, true, reps),
-        measure("batched", params, seq, ops, false, reps),
-        measure("batched_parallel", params, par, ops, false, reps),
-    ];
-    let base = results[0].ops_per_sec;
+    let results = measure_paths(params, ops, reps);
     let seed = seed_baseline(label);
 
-    println!("\n{label} ({} ops, best of {reps}):", ops.len());
+    println!(
+        "\n{label} ({} ops, best of {reps}; speedup: median of interleaved reps):",
+        ops.len()
+    );
     for r in &results {
         let vs_seed = seed
             .map(|s| format!("  {:>5.2}x vs seed", r.ops_per_sec / s))
             .unwrap_or_default();
         println!(
             "  {:<18} {:>12.0} ops/s  ({:.3} s)  {:>5.2}x vs per_op{vs_seed}",
-            r.name,
-            r.ops_per_sec,
-            r.best_secs,
-            r.ops_per_sec / base
+            r.name, r.ops_per_sec, r.best_secs, r.speedup_vs_per_op
         );
     }
 
@@ -173,7 +194,7 @@ fn bench_workload(
             r.name,
             r.ops_per_sec,
             r.best_secs,
-            r.ops_per_sec / base,
+            r.speedup_vs_per_op,
             if i + 1 < results.len() { "," } else { "" }
         );
     }
