@@ -82,43 +82,130 @@ impl KWiseHash {
     pub fn eval_unit(&self, key: u128) -> f64 {
         self.eval(key) as f64 / field::P as f64
     }
+}
 
-    /// Evaluates the polynomial at every key, appending the values to
-    /// `out` in order. Batched streaming ingest uses this to hash a
-    /// whole batch per (level, role) at once.
-    ///
-    /// The loop processes four keys per iteration as four *independent*
-    /// Horner chains sharing one walk of the coefficient vector. One
-    /// chain is latency-bound (each `mul` waits on the previous
-    /// `add`+`mul`); four chains fill those stalls with each other's
-    /// multiplies, which is the u64-lane analogue of a 4-wide SIMD
-    /// evaluation (the 64×64→128 multiply has no portable vector form,
-    /// so the lanes are explicit scalars the compiler keeps in
-    /// registers). Values are bit-identical to [`Self::eval`] per key.
-    pub fn eval_many(&self, keys: &[u128], out: &mut Vec<u64>) {
-        out.reserve(keys.len());
-        let mut quads = keys.chunks_exact(4);
-        for quad in &mut quads {
-            // Reduce all four keys into the field first: the reductions
-            // are independent of the Horner recurrences and pipeline
-            // ahead of them.
-            let x0 = field::elem_from_u128(quad[0]);
-            let x1 = field::elem_from_u128(quad[1]);
-            let x2 = field::elem_from_u128(quad[2]);
-            let x3 = field::elem_from_u128(quad[3]);
-            let (mut a0, mut a1, mut a2, mut a3) = (0u64, 0u64, 0u64, 0u64);
-            for &c in &self.coeffs {
-                a0 = field::add(field::mul(a0, x0), c);
-                a1 = field::add(field::mul(a1, x1), c);
-                a2 = field::add(field::mul(a2, x2), c);
-                a3 = field::add(field::mul(a3, x3), c);
-            }
-            out.extend_from_slice(&[a0, a1, a2, a3]);
+/// Products of two field elements summed in a `u128` before one
+/// reduction: each is below `(p − 1)² < 2^122`, so 64 of them plus a
+/// carried residue below `p` stay below `2^128`.
+const FOLD: usize = 64;
+
+/// A bank of λ-wise hashes of one independence degree, evaluated
+/// together at each key — the batch kernel of streaming ingest, which
+/// hashes every update with one polynomial per (role, level).
+///
+/// All polynomials of the bank share the key, so one power table
+/// `x⁰ … x^(λ−1)` serves them all. Each value is then a dot product of
+/// the table with the polynomial's coefficients, summed exactly in a
+/// `u128` and reduced once per [`FOLD`] terms. The table takes λ − 1
+/// multiplications with a dependency depth of ⌈log₂ λ⌉ (`x^i` is
+/// `x^⌊i/2⌋ · x^⌈i/2⌉`); the dot products are independent of each other
+/// and of their own terms, where a Horner chain waits on every step.
+/// Values are bit-identical to [`KWiseHash::eval`] per (hash, key).
+#[derive(Clone, Debug)]
+pub struct HashBank {
+    lambda: usize,
+    /// Coefficients hash after hash, each constant term first (the
+    /// reverse of [`KWiseHash::coeffs`]).
+    coeffs: Vec<u64>,
+}
+
+impl HashBank {
+    /// A bank of `hashes`, in order. Every hash must have the same
+    /// independence degree.
+    pub fn new<'a>(hashes: impl IntoIterator<Item = &'a KWiseHash>) -> Self {
+        let mut lambda = 0;
+        let mut coeffs = Vec::new();
+        for h in hashes {
+            assert!(
+                lambda == 0 || h.lambda() == lambda,
+                "a bank's hashes share one independence degree"
+            );
+            lambda = h.lambda();
+            coeffs.extend(h.coeffs().iter().rev());
         }
-        for &k in quads.remainder() {
-            out.push(self.eval(k));
+        Self { lambda, coeffs }
+    }
+
+    /// Number of hashes in the bank.
+    pub fn len(&self) -> usize {
+        self.coeffs.len().checked_div(self.lambda).unwrap_or(0)
+    }
+
+    /// Whether the bank holds no hash.
+    pub fn is_empty(&self) -> bool {
+        self.coeffs.is_empty()
+    }
+
+    /// Evaluates every hash at every key, appending key after key: hash
+    /// `b` at `keys[i]` lands at `out[start + i · len() + b]`.
+    pub fn eval_many(&self, keys: &[u128], out: &mut Vec<u64>) {
+        if self.is_empty() {
+            return;
+        }
+        out.reserve(keys.len() * self.len());
+        let mut powers = vec![1u64; self.lambda];
+        for &key in keys {
+            fill_powers(key, &mut powers);
+            out.extend(
+                self.coeffs
+                    .chunks_exact(self.lambda)
+                    .map(|c| dot(c, &powers)),
+            );
         }
     }
+
+    /// Appends the power table `x⁰ … x^(λ−1)` of each key, key after key:
+    /// the shared half of an evaluation, for callers that need only some
+    /// of the bank's hashes at each key (see [`Self::eval_at`]).
+    pub fn power_tables(&self, keys: &[u128], out: &mut Vec<u64>) {
+        let start = out.len();
+        out.resize(start + keys.len() * self.lambda, 1);
+        if self.lambda > 0 {
+            for (&key, powers) in keys.iter().zip(out[start..].chunks_exact_mut(self.lambda)) {
+                fill_powers(key, powers);
+            }
+        }
+    }
+
+    /// Hash `b` at the key whose power table (from
+    /// [`Self::power_tables`]) is `powers`.
+    pub fn eval_at(&self, b: usize, powers: &[u64]) -> u64 {
+        dot(&self.coeffs[b * self.lambda..(b + 1) * self.lambda], powers)
+    }
+}
+
+/// Fills `powers` (all ones on entry, or a previous table) with
+/// `x⁰ … x^(len−1)` of the key's field element `x`.
+#[inline]
+fn fill_powers(key: u128, powers: &mut [u64]) {
+    if let Some(p) = powers.get_mut(1) {
+        *p = field::elem_from_u128(key);
+    }
+    for i in 2..powers.len() {
+        powers[i] = field::mul(powers[i / 2], powers[i - i / 2]);
+    }
+}
+
+/// `Σ coeffs[i] · powers[i]` in the field. Four partial sums split the
+/// `u128` carry chain; together they never exceed one [`FOLD`]'s bound.
+#[inline]
+fn dot(coeffs: &[u64], powers: &[u64]) -> u64 {
+    let mul = |c: u64, x: u64| c as u128 * x as u128;
+    let mut acc = 0u64;
+    for (cs, ps) in coeffs.chunks(FOLD).zip(powers.chunks(FOLD)) {
+        let mut sums = [acc as u128, 0, 0, 0];
+        let (c4, p4) = (cs.chunks_exact(4), ps.chunks_exact(4));
+        for (&c, &x) in c4.remainder().iter().zip(p4.remainder()) {
+            sums[0] += mul(c, x);
+        }
+        for (c, x) in c4.zip(p4) {
+            for k in 0..4 {
+                sums[k] += mul(c[k], x[k]);
+            }
+        }
+        acc = field::reduce128(sums.iter().sum());
+    }
+    acc
 }
 
 /// A λ-wise independent Bernoulli sampler: `h(x) = 1` iff the underlying
@@ -183,7 +270,7 @@ impl KWiseBernoulli {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn eval_is_deterministic_and_seed_sensitive() {
@@ -265,19 +352,67 @@ mod tests {
         );
     }
 
+    /// Edge keys of the 128 → 61-bit reduction, then random ones.
+    fn bank_keys(rng: &mut StdRng) -> Vec<u128> {
+        let p = field::P as u128;
+        let mut keys = vec![0, 1, p - 1, p, p + 1, 1 << 61, 1 << 64, u128::MAX];
+        keys.extend((0..24).map(|_| rng.gen::<u128>()));
+        keys
+    }
+
+    /// Every bank value equals the hash's Horner evaluation, across
+    /// fold boundaries of the `u128` accumulator (λ = 64, 65, 200) and
+    /// with all-(p − 1) coefficients, the accumulator's worst case.
+    #[test]
+    fn bank_matches_eval() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for lambda in [1usize, 2, 31, 32, 33, 64, 65, 200] {
+            let mut hashes: Vec<KWiseHash> =
+                (0..3).map(|_| KWiseHash::new(lambda, &mut rng)).collect();
+            hashes.push(KWiseHash::from_coeffs(vec![field::P - 1; lambda]));
+            let bank = HashBank::new(&hashes);
+            assert_eq!((bank.len(), bank.is_empty()), (hashes.len(), false));
+            let keys = bank_keys(&mut rng);
+            let mut got = vec![999]; // eval_many appends after existing content
+            bank.eval_many(&keys, &mut got);
+            let want: Vec<u64> = std::iter::once(999)
+                .chain(
+                    keys.iter()
+                        .flat_map(|&k| hashes.iter().map(move |h| h.eval(k))),
+                )
+                .collect();
+            assert_eq!(got, want, "λ = {lambda}");
+            let mut powers = Vec::new();
+            bank.power_tables(&keys, &mut powers);
+            for (table, &k) in powers.chunks_exact(lambda).zip(&keys) {
+                for (b, h) in hashes.iter().enumerate() {
+                    assert_eq!(bank.eval_at(b, table), h.eval(k), "λ = {lambda}, key {k}");
+                }
+            }
+        }
+    }
+
+    /// The bank's batch layout: key after key, every hash per key, for
+    /// batch sizes around the serving batch of 16.
     #[test]
     fn eval_many_matches_eval() {
         let mut rng = StdRng::seed_from_u64(11);
-        let h = KWiseHash::new(32, &mut rng);
-        for n in [0usize, 1, 2, 7, 64] {
+        let hashes: Vec<KWiseHash> = (0..21).map(|_| KWiseHash::new(32, &mut rng)).collect();
+        let bank = HashBank::new(&hashes);
+        for n in [0usize, 1, 2, 7, 16, 64] {
             let keys: Vec<u128> = (0..n as u128).map(|k| k * k + 3).collect();
-            let mut got = vec![999]; // eval_many appends after existing content
-            h.eval_many(&keys, &mut got);
-            let want: Vec<u64> = std::iter::once(999)
-                .chain(keys.iter().map(|&k| h.eval(k)))
-                .collect();
-            assert_eq!(got, want, "n = {n}");
+            let mut got = Vec::new();
+            bank.eval_many(&keys, &mut got);
+            assert_eq!(got.len(), n * hashes.len(), "n = {n}");
+            for (row, &k) in got.chunks_exact(hashes.len()).zip(&keys) {
+                let want: Vec<u64> = hashes.iter().map(|h| h.eval(k)).collect();
+                assert_eq!(row, want, "n = {n}, key {k}");
+            }
         }
+        let empty = HashBank::new(&[]);
+        let mut out = Vec::new();
+        empty.eval_many(&[1, 2], &mut out);
+        assert!(empty.is_empty() && out.is_empty());
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! * [`field`] — arithmetic in `𝔽_p`;
 //! * [`kwise`] — [`KWiseHash`] (uniform output in `[0, p)`) and
 //!   [`KWiseBernoulli`] (λ-wise independent indicator with
-//!   `Pr[h(x) = 1] = φ` exactly, as `⌊φ·p⌋/p`);
+//!   `Pr[h(x) = 1] = φ` exactly, as `⌊φ·p⌋/p`), and [`HashBank`]
+//!   (many hashes of one degree evaluated together per key — one power
+//!   table, one dot product per hash);
 //! * [`fingerprint`] — low-collision fingerprints used as checksums by the
 //!   sparse-recovery sketches in `sbc-streaming`;
 //! * [`arena`] — flat open-addressing tables keyed by packed `u64` or
@@ -35,4 +37,4 @@ pub mod kwise;
 
 pub use arena::{slots_for, OpenTable, TableKey};
 pub use fingerprint::Fingerprinter;
-pub use kwise::{KWiseBernoulli, KWiseHash};
+pub use kwise::{HashBank, KWiseBernoulli, KWiseHash};

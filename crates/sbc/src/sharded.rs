@@ -164,6 +164,13 @@ impl ShardedIngest {
         ShardedSpaceReport::aggregate(&self.shard_space_reports())
     }
 
+    /// The summed measured footprint of the shards — the aggregate
+    /// report's `total.measured_bytes` without building the reports
+    /// (see [`StreamCoresetBuilder::measured_bytes`]).
+    pub fn measured_bytes(&self) -> usize {
+        self.builders.iter().map(|b| b.measured_bytes()).sum()
+    }
+
     /// Per-shard space reports, in shard order (the inputs
     /// [`Self::space_report`] aggregates).
     pub fn shard_space_reports(&self) -> Vec<SpaceReport> {

@@ -122,8 +122,8 @@ impl Backend {
 
     fn measured_bytes(&self) -> usize {
         match self {
-            Backend::Single(b) => b.space_report().measured_bytes,
-            Backend::Sharded(s) => s.space_report().total.measured_bytes,
+            Backend::Single(b) => b.measured_bytes(),
+            Backend::Sharded(s) => s.measured_bytes(),
         }
     }
 

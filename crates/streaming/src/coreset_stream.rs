@@ -26,10 +26,12 @@
 //! the *same* `CoresetBuilderCtx` the offline path uses (including the
 //! per-part nested sub-thresholding of `CoresetParams::part_phi`).
 
-use crate::checkpoint::{ArenaCheckpoint, CheckpointError, InstanceCheckpoint, Snapshot};
+use crate::checkpoint::{
+    ArenaCheckpoint, CheckpointError, InstanceCheckpoint, PointName, Snapshot,
+};
 use crate::merge::{EpsSchedule, MergeError};
 use crate::model::StreamOp;
-use crate::nested::{CutsOf, Nested, ViewSpec};
+use crate::nested::{point_in_grid, CutsOf, Nested, ViewSpec};
 use crate::storing::{StoreDeath, Storing, StoringConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,7 +41,7 @@ use sbc_core::coreset::{
 use sbc_core::partition::{CellCounts, PartMasses, Partition};
 use sbc_core::{Coreset, CoresetParams, FailReason, ParamsError};
 use sbc_geometry::{CellId, GridHierarchy, Point};
-use sbc_hash::KWiseHash;
+use sbc_hash::{HashBank, KWiseHash, OpenTable};
 use sbc_obs::fault::{splitmix64, FaultPlan};
 use sbc_obs::json::JsonValue;
 use sbc_obs::trace::{self, CausalIds, TraceKind};
@@ -255,44 +257,29 @@ struct OInstance {
 /// exactly the *prefix* of instances `{j : v < thr[j]}`, found with one
 /// binary search per (role, level) instead of a per-instance scan.
 struct RouteTables {
-    /// `psi[idx][j]`: instance `j`'s role-h threshold at store index
-    /// `idx` (= level + 1); non-increasing in `j`.
-    psi: Vec<Vec<u64>>,
-    /// Role h′ thresholds, indexed by level.
-    psip: Vec<Vec<u64>>,
-    /// Role ĥ thresholds, indexed by level.
-    phi: Vec<Vec<u64>>,
+    /// `columns[s][j]`: instance `j`'s threshold in store `s` of the
+    /// builder's store list (role h at levels `−1..=L−1`, then h′ and ĥ
+    /// at levels `0..=L`: `ψ`, `ψ′` and `φ`); non-increasing in `j`.
+    columns: Vec<Vec<u64>>,
 }
 
 impl RouteTables {
     fn build(instances: &[OInstance], l: usize) -> Self {
-        let column = |pick: fn(&OInstance, usize) -> u64, idx: usize| -> Vec<u64> {
-            let col: Vec<u64> = instances.iter().map(|inst| pick(inst, idx)).collect();
+        let column = |pick: fn(&OInstance) -> &[u64], idx: usize| -> Vec<u64> {
+            let col: Vec<u64> = instances.iter().map(|inst| pick(inst)[idx]).collect();
             assert!(
                 col.windows(2).all(|w| w[0] >= w[1]),
                 "threshold ladder must be non-increasing along the o ladder"
             );
             col
         };
+        let roles: [fn(&OInstance) -> &[u64]; 3] =
+            [|i| &i.psi_thr, |i| &i.psip_thr, |i| &i.phi_thr];
         Self {
-            psi: (0..=l)
-                .map(|idx| column(|i, c| i.psi_thr[c], idx))
+            columns: roles
+                .into_iter()
+                .flat_map(|pick| (0..=l).map(move |idx| column(pick, idx)))
                 .collect(),
-            psip: (0..=l)
-                .map(|idx| column(|i, c| i.psip_thr[c], idx))
-                .collect(),
-            phi: (0..=l)
-                .map(|idx| column(|i, c| i.phi_thr[c], idx))
-                .collect(),
-        }
-    }
-
-    /// The threshold column of `role` at store index `idx`.
-    fn column(&self, role: u8, idx: usize) -> &[u64] {
-        match role {
-            trace::role::H => &self.psi[idx],
-            trace::role::HP => &self.psip[idx],
-            _ => &self.phi[idx],
         }
     }
 
@@ -308,9 +295,10 @@ impl RouteTables {
 /// shared across the instance ladder, computed once per point. Kept on
 /// the builder for small batches (see [`KEEP_SCRATCH`]).
 ///
-/// Hash values and ladder cuts are stored column-major (`(l+1)` columns
-/// of `n` entries each); cell keys row-major (`l+2` levels per op, level
-/// `idx − 1` at offset `idx`).
+/// Hash values are stored key after key (the bank's layout), ladder cuts
+/// column-major (one column of `n` entries per store, in store order),
+/// cell keys row-major (`l+2` levels per op, level `idx − 1` at offset
+/// `idx`).
 #[derive(Default)]
 struct BatchSoa {
     keys: Vec<u128>,
@@ -318,24 +306,15 @@ struct BatchSoa {
     cell_keys: Vec<u128>,
     /// Scratch: the current point's floored shifted coordinates.
     us: Vec<i64>,
-    hv: Vec<u64>,
-    hpv: Vec<u64>,
-    hhv: Vec<u64>,
-    cut_h: Vec<u32>,
-    cut_hp: Vec<u32>,
-    cut_hhat: Vec<u32>,
+    values: Vec<u64>,
+    cuts: Vec<u32>,
 }
 
 impl BatchSoa {
-    /// The cut column of `role` at store index `idx`.
-    fn cuts(&self, role: u8, idx: usize) -> &[u32] {
+    /// The cut column of store `s`.
+    fn cuts(&self, s: usize) -> &[u32] {
         let n = self.keys.len();
-        let col = match role {
-            trace::role::H => &self.cut_h,
-            trace::role::HP => &self.cut_hp,
-            _ => &self.cut_hhat,
-        };
-        &col[idx * n..(idx + 1) * n]
+        &self.cuts[s * n..(s + 1) * n]
     }
 }
 
@@ -727,6 +706,9 @@ pub struct StreamCoresetBuilder {
     h_hashes: Vec<KWiseHash>,
     hp_hashes: Vec<KWiseHash>,
     hhat_hashes: Vec<KWiseHash>,
+    /// The three roles' hashes in store order, evaluated together per
+    /// key by ingest and restore.
+    bank: HashBank,
     instances: Vec<OInstance>,
     /// One nested store per (role, level): role h at levels `−1..=L−1`,
     /// then h′ and ĥ at levels `0..=L`.
@@ -785,9 +767,10 @@ impl StreamCoresetBuilder {
     ) -> Self {
         let l = params.l() as i32;
         let lambda = params.lambda().min(1 << 12);
-        let h_hashes = (0..=l).map(|_| KWiseHash::new(lambda, rng)).collect();
-        let hp_hashes = (0..=l).map(|_| KWiseHash::new(lambda, rng)).collect();
-        let hhat_hashes = (0..=l).map(|_| KWiseHash::new(lambda, rng)).collect();
+        let h_hashes: Vec<KWiseHash> = (0..=l).map(|_| KWiseHash::new(lambda, rng)).collect();
+        let hp_hashes: Vec<KWiseHash> = (0..=l).map(|_| KWiseHash::new(lambda, rng)).collect();
+        let hhat_hashes: Vec<KWiseHash> = (0..=l).map(|_| KWiseHash::new(lambda, rng)).collect();
+        let bank = HashBank::new(h_hashes.iter().chain(&hp_hashes).chain(&hhat_hashes));
 
         let (instances, stores) = Self::build_ladder(&params, &sparams, &grid);
         let routes = RouteTables::build(&instances, l as usize);
@@ -799,6 +782,7 @@ impl StreamCoresetBuilder {
             h_hashes,
             hp_hashes,
             hhat_hashes,
+            bank,
             instances,
             stores,
             routes,
@@ -1068,7 +1052,6 @@ impl StreamCoresetBuilder {
         let gp = self.params.grid;
         let l = gp.l as i32;
         let n = ops.len();
-        let levels = l as usize + 1;
 
         soa.keys.clear();
         soa.deltas.clear();
@@ -1118,27 +1101,14 @@ impl StreamCoresetBuilder {
             }
         }
 
-        soa.hv.clear();
-        soa.hpv.clear();
-        soa.hhv.clear();
-        for idx in 0..levels {
-            self.h_hashes[idx].eval_many(&soa.keys, &mut soa.hv);
-            self.hp_hashes[idx].eval_many(&soa.keys, &mut soa.hpv);
-            self.hhat_hashes[idx].eval_many(&soa.keys, &mut soa.hhv);
-        }
-
-        soa.cut_h.clear();
-        soa.cut_hp.clear();
-        soa.cut_hhat.clear();
-        for idx in 0..levels {
-            let base = idx * n;
-            for i in 0..n {
-                soa.cut_h
-                    .push(RouteTables::cut(&self.routes.psi[idx], soa.hv[base + i]));
-                soa.cut_hp
-                    .push(RouteTables::cut(&self.routes.psip[idx], soa.hpv[base + i]));
-                soa.cut_hhat
-                    .push(RouteTables::cut(&self.routes.phi[idx], soa.hhv[base + i]));
+        soa.values.clear();
+        self.bank.eval_many(&soa.keys, &mut soa.values);
+        let columns = &self.routes.columns;
+        soa.cuts.clear();
+        soa.cuts.resize(columns.len() * n, 0);
+        for (i, row) in soa.values.chunks_exact(columns.len()).enumerate() {
+            for (s, (&v, column)) in row.iter().zip(columns).enumerate() {
+                soa.cuts[s * n + i] = RouteTables::cut(column, v);
             }
         }
     }
@@ -1176,39 +1146,38 @@ impl StreamCoresetBuilder {
         let grid = &self.grid;
         let batch = &soa;
         if threads <= 1 {
-            for st in &mut self.stores {
-                route_store(st, grid, ops, op, batch);
+            for (s, st) in self.stores.iter_mut().enumerate() {
+                route_store(st, batch.cuts(s), grid, ops, op, batch);
             }
         } else {
             // Stores share no state, so any split is bit-identical; this
             // one balances the routed view updates (longest first, each
             // onto the least-loaded thread).
-            let mut work: Vec<(u64, &mut LadderStore)> = self
+            let mut work: Vec<(u64, &mut LadderStore, &[u32])> = self
                 .stores
                 .iter_mut()
-                .map(|st| {
+                .enumerate()
+                .map(|(s, st)| {
                     let first = st.first as u64;
-                    let w = batch
-                        .cuts(st.role, st.idx)
-                        .iter()
-                        .map(|&c| (c as u64).saturating_sub(first))
-                        .sum();
-                    (w, st)
+                    let cuts = batch.cuts(s);
+                    let w = cuts.iter().map(|&c| (c as u64).saturating_sub(first)).sum();
+                    (w, st, cuts)
                 })
                 .collect();
-            work.sort_by_key(|&(w, _)| std::cmp::Reverse(w));
+            work.sort_by_key(|&(w, _, _)| std::cmp::Reverse(w));
             let mut loads = vec![0u64; threads];
-            let mut groups: Vec<Vec<&mut LadderStore>> = (0..threads).map(|_| Vec::new()).collect();
-            for (w, st) in work {
+            let mut groups: Vec<Vec<(&mut LadderStore, &[u32])>> =
+                (0..threads).map(|_| Vec::new()).collect();
+            for (w, st, cuts) in work {
                 let t = (0..threads).min_by_key(|&t| loads[t]).expect("threads ≥ 2");
                 loads[t] += w;
-                groups[t].push(st);
+                groups[t].push((st, cuts));
             }
             rayon::scope(|scope| {
                 for group in groups {
                     scope.spawn(move |_| {
-                        for st in group {
-                            route_store(st, grid, ops, op, batch);
+                        for (st, cuts) in group {
+                            route_store(st, cuts, grid, ops, op, batch);
                         }
                     });
                 }
@@ -1230,27 +1199,24 @@ impl StreamCoresetBuilder {
         self.metrics.ops_inserted.add(inserted);
         self.metrics.ops_deleted.add(n - inserted);
         let op_base = self.ops_seen - n;
-        let tally = |cuts: &[u32], handles: &[(sbc_obs::Counter, sbc_obs::Counter)], role: u8| {
-            for (idx, (accepted, pruned)) in handles.iter().enumerate() {
-                let hits: u64 = cuts[idx * n as usize..(idx + 1) * n as usize]
-                    .iter()
-                    .map(|&c| c as u64)
-                    .sum();
-                accepted.add(hits);
-                pruned.add(ladder * n - hits);
-                // One prune-decision instant per (role, level) per batch:
-                // `arg` = accepted routings out of `ladder * n` candidates.
-                let level = idx as i16 - i16::from(role == trace::role::H);
-                trace::instant(
-                    "stream.prune",
-                    CausalIds::NONE.op(op_base).at(level, role),
-                    hits,
-                );
-            }
-        };
-        tally(&soa.cut_h, &self.metrics.prune_h, trace::role::H);
-        tally(&soa.cut_hp, &self.metrics.prune_hp, trace::role::HP);
-        tally(&soa.cut_hhat, &self.metrics.prune_hhat, trace::role::HHAT);
+        for (s, st) in self.stores.iter().enumerate() {
+            let handles = match st.role {
+                trace::role::H => &self.metrics.prune_h,
+                trace::role::HP => &self.metrics.prune_hp,
+                _ => &self.metrics.prune_hhat,
+            };
+            let (accepted, pruned) = &handles[st.idx];
+            let hits: u64 = soa.cuts(s).iter().map(|&c| c as u64).sum();
+            accepted.add(hits);
+            pruned.add(ladder * n - hits);
+            // One prune-decision instant per (role, level) per batch:
+            // `arg` = accepted routings out of `ladder * n` candidates.
+            trace::instant(
+                "stream.prune",
+                CausalIds::NONE.op(op_base).at(st.level() as i16, st.role),
+                hits,
+            );
+        }
     }
 
     /// How many threads to route a batch of `n` ops across: with
@@ -1273,17 +1239,47 @@ impl StreamCoresetBuilder {
         threads.min(self.stores.len()).max(1)
     }
 
-    /// Space accounting across the whole ladder: bytes, slots and cells
-    /// of the (role, level) arenas; live and dead counts of the
-    /// instances' stores (the arenas' views).
-    pub fn space_report(&self) -> SpaceReport {
-        let hash_bytes = self
-            .h_hashes
+    /// Bytes of the hash coefficients: the randomness the paper's space
+    /// accounting charges for.
+    fn hash_bytes(&self) -> usize {
+        self.h_hashes
             .iter()
             .chain(&self.hp_hashes)
             .chain(&self.hhat_hashes)
             .map(KWiseHash::stored_bytes)
+            .sum()
+    }
+
+    /// Observation point: folds a measurement into the high-water mark
+    /// and returns the mark. `fetch_max` returns the previous peak, so
+    /// the result covers both the history and right now.
+    fn observe_measured(&self, measured: usize) -> usize {
+        self.peak_measured
+            .fetch_max(measured, Ordering::Relaxed)
+            .max(measured)
+    }
+
+    /// The measured footprint right now — [`SpaceReport::measured_bytes`]
+    /// without the rest of the report. Read off the arenas' running
+    /// totals, so it costs O(stores), not a walk of their cells. Like
+    /// [`Self::space_report`], an observation point for the high-water
+    /// mark.
+    pub fn measured_bytes(&self) -> usize {
+        let store_bytes: usize = self
+            .stores
+            .iter()
+            .map(|st| st.store.stored_bytes(&self.grid))
             .sum();
+        let measured = self.hash_bytes() + store_bytes;
+        self.observe_measured(measured);
+        measured
+    }
+
+    /// Space accounting across the whole ladder: bytes, slots and cells
+    /// of the (role, level) arenas; live and dead counts of the
+    /// instances' stores (the arenas' views).
+    pub fn space_report(&self) -> SpaceReport {
+        let hash_bytes = self.hash_bytes();
         let mut store_bytes = 0usize;
         let mut nominal = 0usize;
         let mut expected = 0usize;
@@ -1314,13 +1310,7 @@ impl StreamCoresetBuilder {
             }
         }
         let measured = hash_bytes + store_bytes;
-        // Observation point: fold this measurement into the high-water
-        // mark. fetch_max returns the previous peak, so the reported
-        // value covers both the history and right now.
-        let peak = self
-            .peak_measured
-            .fetch_max(measured, Ordering::Relaxed)
-            .max(measured);
+        let peak = self.observe_measured(measured);
         SpaceReport {
             hash_bytes,
             store_bytes,
@@ -1395,10 +1385,10 @@ impl StreamCoresetBuilder {
     /// stopped — see [`crate::checkpoint`].
     pub fn checkpoint(&self) -> Result<Snapshot, CheckpointError> {
         // Checkpoints are observation points for the measured-space
-        // high-water mark (the report is discarded; the side effect is
-        // the peak fold). The peak itself is never serialized — the
+        // high-water mark (the measurement is discarded; the side effect
+        // is the peak fold). The peak itself is never serialized — the
         // snapshot byte stream stays canonical.
-        let _ = self.space_report();
+        let _ = self.measured_bytes();
         let coeffs = |hs: &[KWiseHash]| hs.iter().map(|h| h.coeffs().to_vec()).collect();
         trace::event(
             TraceKind::Checkpoint,
@@ -1444,7 +1434,17 @@ impl StreamCoresetBuilder {
     /// *same* process — eviction churn in a serving tier — never double
     /// counts.
     pub fn restore(snap: &Snapshot) -> Result<Self, CheckpointError> {
-        let builder = Self::rebuild(snap, |s, st, grid, cuts| {
+        let gp = snap.params.grid;
+        let keys = snap
+            .stores
+            .iter()
+            .flat_map(|ck| &ck.cells)
+            .flat_map(|c| &c.points)
+            .filter_map(|e| match &e.point {
+                PointName::Packed(key) => Some(*key),
+                PointName::Coords(p) => point_in_grid(gp, p).then(|| p.key128(gp.delta)),
+            });
+        let builder = Self::rebuild(snap, keys, |s, st, grid, cuts| {
             snap.stores
                 .get(s)
                 .is_some_and(|ck| st.store.load_arena(grid, ck, cuts))
@@ -1479,7 +1479,15 @@ impl StreamCoresetBuilder {
         {
             return Err(CheckpointError::Malformed);
         }
-        let builder = Self::rebuild(snap, |_, st, grid, cuts| {
+        let gp = snap.params.grid;
+        let keys = instances
+            .iter()
+            .flat_map(|ck| ck.h.iter().chain(&ck.hp).chain(ck.hhat.iter().flatten()))
+            .flat_map(|v| &v.cells)
+            .flat_map(|c| &c.points)
+            .filter(|(p, _)| point_in_grid(gp, p))
+            .map(|(p, _)| p.key128(gp.delta));
+        let builder = Self::rebuild(snap, keys, |_, st, grid, cuts| {
             let mut views = Vec::with_capacity(st.store.len());
             for (i, ck) in instances.iter().enumerate() {
                 let view = match st.role {
@@ -1509,10 +1517,13 @@ impl StreamCoresetBuilder {
     /// The builder `snap`'s header describes — parameters, grid shift,
     /// hash coefficients, counters and RNG state — with each store filled
     /// by `load(store index, store, grid, ladder cuts of point keys)`,
-    /// which returns `false` when its state does not fit. Has no side
-    /// effects on metrics or traces.
+    /// which returns `false` when its state does not fit. `keys` are the
+    /// point keys `load` will ask cuts of: each distinct one gets one
+    /// power table up front, which every store's hash then shares. Has no
+    /// side effects on metrics or traces.
     fn rebuild(
         snap: &Snapshot,
+        keys: impl Iterator<Item = u128>,
         mut load: impl FnMut(usize, &mut LadderStore, &GridHierarchy, CutsOf) -> bool,
     ) -> Result<Self, CheckpointError> {
         let params = snap.params.clone();
@@ -1550,25 +1561,38 @@ impl StreamCoresetBuilder {
         let h_hashes = rebuild(&snap.h_coeffs)?;
         let hp_hashes = rebuild(&snap.hp_coeffs)?;
         let hhat_hashes = rebuild(&snap.hhat_coeffs)?;
+        let bank = HashBank::new(h_hashes.iter().chain(&hp_hashes).chain(&hhat_hashes));
+
+        let mut rows: OpenTable<u128, u32> = OpenTable::default();
+        let mut distinct = Vec::new();
+        for key in keys {
+            rows.get_or_insert_with(key, || {
+                distinct.push(key);
+                distinct.len() as u32 - 1
+            });
+        }
+        let mut powers = Vec::new();
+        bank.power_tables(&distinct, &mut powers);
+        // Store `s`'s hash value at `key` (a key not gathered up front
+        // gets a power table of its own).
+        let value = |key: u128, s: usize| match rows.get(key) {
+            Some(&row) => bank.eval_at(s, &powers[row as usize * lambda..][..lambda]),
+            None => {
+                let mut table = Vec::with_capacity(lambda);
+                bank.power_tables(&[key], &mut table);
+                bank.eval_at(s, &table)
+            }
+        };
 
         let (instances, mut stores) = Self::build_ladder(&params, &sparams, &grid);
         let routes = RouteTables::build(&instances, l);
         for (s, st) in stores.iter_mut().enumerate() {
-            let hash = match st.role {
-                trace::role::H => &h_hashes[st.idx],
-                trace::role::HP => &hp_hashes[st.idx],
-                _ => &hhat_hashes[st.idx],
-            };
-            let column = routes.column(st.role, st.idx);
+            let column = &routes.columns[s];
             let first = st.first;
             let cuts = |keys: &[u128], out: &mut Vec<usize>| {
-                let mut values = Vec::with_capacity(keys.len());
-                hash.eval_many(keys, &mut values);
-                out.extend(
-                    values
-                        .iter()
-                        .map(|&v| (RouteTables::cut(column, v) as usize).saturating_sub(first)),
-                );
+                out.extend(keys.iter().map(|&key| {
+                    (RouteTables::cut(column, value(key, s)) as usize).saturating_sub(first)
+                }));
             };
             if !load(s, st, &grid, &cuts) {
                 return Err(CheckpointError::Malformed);
@@ -1582,6 +1606,7 @@ impl StreamCoresetBuilder {
             h_hashes,
             hp_hashes,
             hhat_hashes,
+            bank,
             instances,
             stores,
             routes,
@@ -1782,7 +1807,8 @@ impl StreamCoresetBuilder {
     }
 }
 
-/// Routes every op of a precomputed batch into one (role, level) store.
+/// Routes every op of a precomputed batch into one (role, level) store,
+/// by the store's cut column `cuts`.
 ///
 /// Loop order is *store-major*: the whole batch is scanned in stream
 /// order and the accepted ops applied consecutively, each to the views
@@ -1792,6 +1818,7 @@ impl StreamCoresetBuilder {
 /// — while the store's table stays cache-hot for the whole streak.
 fn route_store<T>(
     st: &mut LadderStore,
+    cuts: &[u32],
     grid: &GridHierarchy,
     ops: &[T],
     op: fn(&T) -> (&Point, i64),
@@ -1800,7 +1827,6 @@ fn route_store<T>(
     let stride = soa.cell_keys.len() / ops.len(); // cells per op: levels −1..=L
     let coff = (st.level() + 1) as usize;
     let first = st.first as u32;
-    let cuts = soa.cuts(st.role, st.idx);
     let rows = soa.cell_keys.chunks_exact(stride);
     st.store.drain(
         grid,
@@ -1908,7 +1934,7 @@ impl OInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{insert_delete_stream, insertion_stream};
+    use crate::model::{churn_stream, insert_delete_stream, insertion_stream};
     use sbc_geometry::dataset::{gaussian_mixture, two_phase_dynamic};
     use sbc_geometry::GridParams;
 
@@ -2048,6 +2074,104 @@ mod tests {
             "nominal accounting is configuration-determined, not data-dependent"
         );
         assert_eq!(healthy.instances, starved.instances);
+    }
+
+    /// Asserts that every arena's running byte totals equal a walk of
+    /// its cells and views, and that `measured_bytes` is the report's.
+    fn assert_footprint_walks(b: &StreamCoresetBuilder, at: &str) {
+        let (mut stored, mut expected) = (0, 0);
+        for st in &b.stores {
+            let walked = st.store.walked_bytes(&b.grid);
+            let running = (
+                st.store.stored_bytes(&b.grid),
+                st.store.expected_bytes(&b.grid),
+            );
+            assert_eq!(running, walked, "{at}: store ({}, {})", st.role, st.idx);
+            stored += walked.0;
+            expected += walked.1;
+        }
+        let rep = b.space_report();
+        assert_eq!(
+            (rep.store_bytes, rep.expected_sketch_bytes),
+            (stored, expected),
+            "{at}"
+        );
+        assert_eq!(b.measured_bytes(), rep.measured_bytes, "{at}");
+    }
+
+    /// The running footprint behind `measured_bytes` equals a walk of the
+    /// arenas after every batch, through inserts, deletes, evictions, cap
+    /// kills and the purges they trigger, checkpoint → restore, and a
+    /// two-shard merge: at the serving profile, the library defaults, a
+    /// tight cap, and every key width of `wide_geometry.rs`.
+    #[test]
+    fn running_footprint_matches_a_walk() {
+        let serving = StreamParams::builder()
+            .est_rate(24.0)
+            .alpha_factor(2.0)
+            .rows(2)
+            .build()
+            .unwrap();
+        let wide = StreamParams::builder()
+            .o_ladder_max(4096.0)
+            .build()
+            .unwrap();
+        let capped = StreamParams {
+            cap_cells: 24,
+            ..serving
+        };
+        for (log_delta, d, sp, seed) in [
+            (6, 2, serving, 1),
+            (8, 2, StreamParams::default(), 2),
+            (8, 2, capped, 3),
+            (10, 8, wide, 4),
+            (10, 12, wide, 5),
+            (10, 16, wide, 6),
+        ] {
+            let gp = GridParams::from_log_delta(log_delta, d);
+            let params = CoresetParams::builder(3, gp).build().unwrap();
+            let pts = gaussian_mixture(gp, 240, 3, 0.04, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ops = churn_stream(&pts, 0.3, &mut rng);
+            let grid = GridHierarchy::new(gp, &mut rng);
+            let hash_seed: u64 = rng.gen();
+            let mk = || {
+                let mut hrng = StdRng::seed_from_u64(hash_seed);
+                StreamCoresetBuilder::with_grid(params.clone(), sp, grid.clone(), &mut hrng)
+            };
+            let case = format!("d = {d}, log Δ = {log_delta}, seed {seed}");
+            let mut b = mk();
+            // Shards split by point, so each point's deletes meet its inserts.
+            let (mut even, mut odd) = (mk(), mk());
+            for (i, batch) in ops.chunks(16).enumerate() {
+                b.process_all(batch);
+                assert_footprint_walks(&b, &format!("{case}, batch {i}"));
+                for op in batch {
+                    let shard = if op.point().key128(gp.delta) % 2 == 0 {
+                        &mut even
+                    } else {
+                        &mut odd
+                    };
+                    shard.process(op);
+                }
+                if i % 10 == 9 {
+                    let bytes = b.checkpoint().unwrap().to_bytes();
+                    b = StreamCoresetBuilder::restore(&Snapshot::from_bytes(&bytes).unwrap())
+                        .unwrap();
+                    assert_footprint_walks(&b, &format!("{case}, restored at batch {i}"));
+                }
+            }
+            assert_footprint_walks(&even, &format!("{case}, even shard"));
+            let merged = even.merge(odd).unwrap();
+            assert_footprint_walks(&merged, &format!("{case}, merged"));
+            if sp.cap_cells == capped.cap_cells {
+                assert!(b.space_report().dead_stores > 0, "{case}: the cap kills");
+                assert!(
+                    merged.space_report().dead_stores > 0,
+                    "{case}: merged kills"
+                );
+            }
+        }
     }
 
     #[test]

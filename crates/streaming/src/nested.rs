@@ -29,7 +29,15 @@
 //! * the distinct-cell cap kills a runaway view, and `peak_cells` is the
 //!   view's own high-water mark;
 //! * the update counter, which indexes fault injection, and the trace
-//!   identity are per view.
+//!   identity are per view. Counters fold per batch: a store counts the
+//!   batch's updates by cut and adds the suffix sums to its views'
+//!   counters once the batch has drained, so an update walks only the
+//!   views whose state it changes. Views with an armed fault (none
+//!   outside fault-injection runs) tick per update, so the fault check
+//!   covers only them and fires at its exact index.
+//!
+//! Each arena also keeps running totals of its tally and payload entries
+//! and of its slot peak, so its byte footprint needs no walk.
 //!
 //! The shared payload keeps an entry exactly while some live view that
 //! holds the point is clean in that cell: with `m` the lowest such view,
@@ -54,7 +62,7 @@ use crate::checkpoint::{
 #[cfg(test)]
 use crate::storing::CellSnapshot;
 use crate::storing::{StoreDeath, StoringConfig, StoringFail, StoringOutput, StoringSnapshot};
-use sbc_geometry::{CellId, GridHierarchy, Point};
+use sbc_geometry::{CellId, GridHierarchy, GridParams, Point};
 use sbc_hash::{slots_for, OpenTable, TableKey};
 use sbc_obs::fault::{FaultPlan, StoreFaultKind};
 use sbc_obs::trace::{self, CausalIds, TraceKind};
@@ -116,6 +124,11 @@ impl Lifecycle {
         (self.kill_at, self.kill_kind) = armed.unwrap_or((u64::MAX, StoreFaultKind::RunawayKill));
     }
 
+    /// Whether a fault is armed (it may already have fired).
+    pub fn armed(&self) -> bool {
+        self.kill_at != u64::MAX
+    }
+
     /// Counts one update; returns the kind of death to inject when an
     /// armed fault fires at it. Faults fire before the update at the
     /// kill index applies, and only on a store that is still `live`.
@@ -156,19 +169,21 @@ impl Lifecycle {
     }
 }
 
-/// One view of a nested store.
+/// One view of a nested store. The fields an update reads come first,
+/// in declaration order (`repr(C)`), so they share a cache line.
+#[repr(C)]
 struct View {
-    cfg: StoringConfig,
-    /// A clean payload is evicted once the count exceeds this (`2β`,
-    /// at least 2).
-    evict_above: i64,
-    cap_cells: usize,
-    life: Lifecycle,
     dead: bool,
     /// Cells whose count in this view is non-zero.
     cells: usize,
     /// High-water mark of `cells`.
     peak_cells: usize,
+    cap_cells: usize,
+    /// A clean payload is evicted once the count exceeds this (`2β`,
+    /// at least 2).
+    evict_above: i64,
+    cfg: StoringConfig,
+    life: Lifecycle,
 }
 
 impl View {
@@ -197,16 +212,15 @@ impl View {
         self.cells = 0;
     }
 
-    /// The occupancy-cap kill.
-    fn kill_runaway(&mut self) {
+    /// The occupancy-cap kill. `pending` counts the updates of the batch
+    /// being drained that reached the view and are not yet folded into
+    /// its counter (see [`Views::pending`]); the trace event's `arg` is
+    /// the view's update count including them.
+    fn kill_runaway(&mut self, pending: u64) {
         self.kill();
         sbc_obs::counter!("stream.store.kill.runaway_kill").incr();
-        trace::event(
-            TraceKind::StoreKill,
-            "runaway_kill",
-            self.life.ids,
-            self.life.updates,
-        );
+        let updates = self.life.updates + if self.life.armed() { 0 } else { pending };
+        trace::event(TraceKind::StoreKill, "runaway_kill", self.life.ids, updates);
     }
 
     /// Fires an armed fault at this update, if any; returns whether the
@@ -290,9 +304,62 @@ struct Views {
     all: Vec<View>,
     /// Number of leading dead views.
     base: usize,
+    /// Updates of the batch being drained, by cut: `pending[c]` of them
+    /// reached views `0..c`. Routing an update bumps one slot instead of
+    /// walking its views; [`Self::fold_pending`] adds the suffix sums to
+    /// the views' counters once the batch has drained.
+    pending: Vec<u64>,
+    /// The largest cut of the batch being drained: the fold walks only
+    /// the views below it.
+    reach: usize,
+    /// Views with an armed fault, ascending. Their counters tick per
+    /// update, so the fault fires at its exact index; the fold skips
+    /// them.
+    armed: Vec<usize>,
+    /// The arena's slot model: the largest `peak_cells` of a live view
+    /// (meaningful while some view lives; see [`Nested::peak`]).
+    slot_peak: usize,
 }
 
 impl Views {
+    fn new(all: Vec<View>) -> Self {
+        let mut vs = Self {
+            pending: vec![0; all.len() + 1],
+            reach: 0,
+            all,
+            base: 0,
+            armed: Vec::new(),
+            slot_peak: 0,
+        };
+        vs.recount_peak();
+        vs
+    }
+
+    /// Adds each view's share of the drained batch to its counter.
+    fn fold_pending(&mut self) {
+        let reach = std::mem::take(&mut self.reach);
+        let mut reached = 0;
+        for (v, &n) in self.all[..reach].iter_mut().zip(&self.pending[1..]).rev() {
+            reached += n;
+            if !v.life.armed() {
+                v.life.updates += reached;
+            }
+        }
+        self.pending[..=reach].fill(0);
+    }
+
+    /// Re-derives [`Self::slot_peak`] from the live views (after a death,
+    /// a load or a merge).
+    fn recount_peak(&mut self) {
+        self.slot_peak = self
+            .live()
+            .iter()
+            .filter(|v| !v.dead)
+            .map(|v| v.peak_cells)
+            .max()
+            .unwrap_or(0);
+    }
+
     /// The views from the first live one on.
     fn live(&self) -> &[View] {
         &self.all[self.base..]
@@ -361,6 +428,13 @@ fn distinct(mut keys: Vec<u128>) -> bool {
     keys.windows(2).all(|w| w[0] != w[1])
 }
 
+/// Whether `p` is a point of the universe `[Δ]^d` of `gp`: what a read
+/// image's points are checked against before any key is computed from
+/// them.
+pub(crate) fn point_in_grid(gp: GridParams, p: &Point) -> bool {
+    p.dim() == gp.d && p.coords().iter().all(|&c| u64::from(c) <= gp.delta)
+}
+
 /// Where the arena's keys come from.
 struct Ctx<'a> {
     grid: &'a GridHierarchy,
@@ -380,8 +454,7 @@ impl Ctx<'_> {
 
     /// Whether `p` is a point of the grid's universe `[Δ]^d`.
     fn point_in_range(&self, p: &Point) -> bool {
-        let gp = self.grid.params();
-        p.dim() == gp.d && p.coords().iter().all(|&c| u64::from(c) <= gp.delta)
+        point_in_grid(self.grid.params(), p)
     }
 
     /// Whether `key` is a `CellId::pack` of a cell of this level — what
@@ -421,6 +494,41 @@ struct Arena<K> {
     /// [`Point`] of every payload point key, when point keys are mixing
     /// hashes.
     point_names: Names<Point>,
+    /// Running entry counts of the cells, kept wherever a cell's
+    /// tallies or payload change, so the arena's bytes need no walk.
+    footprint: Footprint,
+}
+
+/// The entries that size an arena's cell records.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct Footprint {
+    /// View tallies over all cells.
+    tallies: usize,
+    /// Payload entries over all cells (each with a point name where
+    /// point keys are mixing hashes).
+    points: usize,
+}
+
+impl Footprint {
+    /// The entries of one cell.
+    fn of(cell: &Cell) -> Self {
+        Self {
+            tallies: cell.tallies.len(),
+            points: cell.points.len(),
+        }
+    }
+
+    /// Adds a cell's entries.
+    fn add(&mut self, cell: &Cell) {
+        self.tallies += cell.tallies.len();
+        self.points += cell.points.len();
+    }
+
+    /// Replaces a cell's entries `before` with `after`.
+    fn swap(&mut self, before: Self, after: Self) {
+        self.tallies = self.tallies - before.tallies + after.tallies;
+        self.points = self.points - before.points + after.points;
+    }
 }
 
 impl<K: CellKey> Arena<K> {
@@ -430,7 +538,18 @@ impl<K: CellKey> Arena<K> {
             table: OpenTable::default(),
             cell_names: named_cells.then(Box::default),
             point_names: named_points.then(Box::default),
+            footprint: Footprint::default(),
         }
+    }
+
+    /// Counts the entries of every cell — what [`Self::footprint`] keeps
+    /// running.
+    fn walk_footprint(&self) -> Footprint {
+        let mut fp = Footprint::default();
+        for (_, cell) in self.table.iter() {
+            fp.add(cell);
+        }
+        fp
     }
 
     /// Frees everything (every view is dead).
@@ -442,6 +561,7 @@ impl<K: CellKey> Arena<K> {
         if let Some(names) = &mut self.point_names {
             names.clear_shrink();
         }
+        self.footprint = Footprint::default();
     }
 
     /// Removes dead views from every cell: drops the tallies of newly
@@ -450,6 +570,7 @@ impl<K: CellKey> Arena<K> {
     /// holds; frees the arena once every view is dead.
     fn purge(&mut self, vs: &mut Views) {
         let shift = vs.rebase();
+        vs.recount_peak();
         if vs.all_dead() {
             self.clear();
             return;
@@ -458,7 +579,9 @@ impl<K: CellKey> Arena<K> {
             table,
             cell_names,
             point_names,
+            footprint,
         } = self;
+        *footprint = Footprint::default();
         table.retain(|key, cell| {
             cell.tallies.drain(..shift.min(cell.tallies.len()));
             for (t, v) in cell.tallies.iter_mut().zip(vs.live()) {
@@ -469,7 +592,9 @@ impl<K: CellKey> Arena<K> {
             cell.trim();
             cell.drop_unheld(vs, point_names);
             let keep = !cell.tallies.is_empty();
-            if !keep {
+            if keep {
+                footprint.add(cell);
+            } else {
                 forget_points(point_names, &cell.points);
                 if let Some(names) = cell_names.as_mut() {
                     names.remove(key.into());
@@ -479,16 +604,23 @@ impl<K: CellKey> Arena<K> {
         });
     }
 
-    /// Applies one update to views `0..cut`: per view, the fault tick,
-    /// the cap kill before a cell enters the view, peak tracking, the
-    /// count, the eviction past `2β` and the reset at zero; then the
-    /// shared payload. Returns whether a view died (the caller purges).
+    /// Applies one update to views `0..cut`: the update is counted by
+    /// its cut (folded into the views' counters when the batch drains)
+    /// and ticks the armed views among them; then, per view, the cap
+    /// kill before a cell enters the view, peak tracking, the count, the
+    /// eviction past `2β` and the reset at zero; then the shared payload.
+    /// Returns whether a view died (the caller purges).
     #[inline]
     fn apply(&mut self, cx: &Ctx, vs: &mut Views, up: Update<'_>) -> bool {
         let (p, point_key, cell_key, delta, cut) = up;
+        vs.pending[cut] += 1;
+        vs.reach = vs.reach.max(cut);
         let mut died = false;
-        for v in &mut vs.all[..cut] {
-            died |= v.tick();
+        for &j in &vs.armed {
+            if j >= cut {
+                break;
+            }
+            died |= vs.all[j].tick();
         }
         if sbc_obs::enabled() {
             sbc_obs::counter!("stream.store.updates").add(cut as u64);
@@ -502,12 +634,14 @@ impl<K: CellKey> Arena<K> {
             table,
             cell_names,
             point_names,
+            footprint,
         } = self;
         let key = K::from_wide(cell_key);
         let (cell, fresh) = table.get_or_insert_with(key, Cell::default);
         if let (true, true, Some(names)) = (K::NAMED, fresh, cell_names.as_mut()) {
             names.insert_absent(cell_key, cx.grid.cell_of(p, cx.level));
         }
+        let before = Footprint::of(cell);
         let reach = cut - base;
         if cell.tallies.len() < reach {
             cell.tallies.resize(reach, Tally::default());
@@ -516,18 +650,19 @@ impl<K: CellKey> Arena<K> {
         // cell, so the shared payload must follow the point.
         let mut held = false;
         let mut evicted = false;
-        for (v, t) in vs.all[base..cut].iter_mut().zip(&mut cell.tallies) {
+        for (j, (v, t)) in (base..).zip(vs.all[base..cut].iter_mut().zip(&mut cell.tallies)) {
             if v.dead {
                 continue;
             }
             if t.count == 0 {
                 if v.cells >= v.cap_cells {
-                    v.kill_runaway();
+                    v.kill_runaway(vs.pending[j + 1..].iter().sum());
                     died = true;
                     continue;
                 }
                 v.cells += 1;
                 v.peak_cells = v.peak_cells.max(v.cells);
+                vs.slot_peak = vs.slot_peak.max(v.peak_cells);
             }
             t.count += delta;
             debug_assert!(t.count >= 0, "stream model: no over-deletion");
@@ -576,22 +711,27 @@ impl<K: CellKey> Arena<K> {
         }
         cell.trim();
         if cell.tallies.is_empty() {
+            footprint.swap(before, Footprint::default());
             forget_points(point_names, &cell.points);
             table.remove(key);
             if let (true, Some(names)) = (K::NAMED, cell_names.as_mut()) {
                 names.remove(cell_key);
             }
+        } else {
+            footprint.swap(before, Footprint::of(cell));
         }
         died
     }
 
-    /// Drains a batch of updates in order.
+    /// Drains a batch of updates in order, then folds the batch into the
+    /// views' update counters.
     fn drain<'a, I: Iterator<Item = Update<'a>>>(&mut self, cx: &Ctx, vs: &mut Views, items: I) {
         for up in items {
             if self.apply(cx, vs, up) {
                 self.purge(vs);
             }
         }
+        vs.fold_pending();
     }
 
     fn cell_name(&self, key: u128, cx: &Ctx) -> CellId {
@@ -785,6 +925,7 @@ impl<K: CellKey> Arena<K> {
                 })
                 .collect(),
         );
+        self.footprint = self.walk_footprint();
         true
     }
 
@@ -924,6 +1065,7 @@ impl<K: CellKey> Arena<K> {
             return false;
         }
         self.table = OpenTable::from_entries(entries);
+        self.footprint = self.walk_footprint();
         if let Some(names) = &mut self.cell_names {
             **names = OpenTable::from_entries(cell_names);
         }
@@ -945,6 +1087,7 @@ impl<K: CellKey> Arena<K> {
             table,
             cell_names,
             point_names,
+            footprint,
         } = self;
         for (key, ocell) in other.table.iter() {
             let tallies = ocell.tallies.get(skip..).unwrap_or_default();
@@ -982,6 +1125,7 @@ impl<K: CellKey> Arena<K> {
         for v in vs.all.iter_mut() {
             v.cells = 0;
         }
+        *footprint = Footprint::default();
         let base = vs.base;
         table.retain(|key, cell| {
             for (t, v) in cell.tallies.iter_mut().zip(&mut vs.all[base..]) {
@@ -1007,7 +1151,9 @@ impl<K: CellKey> Arena<K> {
             });
             cell.drop_unheld(vs, point_names);
             let keep = !cell.tallies.is_empty();
-            if !keep {
+            if keep {
+                footprint.add(cell);
+            } else {
                 forget_points(point_names, &cell.points);
                 if let Some(names) = cell_names.as_mut() {
                     names.remove(key.into());
@@ -1018,10 +1164,10 @@ impl<K: CellKey> Arena<K> {
     }
 
     /// Bytes of cell records, view tallies, payloads and name-table
-    /// entries at the current occupancy (the terms shared by
+    /// entries at footprint `fp` (the terms shared by
     /// [`Nested::stored_bytes`] and [`Nested::expected_bytes`]):
     /// `(per-cell bytes, tally, payload and name bytes)`.
-    fn record_bytes(&self, cx: &Ctx) -> (usize, usize) {
+    fn record_bytes(&self, cx: &Ctx, fp: Footprint) -> (usize, usize) {
         let d = cx.grid.params().d;
         let per_cell = std::mem::size_of::<K>() + 2 * 24; // key + two vec headers
         let per_tally = 8 + 1; // count + flag
@@ -1036,13 +1182,9 @@ impl<K: CellKey> Arena<K> {
         } else {
             0
         };
-        let records = self
-            .table
-            .iter()
-            .map(|(_, c)| {
-                cell_name + c.tallies.len() * per_tally + c.points.len() * (per_point + point_name)
-            })
-            .sum();
+        let records = self.table.len() * cell_name
+            + fp.tallies * per_tally
+            + fp.points * (per_point + point_name);
         (per_cell, records)
     }
 }
@@ -1091,10 +1233,7 @@ impl Nested {
         sbc_obs::counter!("stream.store.spawned").add(specs.len() as u64);
         Self {
             level,
-            views: Views {
-                all: specs.iter().copied().map(View::new).collect(),
-                base: 0,
-            },
+            views: Views::new(specs.iter().copied().map(View::new).collect()),
             arena,
         }
     }
@@ -1149,6 +1288,10 @@ impl Nested {
     /// `Storing::arm_fault`).
     pub fn arm_fault(&mut self, j: usize, plan: FaultPlan, salt: u64) {
         self.views.all[j].life.arm(plan, salt);
+        let vs = &mut self.views;
+        vs.armed = (0..vs.all.len())
+            .filter(|&k| vs.all[k].life.armed())
+            .collect();
     }
 
     /// Drains a batch of updates, in order.
@@ -1222,6 +1365,7 @@ impl Nested {
             }
         }
         self.views.rebase();
+        self.views.recount_peak();
         let cx = self.ctx(grid);
         let vs = &self.views;
         with_arena!(&mut self.arena, a => {
@@ -1277,6 +1421,7 @@ impl Nested {
             v.cells = 0;
         }
         self.views.rebase();
+        self.views.recount_peak();
         let cx = self.ctx(grid);
         let vs = &mut self.views;
         let loaded = with_arena!(&mut self.arena, a => {
@@ -1336,10 +1481,11 @@ impl Nested {
             v.peak_cells = v.peak_cells.max(v.cells);
             sbc_obs::counter!("stream.merge.cells").add(v.cells as u64);
             if v.cells > v.cap_cells {
-                v.kill_runaway();
+                v.kill_runaway(0);
                 killed = true;
             }
         }
+        vs.recount_peak();
         if killed {
             with_arena!(&mut self.arena, a => a.purge(vs));
         }
@@ -1348,42 +1494,58 @@ impl Nested {
 
     /// The arena's slot model: the table holds the cells of its lowest
     /// live view, so it is sized by that view's peak, which covers every
-    /// live view's (`None` once every view is dead).
+    /// live view's (`None` once every view is dead). Kept running in
+    /// [`Views::slot_peak`].
     fn peak(&self) -> Option<usize> {
-        self.views
-            .live()
-            .iter()
-            .filter(|v| !v.dead)
-            .map(|v| v.peak_cells)
-            .max()
+        (!self.views.all_dead()).then_some(self.views.slot_peak)
+    }
+
+    /// `(stored, expected)` bytes from the running footprint, or from a
+    /// walk of every cell when `walk`; zero once every view is dead.
+    fn bytes(&self, grid: &GridHierarchy, walk: bool) -> (usize, usize) {
+        let Some(peak) = self.peak() else {
+            return (0, 0);
+        };
+        let cx = self.ctx(grid);
+        with_arena!(&self.arena, a => {
+            let fp = if walk { a.walk_footprint() } else { a.footprint };
+            let (per_cell, records) = a.record_bytes(&cx, fp);
+            let slots = slots_for(peak) * 4;
+            (
+                slots + a.table.len() * per_cell + records,
+                slots + peak.next_power_of_two().max(8) * per_cell + records,
+            )
+        })
     }
 
     /// Measured bytes of state right now. Deterministic given the
     /// logical state (never reads transient allocator capacities), so
     /// space reports agree across ingest paths and checkpoint restores.
+    /// Read off running totals: O(1), no walk of the cells.
     pub fn stored_bytes(&self, grid: &GridHierarchy) -> usize {
-        let Some(peak) = self.peak() else {
-            return 0;
-        };
-        let cx = self.ctx(grid);
-        with_arena!(&self.arena, a => {
-            let (per_cell, records) = a.record_bytes(&cx);
-            slots_for(peak) * 4 + a.table.len() * per_cell + records
-        })
+        self.bytes(grid, false).0
     }
 
     /// Capacity-model bytes at realized occupancy: the cell table rounded
     /// up to the power of two covering the peak (see
     /// `Storing::expected_bytes`).
     pub fn expected_bytes(&self, grid: &GridHierarchy) -> usize {
-        let Some(peak) = self.peak() else {
-            return 0;
-        };
-        let cx = self.ctx(grid);
-        with_arena!(&self.arena, a => {
-            let (per_cell, records) = a.record_bytes(&cx);
-            slots_for(peak) * 4 + peak.next_power_of_two().max(8) * per_cell + records
-        })
+        self.bytes(grid, false).1
+    }
+
+    /// `(stored, expected)` bytes recomputed by walking every cell and
+    /// view: the reference the running totals must equal.
+    #[cfg(test)]
+    pub fn walked_bytes(&self, grid: &GridHierarchy) -> (usize, usize) {
+        let walked_peak = self
+            .views
+            .live()
+            .iter()
+            .filter(|v| !v.dead)
+            .map(|v| v.peak_cells)
+            .max();
+        assert_eq!(walked_peak, self.peak(), "running slot peak");
+        self.bytes(grid, true)
     }
 
     /// `(deterministic slot capacity, live cells)` of the arena; `None`
@@ -1483,6 +1645,135 @@ mod tests {
         );
     }
 
+    /// A kill or fault event: kind, the view it names and its `arg` (the
+    /// update count it reports).
+    type LifeEvent = (u8, u64, u64);
+
+    /// Kill and fault events of views tagged `first..first + n`,
+    /// renumbered from 0.
+    fn life_events(first: u64, n: u64) -> Vec<LifeEvent> {
+        let mut events: Vec<LifeEvent> = trace::snapshot()
+            .merged()
+            .iter()
+            .map(|(_, r)| r)
+            .filter(|r| matches!(r.kind, TraceKind::StoreKill | TraceKind::Fault))
+            .filter(|r| (first..first + n).contains(&r.ids.store_id))
+            .map(|r| (r.kind as u8, r.ids.store_id - first, r.arg))
+            .collect();
+        events.sort_unstable();
+        events
+    }
+
+    /// A nested store fed in batches, with a checkpoint → load between
+    /// some of them, against one-view stores fed op by op: after every
+    /// batch each view's update count, death, peak and cells equal its
+    /// reference, though the nested store folds update counters once per
+    /// batch. Only view 2 carries an armed fault, and cap kills land
+    /// mid-batch. Under `obs`, each kill and fault event reports the
+    /// view's update count including the update it fired at, in both.
+    fn batched_views_match_per_op_one_view_stores(
+        grid: &GridHierarchy,
+        level: i32,
+        ops: &[(Point, i64)],
+    ) {
+        // Tighter caps than `specs()` on views 1, 3 and 4, so those die
+        // as runaways, and a looser one on view 0, so it lives.
+        let specs: Vec<ViewSpec> = specs()
+            .into_iter()
+            .zip([400, 10, 40, 8, 6])
+            .map(|(spec, cap)| ViewSpec {
+                cfg: StoringConfig {
+                    alpha: spec.cfg.alpha.min(cap),
+                    ..spec.cfg
+                },
+                cap_cells: cap,
+            })
+            .collect();
+        let n = specs.len();
+        let tagged = |first: u64, st: &mut Nested| {
+            for j in 0..st.len() {
+                st.set_trace_ids(j, CausalIds::NONE.store(first + j as u64));
+            }
+        };
+        let fresh = || {
+            let mut st = nested(grid, level, &specs);
+            tagged(1, &mut st);
+            st
+        };
+        trace::reset();
+        trace::set_enabled(true);
+        let mut st = fresh();
+        let mut ones: Vec<Nested> = (0..n)
+            .map(|j| {
+                let mut one = Nested::new(grid, level, &specs[j..=j]);
+                if j == 2 {
+                    one.arm_fault(0, KILL_VIEW_2, 7);
+                }
+                one.set_trace_ids(0, CausalIds::NONE.store(101 + j as u64));
+                one
+            })
+            .collect();
+        let cuts =
+            |keys: &[u128], out: &mut Vec<usize>| out.extend(keys.iter().map(|&k| cut_of(k)));
+        let mut mid_batch_kill = false;
+        let mut deaths: Vec<LifeEvent> = Vec::new();
+        for (b, batch) in ops.chunks(23).enumerate() {
+            feed(&mut st, grid, level, batch, None);
+            for (j, one) in ones.iter_mut().enumerate() {
+                for (k, op) in batch.iter().enumerate() {
+                    let alive = !one.is_dead(0);
+                    feed(one, grid, level, std::slice::from_ref(op), Some(j));
+                    if alive && one.is_dead(0) {
+                        let life = one.lifecycle(0);
+                        let kind = match life.injected {
+                            Some(_) => TraceKind::Fault,
+                            None => TraceKind::StoreKill,
+                        };
+                        deaths.push((kind as u8, j as u64, life.updates));
+                        mid_batch_kill |= life.injected.is_none() && k > 0 && k + 1 < batch.len();
+                    }
+                }
+            }
+            let snaps = st.snapshots(grid);
+            let ck = st.checkpoint();
+            for (j, one) in ones.iter().enumerate() {
+                assert_eq!(
+                    st.finish(grid, j),
+                    one.finish(grid, 0),
+                    "batch {b}, view {j}"
+                );
+                assert_eq!(
+                    Some(&snaps[j]),
+                    one.snapshots(grid).first(),
+                    "batch {b}, view {j}"
+                );
+                assert_eq!(
+                    ck.views[j],
+                    one.checkpoint().views[0],
+                    "batch {b}, view {j}"
+                );
+            }
+            if b % 5 == 4 {
+                let mut back = fresh();
+                assert!(back.load_arena(grid, &ck, &cuts));
+                assert_eq!(back.checkpoint(), ck, "batch {b}");
+                st = back;
+            }
+        }
+        trace::set_enabled(false);
+        assert!(mid_batch_kill, "a cap kill lands mid-batch");
+        assert!(st.is_dead(2) && (0..n).any(|j| !st.is_dead(j)));
+        deaths.sort_unstable();
+        let (batched, per_op) = (life_events(1, n as u64), life_events(101, n as u64));
+        assert_eq!(batched, per_op, "kill and fault events");
+        if cfg!(feature = "obs") {
+            assert_eq!(
+                batched, deaths,
+                "kill and fault events report update counts"
+            );
+        }
+    }
+
     /// Every view of a nested store equals a one-view store fed only the
     /// updates that reach it — through evictions, cap kills, an injected
     /// fault, snapshot → load and a two-shard merge — at a narrow and a
@@ -1544,6 +1835,8 @@ mod tests {
             assert!(back.load_arena(&grid, &ck, &cuts));
             assert_eq!(back.snapshots(&grid), snaps);
             assert_eq!(back.stored_bytes(&grid), st.stored_bytes(&grid));
+
+            batched_views_match_per_op_one_view_stores(&grid, level, &ops);
 
             // Two shards split by point, merged, equal the one-view merges.
             let (a_ops, b_ops): (Vec<_>, Vec<_>) = ops
