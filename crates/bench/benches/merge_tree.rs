@@ -10,7 +10,8 @@
 //!   the union of store states), so the curve across shard counts still
 //!   reads as merge-kernel cost.
 //! - `sharded_ingest`: the whole `ShardedIngest` pipeline — route,
-//!   per-shard batched ingest, fold, assemble — serial vs rayon.
+//!   per-shard batched ingest, fold, assemble — shards serial vs on
+//!   threads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -82,7 +83,6 @@ fn bench_sharded_ingest(c: &mut Criterion) {
             let sp = StreamParams::builder()
                 .shards(s)
                 .parallel(parallel)
-                .threads(s)
                 .build()
                 .unwrap();
             group.bench_with_input(BenchmarkId::new(mode, s), &ops, |b, ops| {

@@ -1,13 +1,11 @@
 //! Streaming update throughput: operations per second through the full
 //! o-ladder (all instances, all levels, all three roles).
 //!
-//! Three ways to drive the one ingest path over the same stream (state
-//! is bit-identical, see the `ingest_determinism` tests): `per_op` —
+//! Two ways to drive the one ingest path over the same stream (state is
+//! bit-identical, see the `ingest_determinism` tests): `per_op` —
 //! batches of one; `batched` — the whole stream in batches, SoA
-//! precompute plus nested-threshold ladder pruning; `batched_parallel` —
-//! the batched path with the (role, level) stores split across threads.
-//! The `mixed`
-//! group repeats the comparison on a deletion-heavy interleaved stream,
+//! precompute plus nested-threshold ladder pruning. The `mixed` group
+//! repeats the comparison on a deletion-heavy interleaved stream,
 //! where per-op overhead (not end-state size) dominates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -27,14 +25,14 @@ fn bench_ingest_paths(c: &mut Criterion, group_name: &str, ops: &[StreamOp]) {
     let n = ops.len();
     group.throughput(Throughput::Elements(n as u64));
 
-    let fresh = |sp: StreamParams| {
+    let fresh = || {
         let mut rng = StdRng::seed_from_u64(7);
-        StreamCoresetBuilder::new(params.clone(), sp, &mut rng)
+        StreamCoresetBuilder::new(params.clone(), StreamParams::default(), &mut rng)
     };
 
     group.bench_with_input(BenchmarkId::new("per_op", n), &n, |b, _| {
         b.iter(|| {
-            let mut builder = fresh(StreamParams::default());
+            let mut builder = fresh();
             for op in ops {
                 builder.process(op);
             }
@@ -43,17 +41,7 @@ fn bench_ingest_paths(c: &mut Criterion, group_name: &str, ops: &[StreamOp]) {
     });
     group.bench_with_input(BenchmarkId::new("batched", n), &n, |b, _| {
         b.iter(|| {
-            let mut builder = fresh(StreamParams::default());
-            builder.process_all(ops);
-            builder.net_count()
-        });
-    });
-    group.bench_with_input(BenchmarkId::new("batched_parallel", n), &n, |b, _| {
-        b.iter(|| {
-            let mut builder = fresh(StreamParams {
-                parallel: true,
-                ..StreamParams::default()
-            });
+            let mut builder = fresh();
             builder.process_all(ops);
             builder.net_count()
         });

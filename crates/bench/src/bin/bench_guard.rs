@@ -1,12 +1,13 @@
 //! Guards `BENCH_streaming.json` against regressions and schema drift.
 //!
-//! Compares a freshly generated report against the committed baseline
-//! and exits non-zero when
+//! Compares a freshly generated report against the committed baseline,
+//! evaluates every gate, prints each verdict, and then exits non-zero
+//! if any gate failed — among them when
 //!
 //! * the fresh report violates the expected schema (version, required
 //!   sections, per-path fields), or
 //! * a machine-independent throughput ratio (`speedup_vs_per_op` of the
-//!   batched paths) regressed by more than the tolerance (15%), or
+//!   batched path) regressed by more than the tolerance (15%), or
 //! * memory regressed: the telemetry section's `peak_bytes_per_point`
 //!   (peak measured bytes over the canonical 4k-point robustness run,
 //!   per point — deterministic, so it gates as tightly as the speed
@@ -16,8 +17,12 @@
 //!   below 0.25: arenas grow from occupancy, so a table sized to a
 //!   nominal bound instead of to what it holds shows up here.
 //!
+//! The serving, service-observability and migration sections are gated
+//! too (identity bits, efficiency, footprint, overhead ratio, cutover
+//! tail, replay-queue bound).
+//!
 //! Absolute ops/sec are *not* compared — they vary with the host — only
-//! the relative speedups of the batched paths over the per-op reference
+//! the relative speedup of the batched path over the per-op reference
 //! path measured in the same process: `stream_bench` times the paths in
 //! interleaved rounds and reports the median of the per-round ratios.
 //!
@@ -129,7 +134,7 @@ const MIGRATION_NUMERIC: [&str; 14] = [
     "identity_checks",
 ];
 const GROUPS: [&str; 2] = ["insert_only", "mixed_deletion_heavy"];
-const PATHS: [&str; 3] = ["per_op", "batched", "batched_parallel"];
+const PATHS: [&str; 2] = ["per_op", "batched"];
 const PATH_FIELDS: [&str; 3] = ["ops_per_sec", "seconds", "speedup_vs_per_op"];
 const TRACE_FIELDS: [&str; 5] = [
     "feature_enabled",
@@ -384,24 +389,6 @@ fn check_schema(doc: &JsonValue, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// A numeric leaf of the `migration` section, if present.
-fn migration_num(doc: &JsonValue, key: &str) -> Option<f64> {
-    doc.get("migration")?.get(key)?.as_f64()
-}
-
-/// A numeric leaf of the `serving` section, if present.
-fn serving_num(doc: &JsonValue, key: &str) -> Option<f64> {
-    doc.get("serving")?.get(key)?.as_f64()
-}
-
-/// `telemetry.space.peak_bytes_per_point` of a report, if present.
-fn peak_bytes_per_point(doc: &JsonValue) -> Option<f64> {
-    doc.get("telemetry")?
-        .get("space")?
-        .get("peak_bytes_per_point")?
-        .as_f64()
-}
-
 /// The numeric leaf at `path` (a key per level), if present.
 fn num_at(doc: &JsonValue, path: &[&str]) -> Option<f64> {
     path.iter()
@@ -409,12 +396,94 @@ fn num_at(doc: &JsonValue, path: &[&str]) -> Option<f64> {
         .as_f64()
 }
 
-fn speedup(doc: &JsonValue, group: &str, path: &str) -> Option<f64> {
-    doc.get("groups")?
-        .get(group)?
-        .get(path)?
-        .get("speedup_vs_per_op")?
-        .as_f64()
+/// A figure for a verdict line: integers and figures past 1000 whole,
+/// others to three decimals.
+fn fmt(v: f64) -> String {
+    if v.fract() == 0.0 || v.abs() >= 1000.0 {
+        format!("{v:.0}")
+    } else {
+        format!("{v:.3}")
+    }
+}
+
+/// A bound on one figure of the fresh report.
+enum Limit {
+    Floor(f64),
+    Ceiling(f64),
+}
+
+/// Every gate's verdict, printed as it is reached. The guard fails
+/// after the last gate if any of them failed, so one run reports them
+/// all.
+#[derive(Default)]
+struct Gates {
+    passed: usize,
+    failed: Vec<String>,
+}
+
+impl Gates {
+    fn record(&mut self, name: &str, pass: bool, detail: String) {
+        if pass {
+            self.passed += 1;
+            println!("bench_guard: {name}: {detail} — ok");
+        } else {
+            println!("bench_guard: {name}: {detail} — FAIL");
+            self.failed.push(format!("{name}: {detail}"));
+        }
+    }
+
+    /// Gates the fresh report's figure at `path` against `limit`;
+    /// `context` follows the limit on the verdict line.
+    fn bounded(&mut self, fresh: &JsonValue, path: &[&str], limit: Limit, context: &str) {
+        let name = path.join(".");
+        let Some(v) = num_at(fresh, path) else {
+            return self.record(&name, false, "missing from the fresh report".into());
+        };
+        let (pass, word, l) = match limit {
+            Limit::Floor(l) => (v >= l, "floor", l),
+            Limit::Ceiling(l) => (v <= l, "ceiling", l),
+        };
+        self.record(
+            &name,
+            pass,
+            format!("{} ({word} {}{context})", fmt(v), fmt(l)),
+        );
+    }
+
+    /// Gates the fresh figure at `path` within [`TOLERANCE`] of the
+    /// baseline's: no lower when `higher_is_better`, else no higher. A
+    /// baseline without the figure cannot gate it.
+    fn relative(
+        &mut self,
+        fresh: &JsonValue,
+        baseline: &JsonValue,
+        path: &[&str],
+        higher_is_better: bool,
+    ) {
+        let Some(base) = num_at(baseline, path) else {
+            println!(
+                "bench_guard: note: baseline lacks {}, skipping",
+                path.join(".")
+            );
+            return;
+        };
+        let limit = if higher_is_better {
+            Limit::Floor(base * (1.0 - TOLERANCE))
+        } else {
+            Limit::Ceiling(base * (1.0 + TOLERANCE))
+        };
+        self.bounded(fresh, path, limit, &format!(", baseline {}", fmt(base)));
+    }
+
+    /// Gates a boolean leaf of the fresh report that must be `true`.
+    fn holds(&mut self, fresh: &JsonValue, path: &[&str]) {
+        let leaf = path
+            .iter()
+            .try_fold(fresh, |node, key| node.get(key))
+            .and_then(JsonValue::as_bool);
+        let shown = leaf.map_or("missing".into(), |b| b.to_string());
+        self.record(&path.join("."), leaf == Some(true), shown);
+    }
 }
 
 fn main() {
@@ -443,141 +512,52 @@ fn main() {
 
     let fresh = load(&fresh_path);
     let baseline = load(&baseline_path);
+    let mut gates = Gates::default();
 
-    if let Err(msg) = check_schema(&fresh, &fresh_path) {
-        fail(&format!("schema drift — {msg}"));
+    match check_schema(&fresh, &fresh_path) {
+        Ok(()) => gates.record("schema", true, format!("v{SCHEMA_VERSION}")),
+        Err(msg) => gates.record("schema", false, msg),
     }
-
-    // The per-op path is the shared denominator, so regressions in the
-    // batched paths show up here no matter how fast the host is.
-    let mut checked = 0usize;
+    // The per-op path is the shared denominator, so a regression of the
+    // batched path shows up here no matter how fast the host is.
     for group in GROUPS {
-        for path in ["batched", "batched_parallel"] {
-            let Some(base) = speedup(&baseline, group, path) else {
-                // A pre-v3 baseline without this ratio cannot gate it.
-                println!("bench_guard: note: baseline lacks {group}.{path}, skipping");
-                continue;
-            };
-            let new = speedup(&fresh, group, path)
-                .unwrap_or_else(|| fail(&format!("fresh report lacks {group}.{path}")));
-            let floor = base * (1.0 - TOLERANCE);
-            checked += 1;
-            if new < floor {
-                fail(&format!(
-                    "throughput regression — {group}.{path} speedup_vs_per_op {new:.3} \
-                     is below {floor:.3} (baseline {base:.3} − {:.0}%)",
-                    TOLERANCE * 100.0
-                ));
-            }
-            println!("bench_guard: {group}.{path}: {new:.3}x vs baseline {base:.3}x — ok");
-        }
+        let path = ["groups", group, "batched", "speedup_vs_per_op"];
+        gates.relative(&fresh, &baseline, &path, true);
     }
-    // Memory gate: peak measured bytes per point on the canonical
-    // robustness run. Deterministic given logical state (the space
-    // report never reads transient allocator capacities), so it is
-    // host-independent like the ratios above — but it gates *upward*
-    // drift, not downward.
-    match peak_bytes_per_point(&baseline) {
-        None => {
-            // A pre-v5 baseline without the section cannot gate it.
-            println!(
-                "bench_guard: note: baseline lacks telemetry.space.peak_bytes_per_point, skipping"
-            );
-        }
-        Some(base) => {
-            let new = peak_bytes_per_point(&fresh)
-                .unwrap_or_else(|| fail("fresh report lacks telemetry.space.peak_bytes_per_point"));
-            let ceiling = base * (1.0 + TOLERANCE);
-            checked += 1;
-            if new > ceiling {
-                fail(&format!(
-                    "memory regression — peak_bytes_per_point {new:.1} exceeds {ceiling:.1} \
-                     (baseline {base:.1} + {:.0}%)",
-                    TOLERANCE * 100.0
-                ));
-            }
-            println!(
-                "bench_guard: telemetry.space.peak_bytes_per_point: {new:.1} vs baseline {base:.1} — ok"
-            );
-        }
-    }
+    // Memory: peak measured bytes per point on the canonical robustness
+    // run. Deterministic given logical state (the space report never
+    // reads transient allocator capacities), so it is host-independent
+    // like the ratio above — but it gates *upward* drift.
+    let peak_per_point = ["telemetry", "space", "peak_bytes_per_point"];
+    gates.relative(&fresh, &baseline, &peak_per_point, false);
     // Arena occupancy: absolute, not relative to the baseline — the
     // load factor is deterministic given the workload, and a table that
     // is mostly empty slots is the regression.
     for path in ARENA_LOAD_FACTORS {
-        let name = path.join(".");
-        let load =
-            num_at(&fresh, path).unwrap_or_else(|| fail(&format!("fresh report lacks {name}")));
-        checked += 1;
-        if load < ARENA_LOAD_FLOOR {
-            fail(&format!(
-                "memory regression — {name} {load:.4} is below {ARENA_LOAD_FLOOR:.2}"
-            ));
-        }
-        println!("bench_guard: {name}: {load:.4} (floor {ARENA_LOAD_FLOOR:.2}) — ok");
+        gates.bounded(&fresh, path, Limit::Floor(ARENA_LOAD_FLOOR), "");
     }
-    // Serving gates. Identity is unconditional: a fresh report claiming
+    // Serving. Identity is unconditional: a fresh report claiming
     // divergent coresets fails no matter what the baseline says.
-    if fresh
-        .get("serving")
-        .and_then(|s| s.get("coresets_bit_identical"))
-        .and_then(JsonValue::as_bool)
-        != Some(true)
-    {
-        fail("serving regression — coresets_bit_identical must be true");
-    }
-    println!("bench_guard: serving.coresets_bit_identical: true — ok");
+    gates.holds(&fresh, &["serving", "coresets_bit_identical"]);
     // Multiplexing efficiency is a same-process ratio (N interleaved
-    // tenants vs one), gated downward like the speedups above.
-    match serving_num(&baseline, "multi_tenant_efficiency") {
-        None => {
-            // A pre-v6 baseline without the section cannot gate it.
-            println!("bench_guard: note: baseline lacks serving.multi_tenant_efficiency, skipping");
-        }
-        Some(base) => {
-            let new = serving_num(&fresh, "multi_tenant_efficiency")
-                .unwrap_or_else(|| fail("fresh report lacks serving.multi_tenant_efficiency"));
-            let floor = base * (1.0 - TOLERANCE);
-            checked += 1;
-            if new < floor {
-                fail(&format!(
-                    "serving regression — multi_tenant_efficiency {new:.3} is below {floor:.3} \
-                     (baseline {base:.3} − {:.0}%)",
-                    TOLERANCE * 100.0
-                ));
-            }
-            println!(
-                "bench_guard: serving.multi_tenant_efficiency: {new:.3} vs baseline {base:.3} — ok"
-            );
-        }
-    }
-    // Per-tenant peak footprint is deterministic given the schedule, so
-    // it gates upward drift like peak_bytes_per_point.
-    match serving_num(&baseline, "peak_bytes_per_tenant") {
-        None => {
-            println!("bench_guard: note: baseline lacks serving.peak_bytes_per_tenant, skipping");
-        }
-        Some(base) => {
-            let new = serving_num(&fresh, "peak_bytes_per_tenant")
-                .unwrap_or_else(|| fail("fresh report lacks serving.peak_bytes_per_tenant"));
-            let ceiling = base * (1.0 + TOLERANCE);
-            checked += 1;
-            if new > ceiling {
-                fail(&format!(
-                    "serving memory regression — peak_bytes_per_tenant {new:.1} exceeds \
-                     {ceiling:.1} (baseline {base:.1} + {:.0}%)",
-                    TOLERANCE * 100.0
-                ));
-            }
-            println!(
-                "bench_guard: serving.peak_bytes_per_tenant: {new:.1} vs baseline {base:.1} — ok"
-            );
-        }
-    }
-    // Admission latency is schema-pinned, sanity-checked, not gated.
-    if serving_num(&fresh, "p99_admission_ns").is_none_or(|p99| p99 <= 0.0) {
-        fail("fresh report lacks a positive serving.p99_admission_ns");
-    }
+    // tenants vs one), gated downward like the speedups above; the
+    // per-tenant peak footprint is deterministic given the schedule,
+    // so it gates upward drift like peak_bytes_per_point.
+    gates.relative(
+        &fresh,
+        &baseline,
+        &["serving", "multi_tenant_efficiency"],
+        true,
+    );
+    gates.relative(
+        &fresh,
+        &baseline,
+        &["serving", "peak_bytes_per_tenant"],
+        false,
+    );
+    // Admission latency is host truth: only checked to be positive.
+    let p99_admission = ["serving", "p99_admission_ns"];
+    gates.bounded(&fresh, &p99_admission, Limit::Floor(1.0), "");
     // Observability overhead: an instrumented drive vs an uninstrumented
     // one in the same process — a machine-independent ratio. Only gated
     // when the `obs` feature was compiled in (otherwise both drives ran
@@ -588,81 +568,59 @@ fn main() {
         .and_then(JsonValue::as_bool)
         == Some(true);
     if obs_on {
-        let ratio = fresh
-            .get("service_obs")
-            .and_then(|s| s.get("overhead_ratio"))
-            .and_then(JsonValue::as_f64)
-            .unwrap_or_else(|| fail("fresh report lacks service_obs.overhead_ratio"));
-        checked += 1;
-        if ratio < OBS_OVERHEAD_FLOOR {
-            fail(&format!(
-                "observability overhead — service_obs.overhead_ratio {ratio:.3} is below \
-                 {OBS_OVERHEAD_FLOOR:.2} (instrumented serving lost more than {:.0}% throughput)",
-                (1.0 - OBS_OVERHEAD_FLOOR) * 100.0
-            ));
-        }
-        println!(
-            "bench_guard: service_obs.overhead_ratio: {ratio:.3} (floor {OBS_OVERHEAD_FLOOR:.2}) — ok"
-        );
+        let path = ["service_obs", "overhead_ratio"];
+        gates.bounded(&fresh, &path, Limit::Floor(OBS_OVERHEAD_FLOOR), "");
     } else {
         println!("bench_guard: note: service_obs.feature_enabled false, overhead not gated");
     }
-    // Migration gates (v8). Identity after live migration is the
-    // protocol's whole correctness claim — unconditional, like the
-    // serving identity bit.
-    if fresh
-        .get("migration")
-        .and_then(|m| m.get("coresets_bit_identical"))
-        .and_then(JsonValue::as_bool)
-        != Some(true)
-    {
-        fail("migration regression — coresets_bit_identical must be true");
-    }
-    println!("bench_guard: migration.coresets_bit_identical: true — ok");
-    // A migration report with no committed cutovers proved nothing.
-    if migration_num(&fresh, "cutovers").is_none_or(|c| c < 1.0) {
-        fail("migration regression — report carries no committed cutovers");
-    }
-    // Cutover tail: absolute ceiling (see CUTOVER_P99_CEILING_NS).
-    let p99 = migration_num(&fresh, "p99_cutover_ns")
-        .unwrap_or_else(|| fail("fresh report lacks migration.p99_cutover_ns"));
-    checked += 1;
-    if p99 > CUTOVER_P99_CEILING_NS {
-        fail(&format!(
-            "migration regression — p99_cutover_ns {p99:.0} exceeds the \
-             {CUTOVER_P99_CEILING_NS:.0}ns ceiling"
-        ));
-    }
-    println!(
-        "bench_guard: migration.p99_cutover_ns: {p99:.0} (ceiling {CUTOVER_P99_CEILING_NS:.0}) — ok"
+    // Migration. Identity after live migration is the protocol's whole
+    // correctness claim — unconditional, like the serving identity bit —
+    // and a report with no committed cutovers proved nothing.
+    gates.holds(&fresh, &["migration", "coresets_bit_identical"]);
+    gates.bounded(&fresh, &["migration", "cutovers"], Limit::Floor(1.0), "");
+    let p99_cutover = ["migration", "p99_cutover_ns"];
+    gates.bounded(
+        &fresh,
+        &p99_cutover,
+        Limit::Ceiling(CUTOVER_P99_CEILING_NS),
+        "",
     );
     // The replay queue must respect its own advertised bound: a peak
     // past replay_queue_max_ops means the overflow refusal is broken.
-    let peak = migration_num(&fresh, "replay_queue_peak")
-        .unwrap_or_else(|| fail("fresh report lacks migration.replay_queue_peak"));
-    let bound = migration_num(&fresh, "replay_queue_max_ops")
-        .unwrap_or_else(|| fail("fresh report lacks migration.replay_queue_max_ops"));
-    checked += 1;
-    if peak > bound {
-        fail(&format!(
-            "migration regression — replay_queue_peak {peak:.0} exceeds its bound {bound:.0}"
-        ));
-    }
-    println!("bench_guard: migration.replay_queue_peak: {peak:.0} (bound {bound:.0}) — ok");
-    if checked == 0 {
-        fail("baseline exposed no comparable speedup ratios");
+    match num_at(&fresh, &["migration", "replay_queue_max_ops"]) {
+        Some(bound) => gates.bounded(
+            &fresh,
+            &["migration", "replay_queue_peak"],
+            Limit::Ceiling(bound),
+            " = replay_queue_max_ops",
+        ),
+        None => gates.record(
+            "migration.replay_queue_max_ops",
+            false,
+            "missing from the fresh report".into(),
+        ),
     }
     // Optional Prometheus artifact validation (text exposition 0.0.4).
     if let Some(pp) = prom_path {
-        let text = std::fs::read_to_string(&pp)
-            .unwrap_or_else(|e| fail(&format!("cannot read {pp}: {e}")));
-        match sbc_obs::timeline::validate_prometheus(&text) {
-            Ok(samples) => println!("bench_guard: {pp}: valid exposition ({samples} samples)"),
-            Err(msg) => fail(&format!("{pp}: invalid Prometheus exposition — {msg}")),
+        match std::fs::read_to_string(&pp) {
+            Err(e) => gates.record(&pp, false, format!("cannot read: {e}")),
+            Ok(text) => match sbc_obs::timeline::validate_prometheus(&text) {
+                Ok(samples) => gates.record(&pp, true, format!("{samples} samples")),
+                Err(msg) => gates.record(&pp, false, format!("invalid exposition — {msg}")),
+            },
         }
     }
-    println!(
-        "bench_guard: PASS ({checked} ratios within {:.0}%)",
-        TOLERANCE * 100.0
+    if gates.failed.is_empty() {
+        println!("bench_guard: PASS ({} gates)", gates.passed);
+        return;
+    }
+    for msg in &gates.failed {
+        eprintln!("bench_guard: FAIL: {msg}");
+    }
+    eprintln!(
+        "bench_guard: {} of {} gates failed",
+        gates.failed.len(),
+        gates.failed.len() + gates.passed
     );
+    std::process::exit(1);
 }

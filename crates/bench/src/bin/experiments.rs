@@ -794,7 +794,6 @@ fn e12_shard_sweep(scale: &Scale) {
         let sp = StreamParams::builder()
             .shards(s)
             .parallel(s > 1)
-            .threads(s)
             .build()
             .unwrap();
         let mut ingest = sbc::ShardedIngest::new(params.clone(), sp, 19).expect("valid");

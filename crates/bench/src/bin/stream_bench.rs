@@ -1,8 +1,7 @@
 //! Headline streaming-ingest throughput numbers → `BENCH_streaming.json`.
 //!
-//! Measures ops/sec of three ways to drive the one ingest path (per-op,
-//! i.e. batches of one; whole-stream batches; and whole-stream batches
-//! routed in parallel over the (role, level) stores) on the
+//! Measures ops/sec of two ways to drive the one ingest path (per-op,
+//! i.e. batches of one, and whole-stream batches) on the
 //! canonical Gaussian n=4000 workload — insert-only and deletion-heavy
 //! mixed-op — and writes a machine-readable JSON report plus a human
 //! summary to stdout.
@@ -97,9 +96,9 @@ struct PathResult {
 }
 
 /// Seconds of one full ingest of `ops` into a fresh builder.
-fn time_ingest(params: &CoresetParams, sp: StreamParams, ops: &[StreamOp], per_op: bool) -> f64 {
+fn time_ingest(params: &CoresetParams, ops: &[StreamOp], per_op: bool) -> f64 {
     let mut rng = StdRng::seed_from_u64(7);
-    let mut builder = StreamCoresetBuilder::new(params.clone(), sp, &mut rng);
+    let mut builder = StreamCoresetBuilder::new(params.clone(), StreamParams::default(), &mut rng);
     let start = Instant::now();
     if per_op {
         for op in ops {
@@ -123,25 +122,16 @@ fn median(mut xs: Vec<f64>) -> f64 {
     }
 }
 
-/// Times the per-op, batched and batched-parallel paths, `reps` rounds
-/// of one run each, interleaved so that host noise hits every path of a
-/// round alike. Throughput is best-of-`reps`; the speedup is the median
-/// of the per-round ratios, which one slow run cannot move.
-fn measure_paths(params: &CoresetParams, ops: &[StreamOp], reps: usize) -> [PathResult; 3] {
-    let seq = StreamParams::default();
-    let par = StreamParams {
-        parallel: true,
-        ..seq
-    };
-    let paths = [
-        ("per_op", seq, true),
-        ("batched", seq, false),
-        ("batched_parallel", par, false),
-    ];
-    let mut secs = [Vec::new(), Vec::new(), Vec::new()];
+/// Times the per-op and batched paths, `reps` rounds of one run each,
+/// interleaved so that host noise hits both paths of a round alike.
+/// Throughput is best-of-`reps`; the speedup is the median of the
+/// per-round ratios, which one slow run cannot move.
+fn measure_paths(params: &CoresetParams, ops: &[StreamOp], reps: usize) -> [PathResult; 2] {
+    let paths = [("per_op", true), ("batched", false)];
+    let mut secs = [Vec::new(), Vec::new()];
     for _ in 0..reps {
-        for ((_, sp, per_op), times) in paths.iter().zip(&mut secs) {
-            times.push(time_ingest(params, *sp, ops, *per_op));
+        for ((_, per_op), times) in paths.iter().zip(&mut secs) {
+            times.push(time_ingest(params, ops, *per_op));
         }
     }
     let per_op = secs[0].clone();
@@ -246,7 +236,6 @@ fn bench_sharding(params: &CoresetParams, shards: usize, reps: usize, json: &mut
         let sp = StreamParams::builder()
             .shards(s)
             .parallel(parallel)
-            .threads(s)
             .build()
             .expect("valid stream params");
         let mut best = f64::INFINITY;

@@ -104,7 +104,7 @@ fn bench_streaming_golden_file_matches_schema_v9() {
     for group in ["insert_only", "mixed_deletion_heavy"] {
         let g = doc.get("groups").unwrap().get(group);
         let g = g.unwrap_or_else(|| panic!("baseline missing group {group}"));
-        for p in ["per_op", "batched", "batched_parallel"] {
+        for p in ["per_op", "batched"] {
             let ratio = g
                 .get(p)
                 .and_then(|pj| pj.get("speedup_vs_per_op"))

@@ -101,7 +101,7 @@ const FOLD: usize = 64;
 /// `x^⌊i/2⌋ · x^⌈i/2⌉`); the dot products are independent of each other
 /// and of their own terms, where a Horner chain waits on every step.
 /// Values are bit-identical to [`KWiseHash::eval`] per (hash, key).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HashBank {
     lambda: usize,
     /// Coefficients hash after hash, each constant term first (the
@@ -113,17 +113,38 @@ impl HashBank {
     /// A bank of `hashes`, in order. Every hash must have the same
     /// independence degree.
     pub fn new<'a>(hashes: impl IntoIterator<Item = &'a KWiseHash>) -> Self {
+        Self::from_coeffs(hashes.into_iter().map(KWiseHash::coeffs))
+    }
+
+    /// A bank of hashes given by their coefficients in
+    /// [`KWiseHash::coeffs`] order (leading coefficient first), in order.
+    /// Coefficients are reduced into the field, as
+    /// [`KWiseHash::from_coeffs`] reduces them. Every hash must have the
+    /// same independence degree.
+    pub fn from_coeffs<'a>(hashes: impl IntoIterator<Item = &'a [u64]>) -> Self {
         let mut lambda = 0;
         let mut coeffs = Vec::new();
         for h in hashes {
             assert!(
-                lambda == 0 || h.lambda() == lambda,
+                lambda == 0 || h.len() == lambda,
                 "a bank's hashes share one independence degree"
             );
-            lambda = h.lambda();
-            coeffs.extend(h.coeffs().iter().rev());
+            lambda = h.len();
+            coeffs.extend(h.iter().rev().map(|c| c % field::P));
         }
         Self { lambda, coeffs }
+    }
+
+    /// Hash `b`'s coefficients, constant term first (the reverse of
+    /// [`KWiseHash::coeffs`]).
+    pub fn coeffs(&self, b: usize) -> &[u64] {
+        &self.coeffs[b * self.lambda..(b + 1) * self.lambda]
+    }
+
+    /// Bytes of the coefficients: the sum of the hashes'
+    /// [`KWiseHash::stored_bytes`].
+    pub fn stored_bytes(&self) -> usize {
+        self.coeffs.len() * 8
     }
 
     /// Number of hashes in the bank.
@@ -170,7 +191,19 @@ impl HashBank {
     /// Hash `b` at the key whose power table (from
     /// [`Self::power_tables`]) is `powers`.
     pub fn eval_at(&self, b: usize, powers: &[u64]) -> u64 {
-        dot(&self.coeffs[b * self.lambda..(b + 1) * self.lambda], powers)
+        dot(self.coeffs(b), powers)
+    }
+
+    /// Hash `b` at one key by Horner's rule, for a caller that needs a
+    /// single value and no power table: the steps of
+    /// [`KWiseHash::eval`], so the value is the same.
+    pub fn eval(&self, b: usize, key: u128) -> u64 {
+        let x = field::elem_from_u128(key);
+        let mut acc = 0u64;
+        for &c in self.coeffs(b).iter().rev() {
+            acc = field::add(field::mul(acc, x), c);
+        }
+        acc
     }
 }
 
@@ -360,7 +393,8 @@ mod tests {
         keys
     }
 
-    /// Every bank value equals the hash's Horner evaluation, across
+    /// Every bank value (batch, power table and scalar) equals the
+    /// hash's Horner evaluation, across
     /// fold boundaries of the `u128` accumulator (λ = 64, 65, 200) and
     /// with all-(p − 1) coefficients, the accumulator's worst case.
     #[test]
@@ -372,6 +406,15 @@ mod tests {
             hashes.push(KWiseHash::from_coeffs(vec![field::P - 1; lambda]));
             let bank = HashBank::new(&hashes);
             assert_eq!((bank.len(), bank.is_empty()), (hashes.len(), false));
+            let stored: usize = hashes.iter().map(KWiseHash::stored_bytes).sum();
+            assert_eq!(bank.stored_bytes(), stored);
+            for (b, h) in hashes.iter().enumerate() {
+                assert!(bank.coeffs(b).iter().rev().eq(h.coeffs()));
+            }
+            assert_eq!(
+                HashBank::from_coeffs(hashes.iter().map(KWiseHash::coeffs)),
+                bank
+            );
             let keys = bank_keys(&mut rng);
             let mut got = vec![999]; // eval_many appends after existing content
             bank.eval_many(&keys, &mut got);
@@ -387,6 +430,7 @@ mod tests {
             for (table, &k) in powers.chunks_exact(lambda).zip(&keys) {
                 for (b, h) in hashes.iter().enumerate() {
                     assert_eq!(bank.eval_at(b, table), h.eval(k), "λ = {lambda}, key {k}");
+                    assert_eq!(bank.eval(b, k), h.eval(k), "λ = {lambda}, key {k}");
                 }
             }
         }

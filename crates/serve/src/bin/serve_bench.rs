@@ -19,11 +19,12 @@
 //!   schema-checked, not ratio-gated: absolute latency is
 //!   host-dependent).
 //!
-//! The bench also emits a `"service_obs"` section: an interleaved
-//! best-of comparison of the same multi-tenant drive with service
-//! metrics off vs on (`overhead_ratio`, gated ≥ 0.98 by `bench_guard`
-//! when the `obs` feature is compiled in), plus request-latency
-//! percentiles from the per-tenant SLO histograms. `--prom PATH`
+//! The bench also emits a `"service_obs"` section: the same
+//! multi-tenant drive with service metrics off vs on in interleaved
+//! rounds (`overhead_ratio`, the median of the per-round on/off ratios,
+//! gated ≥ 0.98 by `bench_guard` when the `obs` feature is compiled
+//! in), plus request-latency percentiles from the per-tenant SLO
+//! histograms. `--prom PATH`
 //! writes (and validates) one Prometheus exposition of the final
 //! instrumented run; `--slow-dump-dir PATH` arms the deterministic
 //! slow-request probe for one extra untimed run so CI can archive a
@@ -441,10 +442,15 @@ fn obs_drive(schedules: &[Schedule], metrics_on: bool) -> f64 {
     ops as f64 / secs
 }
 
+/// Rounds of the observability-overhead comparison.
+const OBS_ROUNDS: usize = 21;
+
 /// The `"service_obs"` section: the instrumentation-overhead comparison
 /// plus request-latency percentiles out of the per-tenant SLO
-/// histograms. Runs are interleaved (off, on, off, on, …) and best-of
-/// so a transient stall on one side doesn't masquerade as overhead.
+/// histograms. Each round drives metrics off, then on; the ratio is the
+/// median of the per-round on/off ratios, so host noise hits both sides
+/// of a round alike and one slow round cannot move it. Throughputs are
+/// best-of-rounds.
 fn service_obs_json(schedules: &[Schedule], shards: u32, slow_dump_dir: Option<&str>) -> JsonValue {
     // Feature probe: with `obs` compiled out the flag can never stick,
     // so the ratio below compares two identical no-op builds.
@@ -453,13 +459,19 @@ fn service_obs_json(schedules: &[Schedule], shards: u32, slow_dump_dir: Option<&
     sbc_obs::set_enabled(false);
 
     let subset = &schedules[..schedules.len().min(256)];
-    let mut off = 0.0f64;
-    let mut on = 0.0f64;
-    for _ in 0..3 {
-        off = off.max(obs_drive(subset, false));
-        on = on.max(obs_drive(subset, true));
-    }
-    let overhead_ratio = if off > 0.0 { on / off } else { 0.0 };
+    let (mut off, mut on) = (0.0f64, 0.0f64);
+    let round_ratios: Vec<f64> = (0..OBS_ROUNDS)
+        .map(|_| {
+            let round_off = obs_drive(subset, false);
+            let round_on = obs_drive(subset, true);
+            off = off.max(round_off);
+            on = on.max(round_on);
+            round_on / round_off
+        })
+        .collect();
+    let mut sorted = round_ratios.clone();
+    sorted.sort_by(f64::total_cmp);
+    let overhead_ratio = sorted[OBS_ROUNDS / 2];
 
     // The last enabled drive's insert-latency histogram (the dominant
     // request kind in the schedule).
@@ -494,6 +506,15 @@ fn service_obs_json(schedules: &[Schedule], shards: u32, slow_dump_dir: Option<&
         .field("metrics_disabled_ops_per_sec", off)
         .field("metrics_enabled_ops_per_sec", on)
         .field("overhead_ratio", overhead_ratio)
+        .field(
+            "round_ratios",
+            JsonValue::from(
+                round_ratios
+                    .into_iter()
+                    .map(JsonValue::from)
+                    .collect::<Vec<_>>(),
+            ),
+        )
         .field("p50_request_ns", hist.quantile(0.50))
         .field("p99_request_ns", hist.quantile(0.99))
         .field("p999_request_ns", hist.quantile(0.999))

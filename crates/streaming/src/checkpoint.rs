@@ -427,7 +427,8 @@ impl Encode for StreamParams {
         self.cap_cells.encode(buf);
         self.o_ladder_max.encode(buf);
         self.parallel.encode(buf);
-        self.threads.encode(buf);
+        // Reserved: the slot of a retired store-level thread count.
+        0usize.encode(buf);
         self.shards.encode(buf);
         self.faults.encode(buf);
     }
@@ -442,8 +443,12 @@ impl Decode for StreamParams {
             cap_cells: usize::decode(buf, cursor)?,
             o_ladder_max: Option::decode(buf, cursor)?,
             parallel: bool::decode(buf, cursor)?,
-            threads: usize::decode(buf, cursor)?,
-            shards: usize::decode(buf, cursor)?,
+            // The reserved slot is written as 0; any other value is not
+            // a canonical encoding.
+            shards: match usize::decode(buf, cursor)? {
+                0 => usize::decode(buf, cursor)?,
+                _ => return None,
+            },
             faults: FaultPlan::decode(buf, cursor)?,
         })
         .ok()
@@ -695,7 +700,7 @@ mod tests {
             faults: FaultPlan::parse("chaos@42").unwrap(),
             o_ladder_max: Some(1e9),
             parallel: true,
-            threads: 3,
+            shards: 3,
             ..StreamParams::default()
         };
         let bytes = to_bytes(&sp);
@@ -705,6 +710,31 @@ mod tests {
         assert_eq!(back.faults, sp.faults);
         assert_eq!(back.o_ladder_max, sp.o_ladder_max);
         assert!(back.parallel);
+        assert_eq!(back.shards, 3);
+    }
+
+    #[test]
+    fn reserved_stream_params_slot_must_be_zero() {
+        use rand::SeedableRng;
+        let gp = GridParams::from_log_delta(4, 2);
+        let params = CoresetParams::builder(2, gp).build().unwrap();
+        let sp = StreamParams::default();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let bytes = StreamCoresetBuilder::new(params.clone(), sp, &mut rng)
+            .checkpoint()
+            .unwrap()
+            .to_bytes();
+        // The 8-byte slot sits between `parallel` and `shards`, the last
+        // two fields before `faults`.
+        let sp_end = MAGIC.len() + 4 + to_bytes(&params).len() + to_bytes(&sp).len();
+        let slot = sp_end - to_bytes(&sp.faults).len() - 8 - 8;
+        assert_eq!(bytes[slot..slot + 8], [0; 8]);
+        assert!(Snapshot::from_bytes(&bytes).is_ok());
+        for v in [1u64, 4, u64::MAX] {
+            let mut bad = bytes.clone();
+            bad[slot..slot + 8].copy_from_slice(&v.to_le_bytes());
+            assert_eq!(Snapshot::from_bytes(&bad), Err(CheckpointError::Malformed));
+        }
     }
 
     #[test]

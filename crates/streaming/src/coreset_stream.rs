@@ -47,8 +47,8 @@ use sbc_obs::json::JsonValue;
 use sbc_obs::trace::{self, CausalIds, TraceKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Ops per ingest batch: large enough to amortize precompute and the
-/// parallel fork, small enough that the SoA buffer stays cache-friendly.
+/// Ops per ingest batch: large enough to amortize precompute, small
+/// enough that the SoA buffer stays cache-friendly.
 const INGEST_BATCH: usize = 4096;
 
 /// The builder keeps the ingest scratch of batches up to this many ops,
@@ -77,15 +77,12 @@ pub struct StreamParams {
     /// expected stream size); `None` uses the paper's full range
     /// `Δ^d·(√d·Δ)^r`.
     pub o_ladder_max: Option<f64>,
-    /// Split routing across threads during batched ingest
-    /// ([`StreamCoresetBuilder::process_all`] /
-    /// [`StreamCoresetBuilder::insert_batch`]) by (role, level) store.
-    /// Stores own disjoint state and share only read-only hash values,
-    /// so the parallel path is bit-identical to the sequential one.
+    /// Ingest the shards of `sbc`'s `ShardedIngest::process_all` on
+    /// threads, one task per shard (the paper's machines, each with its
+    /// own sketch). Shards share no state, so the result is
+    /// bit-identical to serial shard ingest; a single builder always
+    /// ingests on the calling thread and ignores this knob.
     pub parallel: bool,
-    /// Thread count for the sharded path; `0` means "all available".
-    /// Ignored unless `parallel` is set.
-    pub threads: usize,
     /// Number of independent stream shards for `sbc`'s `ShardedIngest`
     /// front-end: the dynamic stream is partitioned by point identity
     /// across this many builders (sharing one hash family) and folded up
@@ -107,7 +104,6 @@ impl Default for StreamParams {
             cap_cells: 1 << 16,
             o_ladder_max: None,
             parallel: false,
-            threads: 0,
             shards: 1,
             faults: FaultPlan::NONE,
         }
@@ -162,15 +158,9 @@ impl StreamParamsBuilder {
         self
     }
 
-    /// Enables parallel ingest, split by (role, level) store.
+    /// Enables parallel shard ingest in `ShardedIngest`.
     pub fn parallel(mut self, on: bool) -> Self {
         self.inner.parallel = on;
-        self
-    }
-
-    /// Sets the shard thread count (`0` = all available).
-    pub fn threads(mut self, v: usize) -> Self {
-        self.inner.threads = v;
         self
     }
 
@@ -386,8 +376,8 @@ pub struct SpaceReport {
     pub arena_entries: usize,
     /// Measured footprint right now: `hash_bytes + store_bytes`. The
     /// denominator of `nominal_to_measured_ratio` — deterministic given
-    /// logical state, so it sums across shards and agrees across the
-    /// per-op, batched and parallel ingest paths.
+    /// logical state, so it sums across shards and agrees between
+    /// per-op and batched ingest.
     pub measured_bytes: usize,
     /// High-water mark of `measured_bytes` over this builder's life,
     /// sampled at observation points (space reports and checkpoints)
@@ -703,11 +693,8 @@ pub struct StreamCoresetBuilder {
     params: CoresetParams,
     sparams: StreamParams,
     grid: GridHierarchy,
-    h_hashes: Vec<KWiseHash>,
-    hp_hashes: Vec<KWiseHash>,
-    hhat_hashes: Vec<KWiseHash>,
-    /// The three roles' hashes in store order, evaluated together per
-    /// key by ingest and restore.
+    /// The hashes of the three roles (h, h′, ĥ; levels in order within
+    /// each), in store order: the only copy of their coefficients.
     bank: HashBank,
     instances: Vec<OInstance>,
     /// One nested store per (role, level): role h at levels `−1..=L−1`,
@@ -767,10 +754,10 @@ impl StreamCoresetBuilder {
     ) -> Self {
         let l = params.l() as i32;
         let lambda = params.lambda().min(1 << 12);
-        let h_hashes: Vec<KWiseHash> = (0..=l).map(|_| KWiseHash::new(lambda, rng)).collect();
-        let hp_hashes: Vec<KWiseHash> = (0..=l).map(|_| KWiseHash::new(lambda, rng)).collect();
-        let hhat_hashes: Vec<KWiseHash> = (0..=l).map(|_| KWiseHash::new(lambda, rng)).collect();
-        let bank = HashBank::new(h_hashes.iter().chain(&hp_hashes).chain(&hhat_hashes));
+        let hashes: Vec<KWiseHash> = (0..3 * (l + 1))
+            .map(|_| KWiseHash::new(lambda, rng))
+            .collect();
+        let bank = HashBank::new(&hashes);
 
         let (instances, stores) = Self::build_ladder(&params, &sparams, &grid);
         let routes = RouteTables::build(&instances, l as usize);
@@ -779,9 +766,6 @@ impl StreamCoresetBuilder {
             params,
             sparams,
             grid,
-            h_hashes,
-            hp_hashes,
-            hhat_hashes,
             bank,
             instances,
             stores,
@@ -997,13 +981,7 @@ impl StreamCoresetBuilder {
         if self.grid.shift() != other.grid.shift() {
             return Err(MergeError::Incompatible("grid shifts differ".into()));
         }
-        let same = |a: &[KWiseHash], b: &[KWiseHash]| {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.coeffs() == y.coeffs())
-        };
-        if !same(&self.h_hashes, &other.h_hashes)
-            || !same(&self.hp_hashes, &other.hp_hashes)
-            || !same(&self.hhat_hashes, &other.hhat_hashes)
-        {
+        if self.bank != other.bank {
             return Err(MergeError::Incompatible(
                 "hash coefficients differ (builders not seeded together)".into(),
             ));
@@ -1021,9 +999,8 @@ impl StreamCoresetBuilder {
     /// Processes a whole stream: per-point keys, cell paths, hash
     /// triples and ladder cuts are computed once per batch into a
     /// structure-of-arrays buffer, then routed store by store to the
-    /// accepting prefix of each store's views (the stores split across
-    /// threads when [`StreamParams::parallel`] is set). State after this
-    /// call is bit-identical to calling [`Self::process`] per op.
+    /// accepting prefix of each store's views. State after this call is
+    /// bit-identical to calling [`Self::process`] per op.
     pub fn process_all(&mut self, ops: &[StreamOp]) {
         for chunk in ops.chunks(INGEST_BATCH) {
             self.ingest_batch(chunk, stream_op);
@@ -1114,8 +1091,8 @@ impl StreamCoresetBuilder {
     }
 
     /// Ingests one batch — the only ingest path: precompute, then route
-    /// into the (role, level) stores, sequentially or split over threads.
-    fn ingest_batch<T: Sync>(&mut self, ops: &[T], op: fn(&T) -> (&Point, i64)) {
+    /// into the (role, level) stores in order.
+    fn ingest_batch<T>(&mut self, ops: &[T], op: fn(&T) -> (&Point, i64)) {
         if ops.is_empty() {
             return;
         }
@@ -1142,46 +1119,9 @@ impl StreamCoresetBuilder {
         }
         let _route_span = sbc_obs::SpanTimer::start(self.metrics.route_ns);
 
-        let threads = self.route_threads(ops.len());
         let grid = &self.grid;
-        let batch = &soa;
-        if threads <= 1 {
-            for (s, st) in self.stores.iter_mut().enumerate() {
-                route_store(st, batch.cuts(s), grid, ops, op, batch);
-            }
-        } else {
-            // Stores share no state, so any split is bit-identical; this
-            // one balances the routed view updates (longest first, each
-            // onto the least-loaded thread).
-            let mut work: Vec<(u64, &mut LadderStore, &[u32])> = self
-                .stores
-                .iter_mut()
-                .enumerate()
-                .map(|(s, st)| {
-                    let first = st.first as u64;
-                    let cuts = batch.cuts(s);
-                    let w = cuts.iter().map(|&c| (c as u64).saturating_sub(first)).sum();
-                    (w, st, cuts)
-                })
-                .collect();
-            work.sort_by_key(|&(w, _, _)| std::cmp::Reverse(w));
-            let mut loads = vec![0u64; threads];
-            let mut groups: Vec<Vec<(&mut LadderStore, &[u32])>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            for (w, st, cuts) in work {
-                let t = (0..threads).min_by_key(|&t| loads[t]).expect("threads ≥ 2");
-                loads[t] += w;
-                groups[t].push((st, cuts));
-            }
-            rayon::scope(|scope| {
-                for group in groups {
-                    scope.spawn(move |_| {
-                        for (st, cuts) in group {
-                            route_store(st, cuts, grid, ops, op, batch);
-                        }
-                    });
-                }
-            });
+        for (s, st) in self.stores.iter_mut().enumerate() {
+            route_store(st, soa.cuts(s), grid, ops, op, &soa);
         }
         if ops.len() <= KEEP_SCRATCH {
             self.soa = soa;
@@ -1219,35 +1159,10 @@ impl StreamCoresetBuilder {
         }
     }
 
-    /// How many threads to route a batch of `n` ops across: with
-    /// [`StreamParams::parallel`], the (role, level) stores are split
-    /// among up to `threads` of them.
-    fn route_threads(&self, n: usize) -> usize {
-        if !self.sparams.parallel {
-            return 1;
-        }
-        let threads = if self.sparams.threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            self.sparams.threads
-        };
-        // Tiny batches don't amortize the fork; fall back to sequential
-        // routing (output is identical either way).
-        if n < 64 {
-            return 1;
-        }
-        threads.min(self.stores.len()).max(1)
-    }
-
     /// Bytes of the hash coefficients: the randomness the paper's space
     /// accounting charges for.
     fn hash_bytes(&self) -> usize {
-        self.h_hashes
-            .iter()
-            .chain(&self.hp_hashes)
-            .chain(&self.hhat_hashes)
-            .map(KWiseHash::stored_bytes)
-            .sum()
+        self.bank.stored_bytes()
     }
 
     /// Observation point: folds a measurement into the high-water mark
@@ -1389,7 +1304,13 @@ impl StreamCoresetBuilder {
         // is the peak fold). The peak itself is never serialized — the
         // snapshot byte stream stays canonical.
         let _ = self.measured_bytes();
-        let coeffs = |hs: &[KWiseHash]| hs.iter().map(|h| h.coeffs().to_vec()).collect();
+        // Role `r`'s hashes, each leading coefficient first.
+        let per_role = self.bank.len() / 3;
+        let coeffs = |r: usize| {
+            (r * per_role..(r + 1) * per_role)
+                .map(|b| self.bank.coeffs(b).iter().rev().copied().collect())
+                .collect()
+        };
         trace::event(
             TraceKind::Checkpoint,
             "checkpoint.cut",
@@ -1400,9 +1321,9 @@ impl StreamCoresetBuilder {
             params: self.params.clone(),
             sparams: self.sparams,
             shift: self.grid.shift().to_vec(),
-            h_coeffs: coeffs(&self.h_hashes),
-            hp_coeffs: coeffs(&self.hp_hashes),
-            hhat_coeffs: coeffs(&self.hhat_hashes),
+            h_coeffs: coeffs(0),
+            hp_coeffs: coeffs(1),
+            hhat_coeffs: coeffs(2),
             net_count: self.net_count,
             ops_seen: self.ops_seen,
             merge_depth: self.merge_depth,
@@ -1541,27 +1462,20 @@ impl StreamCoresetBuilder {
         let grid = GridHierarchy::with_shift(gp, snap.shift.clone());
 
         let lambda = params.lambda().min(1 << 12);
-        let rebuild = |coeffs: &[Vec<u64>]| -> Result<Vec<KWiseHash>, CheckpointError> {
-            // Coefficients are field elements: one outside the field would
-            // be reduced, and the restored builder would checkpoint other
-            // bytes than it was read from.
-            let element = |c: &u64| *c < sbc_hash::field::P;
-            if coeffs.len() != l + 1
+        // Coefficients are field elements: one outside the field would be
+        // reduced, and the restored builder would checkpoint other bytes
+        // than it was read from.
+        let roles = [&snap.h_coeffs, &snap.hp_coeffs, &snap.hhat_coeffs];
+        let element = |c: &u64| *c < sbc_hash::field::P;
+        if roles.iter().any(|coeffs| {
+            coeffs.len() != l + 1
                 || coeffs
                     .iter()
                     .any(|c| c.len() != lambda || !c.iter().all(element))
-            {
-                return Err(CheckpointError::Malformed);
-            }
-            Ok(coeffs
-                .iter()
-                .map(|c| KWiseHash::from_coeffs(c.clone()))
-                .collect())
-        };
-        let h_hashes = rebuild(&snap.h_coeffs)?;
-        let hp_hashes = rebuild(&snap.hp_coeffs)?;
-        let hhat_hashes = rebuild(&snap.hhat_coeffs)?;
-        let bank = HashBank::new(h_hashes.iter().chain(&hp_hashes).chain(&hhat_hashes));
+        }) {
+            return Err(CheckpointError::Malformed);
+        }
+        let bank = HashBank::from_coeffs(roles.into_iter().flatten().map(Vec::as_slice));
 
         let mut rows: OpenTable<u128, u32> = OpenTable::default();
         let mut distinct = Vec::new();
@@ -1603,9 +1517,6 @@ impl StreamCoresetBuilder {
             params,
             sparams,
             grid,
-            h_hashes,
-            hp_hashes,
-            hhat_hashes,
             bank,
             instances,
             stores,
@@ -1761,6 +1672,8 @@ impl StreamCoresetBuilder {
         let ctx = CoresetBuilderCtx::new(&self.params, inst.o, partition, pm)?;
 
         // Role ĥ → coreset samples with per-part nested sub-thresholds.
+        // ĥ's hashes are the bank's last `L + 1`, level 0 first.
+        let hhat_base = 2 * (l as usize + 1);
         let mut entries = Vec::new();
         let mut part_phis: Vec<std::collections::HashMap<usize, f64>> =
             vec![std::collections::HashMap::new(); l as usize + 1];
@@ -1791,7 +1704,7 @@ impl StreamCoresetBuilder {
                 let phi_part = ctx.part_phi(lvl, part);
                 let thr = bernoulli_threshold(phi_part);
                 let key = point.key128(self.params.grid.delta);
-                if self.hhat_hashes[level].eval(key) < thr {
+                if self.bank.eval(hhat_base + level, key) < thr {
                     let realized = realized_prob(phi_part);
                     part_phis[level].insert(part, realized);
                     entries.push(CoresetEntry {
@@ -2021,10 +1934,10 @@ mod tests {
     #[test]
     fn space_report_tracks_killed_runaway_stores() {
         // A small cap_cells turns the widest-spread stores into runaways
-        // that get killed mid-stream. The report must count them as dead
-        // (under the sharded path too), show the freed memory in the
-        // measured store_bytes, and keep charging the full nominal
-        // sketch reservation — a fixed-size sketch never shrinks.
+        // that get killed mid-stream. The report must count them as dead,
+        // show the freed memory in the measured store_bytes, and keep
+        // charging the full nominal sketch reservation — a fixed-size
+        // sketch never shrinks.
         let p = params();
         let pts = gaussian_mixture(p.grid, 2000, 3, 0.04, 5);
         let run = |sp: StreamParams| {
@@ -2039,11 +1952,6 @@ mod tests {
             ..StreamParams::default()
         };
         let starved = run(capped);
-        let starved_parallel = run(StreamParams {
-            parallel: true,
-            threads: 4,
-            ..capped
-        });
 
         assert_eq!(
             healthy.dead_stores, 0,
@@ -2061,7 +1969,6 @@ mod tests {
             healthy.live_stores + healthy.dead_stores,
             "total store count is configuration-determined"
         );
-        assert_eq!(starved, starved_parallel, "sharded accounting must agree");
         assert!(
             starved.store_bytes < healthy.store_bytes,
             "killed stores must free measured memory ({} vs {})",

@@ -3,8 +3,9 @@
 //! (fresh-process semantics — nothing survives but the byte buffer),
 //! and resuming must produce *bit-identical* results to the
 //! uninterrupted run — summaries, space accounting, and the assembled
-//! coreset. Exercised over insertion and dynamic streams, the sharded
-//! parallel path, and runs with injected mid-stream store deaths.
+//! coreset. Exercised over insertion and dynamic streams, shard and
+//! merge-node checkpoints, and runs with injected mid-stream store
+//! deaths.
 //!
 //! The serialization itself must be canonical: encode → decode → encode
 //! is the identity on bytes.
@@ -101,23 +102,6 @@ fn restore_then_continue_is_bit_identical_dynamic() {
     let ops = interleaved_stream(&ds.kept, &ds.churn, &mut rng);
     for cut in cuts_for(ops.len()) {
         assert_restore_invisible(&p, StreamParams::default(), &ops, 5, cut);
-    }
-}
-
-#[test]
-fn restore_then_continue_is_bit_identical_parallel() {
-    // The resumed run uses the sharded parallel ingest path; restore
-    // must hand it state it cannot tell apart from its own.
-    let p = params(7);
-    let pts = gaussian_mixture(p.grid, 1600, 3, 0.05, 7);
-    let ops: Vec<StreamOp> = insertion_stream(&pts);
-    let sp = StreamParams {
-        parallel: true,
-        threads: 4,
-        ..StreamParams::default()
-    };
-    for cut in [0, ops.len() / 2, ops.len()] {
-        assert_restore_invisible(&p, sp, &ops, 7, cut);
     }
 }
 

@@ -1,11 +1,11 @@
-//! Batched and instance-sharded ingest must be *bit-identical* to the
-//! per-op reference path: every `Storing` structure sees exactly the
-//! same update sequence under all three, because ladder pruning routes
-//! to the exact accepting prefix and op-major routing preserves stream
-//! order per store. These tests replay the same streams through all
-//! three paths and compare the full decoded state — including which
-//! stores died mid-stream (`cap_cells` overflow) and which FAIL at
-//! decode — plus the assembled coresets.
+//! Batched ingest must be *bit-identical* to the per-op reference
+//! path: every `Storing` structure sees exactly the same update
+//! sequence under both, because ladder pruning routes to the exact
+//! accepting prefix and store-major routing preserves stream order per
+//! store. These tests replay the same streams through both paths and
+//! compare the full decoded state — including which stores died
+//! mid-stream (`cap_cells` overflow) and which FAIL at decode — plus the
+//! assembled coresets.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,74 +21,51 @@ fn params(log_delta: u32) -> CoresetParams {
         .unwrap()
 }
 
-/// Builds three identically seeded builders, ingests `ops` per-op /
-/// batched / batched+parallel, and checks every observable output
-/// matches.
+/// Builds two identically seeded builders, ingests `ops` per-op and
+/// batched, and checks every observable output matches.
 fn assert_paths_identical(p: &CoresetParams, sp: StreamParams, ops: &[StreamOp], seed: u64) {
-    let build = |sp: StreamParams| {
+    let build = || {
         let mut rng = StdRng::seed_from_u64(seed);
         StreamCoresetBuilder::new(p.clone(), sp, &mut rng)
     };
-    let mut per_op = build(sp);
-    let mut batched = build(StreamParams {
-        parallel: false,
-        ..sp
-    });
-    let mut parallel = build(StreamParams {
-        parallel: true,
-        threads: 4,
-        ..sp
-    });
+    let mut per_op = build();
+    let mut batched = build();
 
     for op in ops {
         per_op.process(op);
     }
     batched.process_all(ops);
-    parallel.process_all(ops);
 
     assert_eq!(per_op.net_count(), batched.net_count());
-    assert_eq!(per_op.net_count(), parallel.net_count());
 
     // Decoded summaries carry everything downstream consumers see:
     // cell sets, counts, small points, dirty cells, and FAIL outcomes.
-    let s0 = per_op.export_summaries();
-    let s1 = batched.export_summaries();
-    let s2 = parallel.export_summaries();
-    assert_eq!(s0, s1, "batched ingest diverged from per-op");
-    assert_eq!(s0, s2, "parallel ingest diverged from per-op");
+    assert_eq!(
+        per_op.export_summaries(),
+        batched.export_summaries(),
+        "batched ingest diverged from per-op"
+    );
 
     // Space accounting must agree too — same dead stores, same bytes.
     assert_eq!(per_op.space_report(), batched.space_report());
-    assert_eq!(per_op.space_report(), parallel.space_report());
 
     // And the assembled coresets (ascending-o selection incl. FAIL
     // checks during decode) must pick the same instance and entries.
-    match (per_op.finish(), batched.finish(), parallel.finish()) {
-        (Ok(a), Ok(b), Ok(c)) => {
+    match (per_op.finish(), batched.finish()) {
+        (Ok(a), Ok(b)) => {
             assert_eq!(a.o, b.o);
-            assert_eq!(a.o, c.o);
             assert_eq!(a.len(), b.len());
-            assert_eq!(a.len(), c.len());
             for (x, y) in a.entries().iter().zip(b.entries()) {
                 assert_eq!(x.point, y.point);
                 assert_eq!(x.weight, y.weight);
                 assert_eq!((x.level, x.part), (y.level, y.part));
             }
-            for (x, y) in a.entries().iter().zip(c.entries()) {
-                assert_eq!(x.point, y.point);
-                assert_eq!(x.weight, y.weight);
-            }
         }
-        (Err(a), Err(b), Err(c)) => {
-            let (a, b, c) = (format!("{a:?}"), format!("{b:?}"), format!("{c:?}"));
-            assert_eq!(a, b);
-            assert_eq!(a, c);
-        }
-        (a, b, c) => panic!(
-            "paths disagree on success: per-op {:?}, batched {:?}, parallel {:?}",
+        (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
+        (a, b) => panic!(
+            "paths disagree on success: per-op {:?}, batched {:?}",
             a.is_ok(),
-            b.is_ok(),
-            c.is_ok()
+            b.is_ok()
         ),
     }
 }

@@ -1,10 +1,9 @@
 //! Instrumentation must be invisible to the computation: ingesting a
 //! stream with metrics recording enabled has to produce *bit-identical*
-//! results to the same ingest with recording disabled, on both the
-//! serial and the instance-sharded parallel path. And because counters
-//! tally the same logical events regardless of execution order, the
-//! parallel path's counter totals must merge to exactly the serial
-//! totals.
+//! results to the same ingest with recording disabled. And because
+//! counters tally the same logical events regardless of execution
+//! order, shards ingested on two threads at once must record exactly
+//! the totals of the same shards ingested one after the other.
 //!
 //! The whole file runs with or without the `obs` cargo feature: with it
 //! off, `set_enabled` is a no-op and every snapshot is empty, so the
@@ -62,9 +61,51 @@ fn ingest(
     }
 }
 
+/// Ingests `ops` split by point over two identically seeded shard
+/// builders with recording on: on two threads at once (`threaded`) or
+/// one after the other. Returns each shard's summaries and the registry.
+fn ingest_shards(
+    p: &CoresetParams,
+    ops: &[StreamOp],
+    seed: u64,
+    threaded: bool,
+) -> (Vec<Vec<InstanceSummary>>, sbc_obs::MetricsSnapshot) {
+    let parts: Vec<Vec<StreamOp>> = (0..2u128)
+        .map(|s| {
+            ops.iter()
+                .filter(|op| op.point().key128(p.grid.delta) % 2 == s)
+                .cloned()
+                .collect()
+        })
+        .collect();
+    let mut shards: Vec<StreamCoresetBuilder> = parts
+        .iter()
+        .map(|_| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            StreamCoresetBuilder::new(p.clone(), StreamParams::default(), &mut rng)
+        })
+        .collect();
+    sbc_obs::reset();
+    sbc_obs::set_enabled(true);
+    if threaded {
+        std::thread::scope(|scope| {
+            for (b, part) in shards.iter_mut().zip(&parts) {
+                scope.spawn(move || b.process_all(part));
+            }
+        });
+    } else {
+        for (b, part) in shards.iter_mut().zip(&parts) {
+            b.process_all(part);
+        }
+    }
+    sbc_obs::set_enabled(false);
+    let summaries = shards.iter().map(|b| b.export_summaries()).collect();
+    (summaries, sbc_obs::snapshot())
+}
+
 /// Counter totals, plus count/sum of every histogram that tallies
 /// *events* rather than wall-clock (`*_ns` spans legitimately differ
-/// between runs and between serial/parallel execution).
+/// between runs and between threaded and serial execution).
 fn event_totals(s: &sbc_obs::MetricsSnapshot) -> Vec<(String, u64, u64)> {
     let mut out: Vec<(String, u64, u64)> = s
         .counters
@@ -80,53 +121,33 @@ fn event_totals(s: &sbc_obs::MetricsSnapshot) -> Vec<(String, u64, u64)> {
     out
 }
 
-/// Runs the four-way comparison for one (params, stream) pair.
+/// Runs the on/off and threaded/serial comparisons for one (params,
+/// stream) pair.
 fn assert_metrics_invisible(p: &CoresetParams, ops: &[StreamOp], seed: u64) {
-    let serial = StreamParams::default();
-    let parallel = StreamParams {
-        parallel: true,
-        threads: 4,
-        ..serial
-    };
-
-    let off_serial = ingest(p, serial, ops, seed, false);
-    let on_serial = ingest(p, serial, ops, seed, true);
-    let off_parallel = ingest(p, parallel, ops, seed, false);
-    let on_parallel = ingest(p, parallel, ops, seed, true);
+    let sp = StreamParams::default();
+    let off = ingest(p, sp, ops, seed, false);
+    let on = ingest(p, sp, ops, seed, true);
 
     // Recording must not perturb the computation in any observable way.
-    for (label, with, without) in [
-        ("serial", &on_serial, &off_serial),
-        ("parallel", &on_parallel, &off_parallel),
-    ] {
-        assert_eq!(
-            with.net_count, without.net_count,
-            "{label}: metrics changed net_count"
-        );
-        assert_eq!(
-            with.summaries, without.summaries,
-            "{label}: metrics changed decoded instance state"
-        );
-        assert_eq!(
-            with.space, without.space,
-            "{label}: metrics changed space accounting"
-        );
-    }
-    // And parallel must still match serial (with recording on).
-    assert_eq!(on_serial.summaries, on_parallel.summaries);
-    assert_eq!(on_serial.net_count, on_parallel.net_count);
-    assert_eq!(on_serial.space, on_parallel.space);
+    assert_eq!(on.net_count, off.net_count, "metrics changed net_count");
+    assert_eq!(
+        on.summaries, off.summaries,
+        "metrics changed decoded instance state"
+    );
+    assert_eq!(on.space, off.space, "metrics changed space accounting");
 
     // Disabled runs record nothing even when the feature is compiled in.
-    assert!(off_serial.snapshot.counters.iter().all(|(_, v)| *v == 0));
-    assert!(off_parallel.snapshot.counters.iter().all(|(_, v)| *v == 0));
+    assert!(off.snapshot.counters.iter().all(|(_, v)| *v == 0));
 
-    // The sharded path's per-thread event counts merge to the serial
-    // totals: same events, different order.
+    // Shards recording from two threads at once tally the same events
+    // as the same shards ingested in turn: same events, different order.
+    let (threaded, threaded_metrics) = ingest_shards(p, ops, seed, true);
+    let (serial, serial_metrics) = ingest_shards(p, ops, seed, false);
+    assert_eq!(threaded, serial);
     assert_eq!(
-        event_totals(&on_serial.snapshot),
-        event_totals(&on_parallel.snapshot),
-        "parallel counter totals diverged from serial"
+        event_totals(&threaded_metrics),
+        event_totals(&serial_metrics),
+        "threaded shard counter totals diverged from serial"
     );
 
     // When instrumentation is compiled in, the enabled run must have
@@ -134,8 +155,7 @@ fn assert_metrics_invisible(p: &CoresetParams, ops: &[StreamOp], seed: u64) {
     #[cfg(feature = "obs")]
     {
         let get = |name: &str| {
-            on_serial
-                .snapshot
+            on.snapshot
                 .counters
                 .iter()
                 .find(|(n, _)| n == name)
@@ -155,8 +175,8 @@ fn assert_metrics_invisible(p: &CoresetParams, ops: &[StreamOp], seed: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Arbitrary Gaussian churn streams: recording on/off and
-    /// serial/parallel all agree.
+    /// Arbitrary Gaussian churn streams: recording on/off and threaded
+    /// and serial shards all agree.
     #[test]
     fn metrics_never_perturb_ingest(
         seed in 0u64..1024,
@@ -192,31 +212,19 @@ fn metrics_invisible_under_store_death() {
         "cap did not kill any store — weaken it"
     );
 
-    let serial = ingest(&p, sp, &ops, 41, true);
-    let par_sp = StreamParams {
-        parallel: true,
-        threads: 4,
-        ..sp
-    };
-    let parallel = ingest(&p, par_sp, &ops, 41, true);
-    assert_eq!(probe.summaries, serial.summaries);
-    assert_eq!(probe.summaries, parallel.summaries);
-    assert_eq!(probe.space, serial.space);
-    assert_eq!(probe.space, parallel.space);
-    assert_eq!(
-        event_totals(&serial.snapshot),
-        event_totals(&parallel.snapshot)
-    );
+    let recorded = ingest(&p, sp, &ops, 41, true);
+    assert_eq!(probe.summaries, recorded.summaries);
+    assert_eq!(probe.space, recorded.space);
 
     #[cfg(feature = "obs")]
     {
-        let killed = serial
+        let killed = recorded
             .snapshot
             .counters
             .iter()
             .filter(|(n, _)| n.starts_with("stream.store.kill."))
             .map(|(_, v)| *v)
             .sum::<u64>();
-        assert_eq!(killed, serial.space.dead_stores as u64);
+        assert_eq!(killed, recorded.space.dead_stores as u64);
     }
 }

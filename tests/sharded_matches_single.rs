@@ -207,29 +207,24 @@ fn sharded_deletion_streams_match_the_oracle_too() {
 }
 
 #[test]
-fn per_op_batched_and_parallel_ingest_are_bit_identical() {
-    // Ingest-path differential on every E1 family: batched and
-    // parallel-batched ingest must reproduce the per-op reference path
-    // bit for bit, with a checkpoint cut mid-stream on top. Compared:
+fn per_op_and_batched_ingest_are_bit_identical() {
+    // Ingest-path differential on every E1 family: batched ingest must
+    // reproduce the per-op reference path bit for bit, with a
+    // checkpoint cut mid-stream on top. Compared:
     // net counts, exported summaries (cells, small points, rates),
     // canonical store snapshots, and the finished coresets.
     use sbc_streaming::{Snapshot, StreamCoresetBuilder};
     let faults = env_faults();
     for (name, pts) in workloads() {
         let ops = insertion_stream(&pts);
-        let mk = |parallel: bool| {
-            let sp = StreamParams::builder()
-                .parallel(parallel)
-                .threads(2)
-                .faults(faults)
-                .build()
-                .unwrap();
+        let mk = || {
+            let sp = StreamParams::builder().faults(faults).build().unwrap();
             let mut rng = StdRng::seed_from_u64(131);
             StreamCoresetBuilder::new(params(2.0), sp, &mut rng)
         };
 
         // Per-op reference, with a mid-stream checkpoint.
-        let mut reference = mk(false);
+        let mut reference = mk();
         for op in &ops[..N / 2] {
             reference.process(op);
         }
@@ -239,24 +234,22 @@ fn per_op_batched_and_parallel_ingest_are_bit_identical() {
         }
         let ref_summaries = reference.export_summaries();
 
-        // Batched and parallel-batched, each cut at the same point.
-        for parallel in [false, true] {
-            let mut b = mk(parallel);
-            b.process_all(&ops[..N / 2]);
-            let cut = b.checkpoint().expect("batched checkpoint");
-            assert_eq!(
-                cut.stores, per_op_cut.stores,
-                "{name} parallel={parallel}: mid-stream snapshots diverged"
-            );
-            assert_eq!(cut.net_count, per_op_cut.net_count);
-            b.process_all(&ops[N / 2..]);
-            assert_eq!(b.net_count(), reference.net_count());
-            assert_eq!(
-                b.export_summaries(),
-                ref_summaries,
-                "{name} parallel={parallel}: summaries diverged"
-            );
-        }
+        // Batched, cut at the same point.
+        let mut b = mk();
+        b.process_all(&ops[..N / 2]);
+        let cut = b.checkpoint().expect("batched checkpoint");
+        assert_eq!(
+            cut.stores, per_op_cut.stores,
+            "{name}: mid-stream snapshots diverged"
+        );
+        assert_eq!(cut.net_count, per_op_cut.net_count);
+        b.process_all(&ops[N / 2..]);
+        assert_eq!(b.net_count(), reference.net_count());
+        assert_eq!(
+            b.export_summaries(),
+            ref_summaries,
+            "{name}: summaries diverged"
+        );
 
         // Resume: the per-op builder's checkpoint, pushed through the
         // byte codec, continues batched to the same final state.
@@ -273,7 +266,7 @@ fn per_op_batched_and_parallel_ingest_are_bit_identical() {
         // storm can leave nothing to assemble).
         if faults == FaultPlan::NONE {
             let a = reference.finish_ref().expect("per-op coreset");
-            let mut b = mk(false);
+            let mut b = mk();
             b.process_all(&ops);
             let b = b.finish_ref().expect("batched coreset");
             assert_eq!(a.o, b.o, "{name}");
@@ -297,7 +290,6 @@ fn serial_and_parallel_sharded_ingest_are_bit_identical() {
     let parallel = StreamParams::builder()
         .shards(4)
         .parallel(true)
-        .threads(4)
         .faults(env_faults())
         .build()
         .unwrap();
