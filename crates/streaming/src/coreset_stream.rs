@@ -20,11 +20,13 @@
 //! level) (`crate::nested`): each point is stored once, tagged with its
 //! ladder cut, and instance `o`'s `Storing` is a threshold view of it,
 //! with every per-store rule replayed per view. At end of stream,
-//! instances are decoded in ascending `o`, each only when the selection
-//! reaches it; the first one that passes Algorithm 1/2's FAIL checks and
-//! the practical `o`-selection budget yields the coreset, assembled by
-//! the *same* `CoresetBuilderCtx` the offline path uses (including the
-//! per-part nested sub-thresholding of `CoresetParams::part_phi`).
+//! instances are tried in ascending `o`: one whose h stores FAIL is
+//! rejected from the views' counters, and a store is decoded only when
+//! the checks reach it. The first one that passes Algorithm 1/2's FAIL
+//! checks and the practical `o`-selection budget yields the coreset,
+//! assembled by the *same* `CoresetBuilderCtx` the offline path uses
+//! (including the per-part nested sub-thresholding of
+//! `CoresetParams::part_phi`).
 
 use crate::checkpoint::{
     ArenaCheckpoint, CheckpointError, InstanceCheckpoint, PointName, Snapshot,
@@ -45,6 +47,7 @@ use sbc_hash::{HashBank, KWiseHash, OpenTable};
 use sbc_obs::fault::{splitmix64, FaultPlan};
 use sbc_obs::json::JsonValue;
 use sbc_obs::trace::{self, CausalIds, TraceKind};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Ops per ingest batch: large enough to amortize precompute, small
@@ -700,6 +703,9 @@ pub struct StreamCoresetBuilder {
     /// One nested store per (role, level): role h at levels `−1..=L−1`,
     /// then h′ and ĥ at levels `0..=L`.
     stores: Vec<LadderStore>,
+    /// [`SpaceReport::nominal_sketch_bytes`]: a function of the views'
+    /// configurations alone, summed once when the ladder is built.
+    nominal_sketch_bytes: usize,
     routes: RouteTables,
     /// Ingest scratch, reused across batches.
     soa: BatchSoa,
@@ -768,6 +774,7 @@ impl StreamCoresetBuilder {
             grid,
             bank,
             instances,
+            nominal_sketch_bytes: nominal_sketch_bytes(&stores),
             stores,
             routes,
             soa: BatchSoa::default(),
@@ -1196,7 +1203,6 @@ impl StreamCoresetBuilder {
     pub fn space_report(&self) -> SpaceReport {
         let hash_bytes = self.hash_bytes();
         let mut store_bytes = 0usize;
-        let mut nominal = 0usize;
         let mut expected = 0usize;
         let mut live_stores = 0usize;
         let mut runaway_kill = 0usize;
@@ -1217,11 +1223,6 @@ impl StreamCoresetBuilder {
                     Some(StoreDeath::SketchOverflow) => sketch_overflow += 1,
                     None => live_stores += 1,
                 }
-                // Lemma 4.2-style accounting: what a space-bounded
-                // deployment of the same configurations reserves as
-                // linear sketches. Dead stores count too — a fixed-size
-                // sketch does not give memory back mid-stream.
-                nominal = nominal.saturating_add(Storing::nominal_sketch_bytes(store.config(j)));
             }
         }
         let measured = hash_bytes + store_bytes;
@@ -1229,7 +1230,7 @@ impl StreamCoresetBuilder {
         SpaceReport {
             hash_bytes,
             store_bytes,
-            nominal_sketch_bytes: nominal,
+            nominal_sketch_bytes: self.nominal_sketch_bytes,
             instances: self.instances.len(),
             dead_stores: runaway_kill + sketch_overflow,
             live_stores,
@@ -1255,26 +1256,13 @@ impl StreamCoresetBuilder {
     /// Draws no randomness.
     fn summarize(&self, i: usize) -> InstanceSummary {
         let inst = &self.instances[i];
-        let summary = |st: &LadderStore| {
-            let j = st.view(i)?;
-            let cfg = st.store.config(j);
-            Some(
-                st.store
-                    .finish(&self.grid, j)
-                    .map(|out| RoleLevelSummary {
-                        cells: out.cells,
-                        small_points: out.small_points,
-                        beta: cfg.beta,
-                        alpha: cfg.alpha,
-                        dirty_small_cells: out.dirty_small_cells,
-                    })
-                    .map_err(|e| format!("{e:?}")),
-            )
-        };
         let every = |role: u8| {
             self.role_stores(role)
                 .iter()
-                .map(|st| summary(st).expect("every instance has h and h′ stores"))
+                .map(|st| {
+                    self.decode(st, i)
+                        .expect("every instance has h and h′ stores")
+                })
                 .collect()
         };
         InstanceSummary {
@@ -1284,12 +1272,31 @@ impl StreamCoresetBuilder {
             hhat: self
                 .role_stores(trace::role::HHAT)
                 .iter()
-                .map(summary)
+                .map(|st| self.decode(st, i))
                 .collect(),
             psi: inst.psi.clone(),
             psip: inst.psip.clone(),
             phi: inst.phi.clone(),
         }
+    }
+
+    /// Instance `i`'s store in `st`, decoded (`None` where it has none),
+    /// a failure rendered as [`InstanceSummary`] carries it.
+    fn decode(&self, st: &LadderStore, i: usize) -> Option<Result<RoleLevelSummary, String>> {
+        let j = st.view(i)?;
+        let cfg = st.store.config(j);
+        Some(
+            st.store
+                .finish(&self.grid, j)
+                .map(|out| RoleLevelSummary {
+                    cells: out.cells,
+                    small_points: out.small_points,
+                    beta: cfg.beta,
+                    alpha: cfg.alpha,
+                    dirty_small_cells: out.dirty_small_cells,
+                })
+                .map_err(|e| format!("{e:?}")),
+        )
     }
 
     /// Captures a complete, restartable image of the builder: parameters,
@@ -1519,6 +1526,7 @@ impl StreamCoresetBuilder {
             grid,
             bank,
             instances,
+            nominal_sketch_bytes: nominal_sketch_bytes(&stores),
             stores,
             routes,
             soa: BatchSoa::default(),
@@ -1539,16 +1547,17 @@ impl StreamCoresetBuilder {
 
     /// Ends the pass without consuming the builder: the stream can keep
     /// going afterwards (and the result can be emitted at checkpoints).
-    /// Each instance is decoded only when the ascending-`o` selection
-    /// reaches it.
+    /// Guesses are tried in ascending `o`, each read straight from the
+    /// builder's stores: a store is decoded only when the selection
+    /// reaches it, and a guess whose h stores FAIL is rejected from their
+    /// view counters without decoding anything.
     ///
     /// Assembly draws from a *clone* of the builder's RNG that is not
     /// written back, so emitting a mid-stream coreset leaves the
     /// continued run bit-identical to one that never called this.
     pub fn finish_ref(&self) -> Result<Coreset, FailReason> {
         let mut rng = self.rng.clone();
-        let lazy = (0..self.instances.len()).map(|i| self.summarize(i));
-        self.assemble(lazy, &mut rng)
+        self.assemble((0..self.instances.len()).map(Guess::Live), &mut rng)
     }
 
     /// Coordinator-side assembly: runs the ascending-`o` selection over
@@ -1560,27 +1569,28 @@ impl StreamCoresetBuilder {
         summaries: &[InstanceSummary],
     ) -> Result<Coreset, FailReason> {
         let mut rng = self.rng.clone();
-        let out = self.assemble(summaries.iter(), &mut rng);
+        let out = self.assemble(summaries.iter().map(Guess::Summary), &mut rng);
         self.rng = rng;
         out
     }
 
     /// Shared assembly core behind [`Self::finish_from_summaries`] and
-    /// [`Self::finish_ref`], over summaries in ascending `o`; it stops
-    /// pulling at the first acceptable one. The caller owns the
-    /// RNG-advance policy.
-    fn assemble<S: std::borrow::Borrow<InstanceSummary>>(
-        &self,
-        summaries: impl Iterator<Item = S>,
+    /// [`Self::finish_ref`], over guesses in ascending `o`; it stops at
+    /// the first acceptable one. The caller owns the RNG-advance policy.
+    fn assemble<'a>(
+        &'a self,
+        guesses: impl Iterator<Item = Guess<'a>>,
         rng: &mut StdRng,
     ) -> Result<Coreset, FailReason> {
         let mut last_err = FailReason::NoWorkableO;
         let mut fallback: Option<Coreset> = None;
-        for inst in summaries {
-            let inst = inst.borrow();
-            match self.try_instance(inst) {
+        for guess in guesses {
+            sbc_obs::counter!("stream.finish.instances").incr();
+            let o = self.source(guess).o;
+            match self.try_instance(guess) {
                 Ok(coreset) => {
                     if coreset.is_empty() {
+                        Reject::Empty.count();
                         last_err = FailReason::Storage("empty coreset".into());
                         continue;
                     }
@@ -1595,19 +1605,20 @@ impl StreamCoresetBuilder {
                     let est =
                         opt_upper_estimate(&pts, Some(&ws), self.params.k, self.params.r, rng)
                             .max(1.0);
-                    if inst.o > est * 64.0 && est > 1.0 {
+                    if o > est * 64.0 && est > 1.0 {
                         // Out the top of the window (skip this check for
                         // degenerate zero-cost data where est bottoms out).
+                        Reject::Window.count();
                         if fallback.is_none() {
                             fallback = Some(coreset);
                         }
                         last_err = FailReason::Storage(format!(
-                            "o = {:.3e} far above estimated OPT {:.3e}",
-                            inst.o, est
+                            "o = {o:.3e} far above estimated OPT {est:.3e}"
                         ));
                         continue;
                     }
-                    if inst.o < est / 32.0 {
+                    if o < est / 32.0 {
+                        Reject::Window.count();
                         if fallback.is_none() {
                             fallback = Some(coreset);
                         }
@@ -1615,7 +1626,10 @@ impl StreamCoresetBuilder {
                     }
                     return Ok(coreset);
                 }
-                Err(e) => last_err = e,
+                Err((why, e)) => {
+                    why.count();
+                    last_err = e;
+                }
             }
         }
         if let Some(cs) = fallback {
@@ -1624,77 +1638,161 @@ impl StreamCoresetBuilder {
         Err(last_err)
     }
 
-    fn try_instance(&self, inst: &InstanceSummary) -> Result<Coreset, FailReason> {
-        let l = self.params.l() as i32;
-        let storage = |role: &str, level: i32, e: &String| {
-            FailReason::Storage(format!("o={:.3e} {role} level {level}: {e}", inst.o))
-        };
+    /// `guess`'s `o` and realized rates.
+    fn source<'a>(&'a self, guess: Guess<'a>) -> Source<'a> {
+        match guess {
+            Guess::Live(i) => {
+                let inst = &self.instances[i];
+                Source {
+                    o: inst.o,
+                    psi: &inst.psi,
+                    psip: &inst.psip,
+                    phi: &inst.phi,
+                }
+            }
+            Guess::Summary(s) => Source {
+                o: s.o,
+                psi: &s.psi,
+                psip: &s.psip,
+                phi: &s.phi,
+            },
+        }
+    }
 
-        // Role h → cell occupancy estimates (Algorithm 3 step 3).
-        let mut counts = CellCounts::new(self.params.l());
-        for idx in 0..=(l as usize) {
-            let level = idx as i32 - 1;
-            let out = inst.h[idx].as_ref().map_err(|e| storage("h", level, e))?;
-            let psi = inst.psi[idx];
-            for (cell, cnt) in &out.cells {
-                counts.set(cell.clone(), *cnt as f64 / psi);
+    /// The FAIL verdict of `guess`'s store `idx` of `role`, rendered as
+    /// [`InstanceSummary`] carries it (`None` where the guess has no
+    /// store there). A live store answers from its view counters.
+    fn verdict(&self, guess: Guess<'_>, role: u8, idx: usize) -> Option<Result<(), String>> {
+        match guess {
+            Guess::Live(i) => {
+                let st = &self.role_stores(role)[idx];
+                let j = st.view(i)?;
+                Some(st.store.check(j).map_err(|e| format!("{e:?}")))
+            }
+            Guess::Summary(_) => self
+                .output(guess, role, idx)
+                .map(|out| out.map(|_| ()).map_err(Cow::into_owned)),
+        }
+    }
+
+    /// `guess`'s store `idx` of `role` (`None` where it has none); a live
+    /// store is decoded here.
+    fn output<'a>(
+        &'a self,
+        guess: Guess<'a>,
+        role: u8,
+        idx: usize,
+    ) -> Option<Result<Cow<'a, RoleLevelSummary>, Cow<'a, str>>> {
+        match guess {
+            Guess::Live(i) => self
+                .decode(&self.role_stores(role)[idx], i)
+                .map(|out| out.map(Cow::Owned).map_err(Cow::Owned)),
+            Guess::Summary(s) => {
+                let out = match role {
+                    trace::role::H => Some(&s.h[idx]),
+                    trace::role::HP => Some(&s.hp[idx]),
+                    _ => s.hhat[idx].as_ref(),
+                };
+                out.map(|out| {
+                    out.as_ref()
+                        .map(Cow::Borrowed)
+                        .map_err(|e| Cow::Borrowed(e.as_str()))
+                })
             }
         }
+    }
 
-        // Algorithm 1 on the estimates.
-        let partition =
-            Partition::build(&counts, &self.params, inst.o).map_err(FailReason::Partition)?;
+    /// Algorithms 3, 1 and 2 on one guess, cheapest rejection first:
+    /// every h store's verdict, then the h decode and the partition, the
+    /// heavy budget, the h′ verdicts, decode and part masses, and only
+    /// then the ĥ stores, level by level. A rejection reports the
+    /// [`FailReason`] of the first check it fails in that order.
+    fn try_instance(&self, guess: Guess<'_>) -> Result<Coreset, (Reject, FailReason)> {
+        let l = self.params.l() as usize;
+        let src = self.source(guess);
+        // A store that died renders as `Overflowed`, also at the end of
+        // a coordinator's merge failure.
+        let storage = |role: &str, level: i32, e: &str| {
+            let why = if e.ends_with("Overflowed") {
+                Reject::Overflowed
+            } else {
+                Reject::TooManyCells
+            };
+            let e = FailReason::Storage(format!("o={:.3e} {role} level {level}: {e}", src.o));
+            (why, e)
+        };
+        let cells = |role: u8, name: &str, offset: i32, rates: &[f64]| {
+            for idx in 0..=l {
+                if let Some(Err(e)) = self.verdict(guess, role, idx) {
+                    return Err(storage(name, idx as i32 + offset, &e));
+                }
+            }
+            // Role → cell occupancy estimates (Algorithm 3 steps 3 and 5).
+            let mut counts = CellCounts::new(self.params.l());
+            for (idx, &rate) in rates[..=l].iter().enumerate() {
+                let out = self
+                    .output(guess, role, idx)
+                    .expect("every instance has h and h′ stores")
+                    .map_err(|e| storage(name, idx as i32 + offset, &e))?;
+                for (cell, cnt) in &out.cells {
+                    counts.set(cell.clone(), *cnt as f64 / rate);
+                }
+            }
+            Ok(counts)
+        };
+
+        // Algorithm 1 on the role-h estimates.
+        let counts = cells(trace::role::H, "h", -1, src.psi)?;
+        let partition = Partition::build(&counts, &self.params, src.o)
+            .map_err(|e| (Reject::Partition, FailReason::Partition(e)))?;
         if let Some(sel) = self.params.selection_heavy_budget() {
             if partition.num_heavy() as f64 > sel {
-                return Err(FailReason::Partition(
-                    sbc_core::PartitionError::TooManyHeavyCells {
+                return Err((
+                    Reject::Partition,
+                    FailReason::Partition(sbc_core::PartitionError::TooManyHeavyCells {
                         count: partition.num_heavy(),
                         budget: sel.ceil() as usize,
-                    },
+                    }),
                 ));
             }
         }
 
-        // Role h′ → part masses (Algorithm 3 step 5).
-        let mut hp_counts = CellCounts::new(self.params.l());
-        for level in 0..=(l as usize) {
-            let out = inst.hp[level]
-                .as_ref()
-                .map_err(|e| storage("h'", level as i32, e))?;
-            let psip = inst.psip[level];
-            for (cell, cnt) in &out.cells {
-                hp_counts.set(cell.clone(), *cnt as f64 / psip);
-            }
-        }
+        // Role h′ → part masses; Algorithm 2 checks + assembly context.
+        let hp_counts = cells(trace::role::HP, "h'", 0, src.psip)?;
         let pm = PartMasses::from_counts(&hp_counts, &partition);
-
-        // Algorithm 2 checks + assembly context.
-        let ctx = CoresetBuilderCtx::new(&self.params, inst.o, partition, pm)?;
+        let ctx = CoresetBuilderCtx::new(&self.params, src.o, partition, pm).map_err(|e| {
+            let why = match e {
+                FailReason::Partition(_) => Reject::Partition,
+                _ => Reject::LevelMass,
+            };
+            (why, e)
+        })?;
 
         // Role ĥ → coreset samples with per-part nested sub-thresholds.
         // ĥ's hashes are the bank's last `L + 1`, level 0 first.
-        let hhat_base = 2 * (l as usize + 1);
+        let hhat_base = 2 * (l + 1);
         let mut entries = Vec::new();
         let mut part_phis: Vec<std::collections::HashMap<usize, f64>> =
-            vec![std::collections::HashMap::new(); l as usize + 1];
-        let mut level_phis = vec![0.0f64; l as usize + 1];
-        for level in 0..=(l as usize) {
-            level_phis[level] = inst.phi[level];
-            let Some(summary) = &inst.hhat[level] else {
+            vec![std::collections::HashMap::new(); l + 1];
+        let mut level_phis = vec![0.0f64; l + 1];
+        for level in 0..=l {
+            level_phis[level] = src.phi[level];
+            let Some(out) = self.output(guess, trace::role::HHAT, level) else {
                 continue; // Tᵢ(o) ≤ 1 ⇒ no non-empty crucial cells
             };
-            let out = summary
-                .as_ref()
-                .map_err(|e| storage("ĥ", level as i32, e))?;
+            let out = out.map_err(|e| storage("ĥ", level as i32, &e))?;
             // Coreset samples must be complete: a dirty small cell that
             // belongs to a kept part means lost samples — reject the
             // instance (conservatively, without checking part membership).
             if !out.dirty_small_cells.is_empty() {
-                return Err(FailReason::Storage(format!(
-                    "o={:.3e} ĥ level {level}: {} dirty small cells",
-                    inst.o,
-                    out.dirty_small_cells.len()
-                )));
+                return Err((
+                    Reject::DirtyCells,
+                    FailReason::Storage(format!(
+                        "o={:.3e} ĥ level {level}: {} dirty small cells",
+                        src.o,
+                        out.dirty_small_cells.len()
+                    )),
+                ));
             }
             for (point, mult) in &out.small_points {
                 let Some((lvl, part)) = ctx.accept(&self.grid, point, Some(level as i32)) else {
@@ -1717,6 +1815,60 @@ impl StreamCoresetBuilder {
             }
         }
         Ok(ctx.finish(entries, level_phis, part_phis, self.grid.shift().to_vec()))
+    }
+}
+
+/// One guess as [`StreamCoresetBuilder::try_instance`] reads it: instance
+/// `i` of the builder's own ladder, whose stores are decoded only when
+/// read, or a materialized summary (the distributed coordinator's).
+#[derive(Clone, Copy)]
+enum Guess<'a> {
+    Live(usize),
+    Summary(&'a InstanceSummary),
+}
+
+/// A guess's `o` and realized rates (`psi` indexed by `level + 1`,
+/// `psip` and `phi` by `level`).
+struct Source<'a> {
+    o: f64,
+    psi: &'a [f64],
+    psip: &'a [f64],
+    phi: &'a [f64],
+}
+
+/// Why a guess was not taken: the `stream.finish.reject.*` counter it
+/// bumps (recorded only under `obs`).
+#[derive(Clone, Copy)]
+enum Reject {
+    /// A store held more than `α` cells at end of stream.
+    TooManyCells,
+    /// A store died mid-stream.
+    Overflowed,
+    /// Algorithm 1: too many heavy cells, or the root is not heavy.
+    Partition,
+    /// Algorithm 2 line 6: a level's part mass exceeded its budget.
+    LevelMass,
+    /// A ĥ store lost the samples of a small cell to eviction.
+    DirtyCells,
+    /// The assembled coreset was empty.
+    Empty,
+    /// `o` lies outside the window the coreset's OPT estimate allows.
+    Window,
+}
+
+impl Reject {
+    /// Bumps this reason's counter.
+    fn count(self) {
+        match self {
+            Reject::TooManyCells => sbc_obs::counter!("stream.finish.reject.too_many_cells"),
+            Reject::Overflowed => sbc_obs::counter!("stream.finish.reject.overflowed"),
+            Reject::Partition => sbc_obs::counter!("stream.finish.reject.partition"),
+            Reject::LevelMass => sbc_obs::counter!("stream.finish.reject.level_mass"),
+            Reject::DirtyCells => sbc_obs::counter!("stream.finish.reject.dirty_cells"),
+            Reject::Empty => sbc_obs::counter!("stream.finish.reject.empty"),
+            Reject::Window => sbc_obs::counter!("stream.finish.reject.window"),
+        }
+        .incr();
     }
 }
 
@@ -1753,6 +1905,19 @@ fn route_store<T>(
                 (p, key, row[coff], delta, (cut - first) as usize)
             }),
     );
+}
+
+/// Lemma 4.2-style accounting of a ladder's stores: what a space-bounded
+/// deployment of the same configurations reserves as linear sketches.
+/// Dead stores count too — a fixed-size sketch does not give memory back
+/// mid-stream.
+fn nominal_sketch_bytes(stores: &[LadderStore]) -> usize {
+    stores
+        .iter()
+        .flat_map(|st| (0..st.store.len()).map(|j| st.store.config(j)))
+        .fold(0, |sum, cfg| {
+            sum.saturating_add(Storing::nominal_sketch_bytes(cfg))
+        })
 }
 
 /// Fault-injection salt for the store at ladder position `(o, role, idx)`.

@@ -205,6 +205,21 @@ impl View {
             .or(self.dead.then_some(StoreDeath::RunawayKill))
     }
 
+    /// The Lemma 4.2 FAIL verdict at end of stream, from the counters:
+    /// a view that died mid-stream, or one holding more than `α` cells.
+    fn check(&self) -> Result<(), StoringFail> {
+        if self.dead {
+            return Err(StoringFail::Overflowed);
+        }
+        if self.cells > self.cfg.alpha {
+            return Err(StoringFail::TooManyCells {
+                found: self.cells,
+                alpha: self.cfg.alpha,
+            });
+        }
+        Ok(())
+    }
+
     /// Marks the view dead; its cells are purged from the arena by the
     /// caller ([`Arena::purge`]).
     fn kill(&mut self) {
@@ -755,33 +770,20 @@ impl<K: CellKey> Arena<K> {
         }
     }
 
-    /// View `j`'s Lemma 4.2 output.
+    /// View `j`'s Lemma 4.2 output: its verdict first, then a walk of
+    /// the cells it holds.
     fn finish(&self, cx: &Ctx, vs: &Views, j: usize) -> Result<StoringOutput, StoringFail> {
         let view = &vs.all[j];
-        if view.dead {
-            return Err(StoringFail::Overflowed);
-        }
+        view.check()?;
         let k = j - vs.base;
-        let live: Vec<(K, &Cell, Tally)> = self
-            .table
-            .iter()
-            .filter_map(|(key, c)| {
-                let t = *c.tallies.get(k)?;
-                (t.count > 0).then_some((key, c, t))
-            })
-            .collect();
-        let alpha = view.cfg.alpha;
-        if live.len() > alpha {
-            return Err(StoringFail::TooManyCells {
-                found: live.len(),
-                alpha,
-            });
-        }
         let beta = view.cfg.beta as i64;
-        let mut out_cells = Vec::with_capacity(live.len());
+        let mut out_cells = Vec::with_capacity(view.cells);
         let mut small_points = Vec::new();
         let mut dirty_small_cells = Vec::new();
-        for (key, cell, t) in live {
+        for (key, cell) in self.table.iter() {
+            let Some(&t) = cell.tallies.get(k).filter(|t| t.count > 0) else {
+                continue;
+            };
             let name = self.cell_name(key.into(), cx);
             if t.count <= beta {
                 if t.dirty {
@@ -796,6 +798,7 @@ impl<K: CellKey> Arena<K> {
             }
             out_cells.push((name, t.count));
         }
+        debug_assert_eq!(out_cells.len(), view.cells, "view {j}'s running cell count");
         out_cells.sort_by(|a, b| a.0.cmp(&b.0));
         small_points.sort_by(|a, b| a.0.cmp(&b.0));
         dirty_small_cells.sort();
@@ -1307,6 +1310,13 @@ impl Nested {
         with_arena!(&self.arena, a => a.finish(&cx, &self.views, j))
     }
 
+    /// The error [`Self::finish`] would return for view `j`, read off the
+    /// view's counters in O(1): `Overflowed` for a dead view,
+    /// `TooManyCells` when it holds more than `α` cells.
+    pub fn check(&self, j: usize) -> Result<(), StoringFail> {
+        self.views.all[j].check()
+    }
+
     /// Whether view `j` died mid-stream.
     pub fn is_dead(&self, j: usize) -> bool {
         self.views.all[j].dead
@@ -1772,6 +1782,72 @@ mod tests {
                 "kill and fault events report update counts"
             );
         }
+    }
+
+    /// `check` answers exactly the error `finish` fails with, from the
+    /// view counters alone, and both agree with the verdict a walk of the
+    /// view's cells gives: after every batch of a churned stream (cap
+    /// kills, an armed fault, stores with more than `α` cells), after
+    /// checkpoint → `load_arena`, and after a two-shard merge — so
+    /// `View::cells` survives each of them.
+    #[test]
+    fn check_equals_finish_error() {
+        // `(ok, too many cells, overflowed)` verdicts seen.
+        let mut seen = [false; 3];
+        for (gp, level) in [
+            (GridParams::from_log_delta(6, 2), 3),
+            (GridParams::from_log_delta(10, 16), 4),
+        ] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let grid = GridHierarchy::new(gp, &mut rng);
+            let pts = uniform(gp, 160, 13);
+            let ops = stream(&pts, &mut rng);
+            let specs = specs();
+            let mut agree = |st: &Nested, at: &str| {
+                for (j, snap) in st.snapshots(&grid).iter().enumerate() {
+                    let alpha = st.config(j).alpha;
+                    let walked = match (snap.death, snap.cells.len()) {
+                        (Some(_), _) => Err(StoringFail::Overflowed),
+                        (None, found) if found > alpha => {
+                            Err(StoringFail::TooManyCells { found, alpha })
+                        }
+                        (None, _) => Ok(()),
+                    };
+                    let verdict = st.check(j);
+                    assert_eq!(verdict, walked, "{at}, view {j}");
+                    assert_eq!(verdict, st.finish(&grid, j).map(|_| ()), "{at}, view {j}");
+                    let kind = match verdict {
+                        Ok(()) => 0,
+                        Err(StoringFail::TooManyCells { .. }) => 1,
+                        Err(_) => 2,
+                    };
+                    seen[kind] = true;
+                }
+            };
+            let cuts =
+                |keys: &[u128], out: &mut Vec<usize>| out.extend(keys.iter().map(|&k| cut_of(k)));
+            let (a_ops, b_ops): (Vec<_>, Vec<_>) = ops
+                .iter()
+                .cloned()
+                .partition(|(p, _)| p.key128(gp.delta) % 2 == 0);
+            let mut shards = [&a_ops, &b_ops].map(|ops| (nested(&grid, level, &specs), ops));
+            for (s, (st, ops)) in shards.iter_mut().enumerate() {
+                for (b, batch) in ops.chunks(17).enumerate() {
+                    feed(st, &grid, level, batch, None);
+                    agree(st, &format!("shard {s}, batch {b}"));
+                    if b % 4 == 3 {
+                        let mut back = nested(&grid, level, &specs);
+                        assert!(back.load_arena(&grid, &st.checkpoint(), &cuts));
+                        agree(&back, &format!("shard {s}, loaded at batch {b}"));
+                        *st = back;
+                    }
+                }
+            }
+            let [(mut a, _), (b, _)] = shards;
+            assert!(a.merge_from(&b));
+            agree(&a, "merged");
+        }
+        assert_eq!(seen, [true; 3], "every verdict shows");
     }
 
     /// Every view of a nested store equals a one-view store fed only the

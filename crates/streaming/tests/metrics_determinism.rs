@@ -35,11 +35,15 @@ struct RunResult {
     net_count: i64,
     summaries: Vec<InstanceSummary>,
     space: SpaceReport,
+    /// The `finish_ref` outcome: the chosen guess and its entries, or
+    /// the failure.
+    finish: String,
     snapshot: sbc_obs::MetricsSnapshot,
 }
 
-/// One full ingest with the registry reset first and recording switched
-/// per `record`; returns everything observable about the run.
+/// One full ingest and a `finish_ref`, with the registry reset first and
+/// recording switched per `record`; returns everything observable about
+/// the run.
 fn ingest(
     p: &CoresetParams,
     sp: StreamParams,
@@ -52,11 +56,15 @@ fn ingest(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut b = StreamCoresetBuilder::new(p.clone(), sp, &mut rng);
     b.process_all(ops);
+    let finish = b
+        .finish_ref()
+        .map(|cs| format!("o={:?} {:?}", cs.o, cs.entries()));
     sbc_obs::set_enabled(false);
     RunResult {
         net_count: b.net_count(),
         summaries: b.export_summaries(),
         space: b.space_report(),
+        finish: format!("{finish:?}"),
         snapshot: sbc_obs::snapshot(),
     }
 }
@@ -135,6 +143,7 @@ fn assert_metrics_invisible(p: &CoresetParams, ops: &[StreamOp], seed: u64) {
         "metrics changed decoded instance state"
     );
     assert_eq!(on.space, off.space, "metrics changed space accounting");
+    assert_eq!(on.finish, off.finish, "metrics changed the finish outcome");
 
     // Disabled runs record nothing even when the feature is compiled in.
     assert!(off.snapshot.counters.iter().all(|(_, v)| *v == 0));
@@ -169,6 +178,25 @@ fn assert_metrics_invisible(p: &CoresetParams, ops: &[StreamOp], seed: u64) {
             ops.len() as u64 - inserted
         );
         assert!(get("stream.store.updates") > 0);
+        // Every guess `finish_ref` tried was rejected, except the one it
+        // returned (unless that was a fallback, rejected first).
+        let tried = get("stream.finish.instances");
+        let rejected: u64 = on
+            .snapshot
+            .counters
+            .iter()
+            .filter(|(n, _)| n.starts_with("stream.finish.reject."))
+            .map(|(_, v)| *v)
+            .sum();
+        assert!(tried > 0, "finish_ref tried no guess");
+        if on.finish.starts_with("Err") {
+            assert_eq!(rejected, tried, "{}", on.finish);
+        } else {
+            assert!(
+                rejected + 1 >= tried && rejected <= tried,
+                "{rejected} of {tried}"
+            );
+        }
     }
 }
 
@@ -215,6 +243,7 @@ fn metrics_invisible_under_store_death() {
     let recorded = ingest(&p, sp, &ops, 41, true);
     assert_eq!(probe.summaries, recorded.summaries);
     assert_eq!(probe.space, recorded.space);
+    assert_eq!(probe.finish, recorded.finish);
 
     #[cfg(feature = "obs")]
     {
