@@ -496,7 +496,7 @@ fn e6_distributed(scale: &Scale) {
         ]);
     }
     table.print();
-    println!("Shape check: upload/machine shrinks (bounded summaries), total upload");
+    println!("Shape check: upload/machine shrinks (bounded sketch images), total upload");
     println!("grows ≲ linearly in s; quality flat across s.\n");
 }
 

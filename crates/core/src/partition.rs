@@ -258,7 +258,8 @@ pub struct PartMasses {
 }
 
 impl PartMasses {
-    /// Aggregates crucial-cell masses into part masses.
+    /// Aggregates crucial-cell masses into part masses, summing in cell
+    /// order so the `f64` totals do not depend on hash-map iteration.
     pub fn from_counts(counts: &CellCounts, partition: &Partition) -> Self {
         let l = counts.l() as i32;
         let mut masses: Vec<Vec<f64>> = (0..=l)
@@ -266,7 +267,9 @@ impl PartMasses {
             .collect();
         let mut level_mass = vec![0.0; l as usize + 1];
         for level in 0..=l {
-            for (cell, mass) in counts.cells_at(level) {
+            let mut cells: Vec<(&CellId, f64)> = counts.cells_at(level).collect();
+            cells.sort_by(|a, b| a.0.cmp(b.0));
+            for (cell, mass) in cells {
                 if let Some((i, j)) = partition.part_of_cell(cell) {
                     debug_assert_eq!(i, level);
                     masses[level as usize][j] += mass;

@@ -9,18 +9,18 @@
 //!
 //! 1. the coordinator broadcasts the random grid shift and the λ-wise
 //!    hash seed (so every machine samples identically);
-//! 2. each machine summarizes its shard — per `o` instance, per level,
-//!    per role — into the `(C⁽ʲ⁾, f⁽ʲ⁾, S⁽ʲ⁾)` triples of Lemma 4.6
-//!    (re-using `sbc-streaming`'s builder: a shard is just an
-//!    insertion-only stream) and ships them;
-//! 3. the coordinator merges (`f(C) = Σⱼ f⁽ʲ⁾(C)`, `S = ∪ⱼ S⁽ʲ⁾`
-//!    re-filtered at the *global* small-cell threshold, α re-checked)
-//!    and assembles the coreset with the shared streaming/offline
-//!    assembly logic.
+//! 2. each machine ingests its shard into `sbc-streaming`'s builder (a
+//!    shard is just an insertion-only stream) and uploads the builder's
+//!    checkpoint image — one arena per (role, level), every `o`
+//!    instance's `(C⁽ʲ⁾, f⁽ʲ⁾, S⁽ʲ⁾)` triple of Lemma 4.6 a view of it;
+//! 3. the coordinator restores the images and folds them with the
+//!    builder's own lossless merge (`f(C) = Σⱼ f⁽ʲ⁾(C)`, `S = ∪ⱼ S⁽ʲ⁾`,
+//!    every view's α and β rules re-applied to the merged occupancy),
+//!    then `finish`es the merged builder like a monolithic one.
 //!
-//! Every machine→coordinator message is actually encoded to bytes with
-//! the hand-rolled wire format in [`wire`] and decoded on the other side
-//! — the byte counts in [`CommStats`] are exact, which is what
+//! Every machine→coordinator message is actually encoded to bytes (the
+//! checkpoint format, inside a [`wire`] envelope) and decoded on the
+//! other side — the byte counts in [`CommStats`] are exact, which is what
 //! experiment E6 (communication ∝ `s·poly(ε⁻¹η⁻¹kd log Δ)`) measures.
 //! A crossbeam-threaded executor runs machines genuinely in parallel.
 
@@ -30,4 +30,4 @@
 pub mod protocol;
 pub mod wire;
 
-pub use protocol::{CommStats, DistributedCoreset, MergeFailure};
+pub use protocol::{CommStats, DistributedCoreset};

@@ -4,16 +4,19 @@
 //!
 //! 1. **Broadcast** — the coordinator draws the random grid shift and a
 //!    hash seed and sends both to all `s` machines (`O(s·d·L)` bytes).
-//! 2. **Local summaries** — machine `j` replays its shard as an
+//! 2. **Local sketches** — machine `j` replays its shard as an
 //!    insertion-only stream through `sbc-streaming`'s builder
 //!    (constructed from the shared seed, so all machines and the
 //!    coordinator sample with *identical* λ-wise hash functions) and
-//!    sends its per-instance `(C⁽ʲ⁾, f⁽ʲ⁾, S⁽ʲ⁾)` summaries, encoded.
-//! 3. **Merge + assemble** — the coordinator sums cell counts, unions
-//!    small-cell points re-filtered at the global `β` threshold
-//!    (Lemma 4.6: a globally-small cell is locally small on every
-//!    machine, so no point is missed), re-checks `α`, and assembles the
-//!    coreset with the shared streaming assembly.
+//!    uploads the builder's checkpoint image: one arena per (role,
+//!    level), of which every guess's `(C⁽ʲ⁾, f⁽ʲ⁾, S⁽ʲ⁾)` is a view.
+//! 3. **Merge + assemble** — the coordinator restores each image and
+//!    folds them with [`StreamCoresetBuilder::merge`]: counts add, the
+//!    small-cell payloads union, and every view's rules are re-applied
+//!    to the merged occupancy (Lemma 4.6: a globally-small cell is
+//!    locally small on every machine, so no point is missed). The merged
+//!    builder holds what one builder over the whole point set would, and
+//!    its `finish` assembles the coreset.
 //!
 //! Machines run either serially or on real threads (crossbeam scope);
 //! the outputs are identical because each machine's computation is
@@ -26,6 +29,11 @@
 //! duplicates are discarded by `(machine, seq)`. Under any survivable
 //! loss schedule the coordinator therefore assembles the *same* coreset
 //! as a lossless run — asserted by the fault tests below.
+//!
+//! The coordinator trusts no upload: bytes that are not a well-formed
+//! image fail the run with `FailReason::Storage("malformed upload")`,
+//! and an image whose parameters, grid shift or hash coefficients are
+//! not the broadcast ones is refused by the merge check.
 
 use crate::wire::{from_bytes, to_bytes, Encode, Envelope};
 use parking_lot::Mutex;
@@ -35,9 +43,9 @@ use sbc_core::{Coreset, CoresetParams, FailReason};
 use sbc_geometry::{GridHierarchy, Point};
 use sbc_obs::fault::FaultPlan;
 use sbc_obs::trace::{self, CausalIds, TraceKind};
-use sbc_streaming::coreset_stream::{InstanceSummary, RoleLevelSummary, StreamParams};
-use sbc_streaming::StreamCoresetBuilder;
-use std::collections::{HashMap, HashSet};
+use sbc_obs::MetricsSnapshot;
+use sbc_streaming::{MergeError, Snapshot, StreamCoresetBuilder, StreamParams};
+use std::collections::HashSet;
 
 /// Exact communication accounting for one protocol run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -69,77 +77,6 @@ impl CommStats {
         self.broadcast_bytes + self.upload_bytes
     }
 }
-
-/// Typed failure of a per-role summary merge, replacing the ad-hoc
-/// free-form `String` errors that used to be formatted inline.
-///
-/// The wire/summary data model (`InstanceSummary`) still carries
-/// `Result<_, String>` — both ends of the wire run the same binary and
-/// the codec already round-trips strings — but every error string is
-/// now produced by [`MergeFailure::to_wire`], which prefixes a **stable
-/// numeric code** (`"E<code>: <detail>"`). Coordinators and tooling
-/// match on the code via [`MergeFailure::code_of_wire`] instead of
-/// substring-grepping prose. The codes live in the workspace error-code
-/// registry (see `sbc::api`): 300–399 is reserved for summary-merge
-/// failures.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MergeFailure {
-    /// A machine shipped a FAILed store for this role-level (code 300).
-    MachineStoreFailed(String),
-    /// The merged cell set exceeded the per-store cell budget α
-    /// (code 301).
-    AlphaExceeded {
-        /// Distinct non-empty cells after merging.
-        cells: usize,
-        /// The (minimum) per-machine cell budget.
-        alpha: usize,
-    },
-    /// Machines disagreed on whether the ĥ store exists at this level
-    /// (code 302).
-    InconsistentHhatPresence,
-}
-
-impl MergeFailure {
-    /// The stable numeric code carried on the wire.
-    pub fn code(&self) -> u16 {
-        match self {
-            MergeFailure::MachineStoreFailed(_) => 300,
-            MergeFailure::AlphaExceeded { .. } => 301,
-            MergeFailure::InconsistentHhatPresence => 302,
-        }
-    }
-
-    /// Renders the canonical wire form: `"E<code>: <detail>"`.
-    pub fn to_wire(&self) -> String {
-        format!("E{}: {self}", self.code())
-    }
-
-    /// Extracts the numeric code from a wire-form error string, if it
-    /// carries one (strings from pre-code builds do not).
-    pub fn code_of_wire(s: &str) -> Option<u16> {
-        let rest = s.strip_prefix('E')?;
-        let (digits, _) = rest.split_once(':')?;
-        digits.parse().ok()
-    }
-}
-
-impl std::fmt::Display for MergeFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MergeFailure::MachineStoreFailed(detail) => {
-                write!(f, "machine store failed: {detail}")
-            }
-            MergeFailure::AlphaExceeded { cells, alpha } => {
-                write!(f, "merged cells {cells} exceed α = {alpha}")
-            }
-            MergeFailure::InconsistentHhatPresence => {
-                write!(f, "inconsistent ĥ store presence")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MergeFailure {}
 
 /// The broadcast message (wire-encoded for accounting).
 struct Broadcast {
@@ -194,19 +131,19 @@ impl DistributedCoreset {
     }
 
     /// Runs the protocol with **binary-tree aggregation**: instead of
-    /// every machine uploading straight to the coordinator, summaries
-    /// are merged pairwise up a fixed binary tree (shard index = leaf
-    /// order, pairs `(0,1), (2,3), …`; an odd node passes through
-    /// unsent). Every non-root merged node re-enters the faulty
+    /// every machine's image going straight into the coordinator's fold,
+    /// images are merged pairwise up a fixed binary tree (shard index =
+    /// leaf order, pairs `(0,1), (2,3), …`; an odd node passes through
+    /// unsent). Every non-root merged node's image re-enters the faulty
     /// envelope network as `Envelope { machine: node, seq: level }`, so
     /// drops, duplicates, retries, and backoff are accounted at every
     /// level — the communication pattern of the paper's Theorem 5.1
     /// protocol when machines form an aggregation tree.
     ///
-    /// For these insertion-only shards the pairwise `β`-filter commutes
-    /// with the flat merge (counts only grow up the tree), so the
-    /// assembled coreset is **identical** to [`DistributedCoreset::run`]
-    /// — asserted by the tree tests below.
+    /// The pairs are the ones [`StreamCoresetBuilder::merge_many`] folds
+    /// and the merge is lossless, so the assembled coreset is
+    /// **identical** to [`DistributedCoreset::run`]'s — asserted by the
+    /// tree tests below.
     pub fn run_tree(
         shards: &[Vec<Point>],
         params: &CoresetParams,
@@ -239,9 +176,15 @@ impl DistributedCoreset {
         sbc_obs::counter!("dist.protocol.runs").incr();
         sbc_obs::counter!("dist.protocol.machines").add(s as u64);
         let _span = sbc_obs::span!("dist.protocol.run_ns");
-        let mut stats = CommStats {
-            machines: s,
-            ..Default::default()
+        let mut net = Network {
+            plan: sparams.faults,
+            max_attempts: sparams.faults.max_retries.max(1) as u64,
+            delivery_idx: 0,
+            seen: HashSet::new(),
+            stats: CommStats {
+                machines: s,
+                ..Default::default()
+            },
         };
 
         // 1. Coordinator: draw shift + hash seed, broadcast.
@@ -256,25 +199,27 @@ impl DistributedCoreset {
             let _mem = sbc_obs::alloc::scope(sbc_obs::alloc::Component::Wire);
             to_bytes(&broadcast)
         };
-        stats.broadcast_bytes = (bcast_bytes.len() * s) as u64;
-        stats.messages += s as u64;
-        sbc_obs::counter!("dist.wire.broadcast_bytes").add(stats.broadcast_bytes);
+        net.stats.broadcast_bytes = (bcast_bytes.len() * s) as u64;
+        net.stats.messages += s as u64;
+        sbc_obs::counter!("dist.wire.broadcast_bytes").add(net.stats.broadcast_bytes);
         sbc_obs::counter!("dist.wire.messages_down").add(s as u64);
 
-        // 2. Machines: summarize their shard (identical hash functions
-        //    come from the shared seed) and upload encoded summaries.
-        let machine = |shard: &Vec<Point>| -> Vec<u8> {
+        // 2. Machines: ingest their shard into a builder drawn from the
+        //    broadcast (identical hash functions come from the shared
+        //    seed) and upload its image.
+        let builder = |shift: Vec<f64>| {
             let mut rng = StdRng::seed_from_u64(hash_seed);
-            let machine_grid = GridHierarchy::with_shift(params.grid, broadcast.shift.clone());
-            let mut builder =
-                StreamCoresetBuilder::with_grid(params.clone(), *sparams, machine_grid, &mut rng);
-            builder.insert_batch(shard);
-            let _mem = sbc_obs::alloc::scope(sbc_obs::alloc::Component::Wire);
-            to_bytes(&builder.export_summaries())
+            let grid = GridHierarchy::with_shift(params.grid, shift);
+            StreamCoresetBuilder::with_grid(params.clone(), *sparams, grid, &mut rng)
+        };
+        let machine = |shard: &Vec<Point>| {
+            let mut b = builder(broadcast.shift.clone());
+            b.insert_batch(shard);
+            image(&b)
         };
 
-        let uploads: Vec<Vec<u8>> = if threaded {
-            let results: Mutex<Vec<(usize, Vec<u8>)>> = Mutex::new(Vec::with_capacity(s));
+        let uploads: Vec<Result<Vec<u8>, FailReason>> = if threaded {
+            let results = Mutex::new(Vec::with_capacity(s));
             crossbeam::scope(|scope| {
                 for (j, shard) in shards.iter().enumerate() {
                     let results = &results;
@@ -295,157 +240,165 @@ impl DistributedCoreset {
 
         // 3. The (simulated) network: each upload travels in an
         //    `Envelope` and may be dropped or duplicated per the fault
-        //    plan. Transmissions are indexed by a sequential counter;
-        //    the delivery loop runs in the coordinator, serially in
-        //    machine order after the (possibly threaded) compute
-        //    barrier, so the threaded and serial paths inject identical
-        //    faults. Dropped sends are retried with simulated
-        //    exponential backoff; delivered duplicates are discarded by
-        //    `(machine, seq)` before decode, making re-delivery
-        //    idempotent.
-        let plan = sparams.faults;
-        let max_attempts = plan.max_retries.max(1) as u64;
-        let mut received: Vec<Option<Vec<u8>>> = vec![None; s];
-        let mut seen: HashSet<(u32, u64)> = HashSet::new();
-        let mut delivery_idx = 0u64;
+        //    plan. The delivery loop runs in the coordinator, serially in
+        //    machine order after the (possibly threaded) compute barrier,
+        //    so the threaded and serial paths inject identical faults.
+        let mut leaves = Vec::with_capacity(s);
         for (j, payload) in uploads.into_iter().enumerate() {
             let env = Envelope {
                 machine: j as u32,
                 seq: 0,
-                payload,
+                payload: payload?,
             };
-            let delivered = send_envelope(
-                env,
-                plan,
-                max_attempts,
-                &mut delivery_idx,
-                &mut stats,
-                &mut seen,
-            )
-            .map_err(|attempts| {
-                FailReason::Storage(format!(
-                    "machine {j}: upload lost after {attempts} send attempt(s)"
-                ))
-            })?;
-            if let Some(payload) = delivered {
-                received[j] = Some(payload);
-            }
+            let payload = net
+                .send(env)
+                .map_err(|attempts| {
+                    FailReason::Storage(format!(
+                        "machine {j}: upload lost after {attempts} send attempt(s)"
+                    ))
+                })?
+                .ok_or_else(|| FailReason::Storage("missing upload".into()))?;
+            leaves.push(open(&payload)?);
         }
 
-        // 4. Coordinator: decode, merge (flat or up the binary tree),
-        //    assemble.
-        let decoded: Vec<Vec<InstanceSummary>> = received
-            .iter()
-            .map(|slot| {
-                let bytes = slot
-                    .as_ref()
-                    .ok_or_else(|| FailReason::Storage("missing upload".into()))?;
-                from_bytes(bytes).ok_or_else(|| FailReason::Storage("malformed upload".into()))
-            })
-            .collect::<Result<_, _>>()?;
-        let merged = if tree {
-            fold_tree(
-                &grid,
-                decoded,
-                plan,
-                max_attempts,
-                &mut delivery_idx,
-                &mut stats,
-                &mut seen,
-            )?
-        } else {
-            merge_summaries(&grid, decoded)?
-        };
+        // 4. Coordinator: fold the images (flat or up the binary tree)
+        //    and its own builder, then assemble.
+        let root = fold(leaves, builder(broadcast.shift), tree, &mut net)?;
+        let stats = net.stats;
         sbc_obs::counter!("dist.wire.upload_bytes").add(stats.upload_bytes);
         sbc_obs::counter!("dist.wire.messages_up").add(stats.messages - s as u64);
-
-        let mut rng = StdRng::seed_from_u64(hash_seed);
-        let mut coordinator =
-            StreamCoresetBuilder::with_grid(params.clone(), *sparams, grid, &mut rng);
-        let coreset = coordinator.finish_from_summaries(&merged)?;
-        Ok((coreset, stats))
+        Ok((root.finish()?, stats))
     }
 }
 
-/// Pushes one envelope through the simulated faulty network: every
-/// transmission is accounted in `stats`, drops are retried with
-/// simulated exponential backoff up to `max_attempts`, duplicates are
-/// discarded by the `(machine, seq)` dedupe in `seen`.
-///
-/// Returns the delivered payload (`None` if every arriving copy was a
-/// duplicate of an already-seen envelope) or `Err(attempts)` when the
-/// attempt budget is exhausted.
-fn send_envelope(
-    env: Envelope,
+/// The coordinator's fold of the machines' builders, flat or up the
+/// binary tree ([`fold_tree`]). Its own builder, drawn from the
+/// broadcast, holds nothing and goes in last: that leaves the root's
+/// state as it is, and the merge check refuses a root whose parameters,
+/// grid shift or hash coefficients are not the broadcast ones.
+fn fold(
+    leaves: Vec<StreamCoresetBuilder>,
+    coordinator: StreamCoresetBuilder,
+    tree: bool,
+    net: &mut Network,
+) -> Result<StreamCoresetBuilder, FailReason> {
+    let root = if tree {
+        fold_tree(leaves, net)?
+    } else {
+        StreamCoresetBuilder::merge_many(leaves).map_err(refused)?
+    };
+    root.merge(coordinator).map_err(refused)
+}
+
+/// A builder's checkpoint image as it goes on the wire. The process
+/// metrics registry, which a checkpoint carries while `sbc-obs` records,
+/// stays home: the bytes, and what restoring them does, must not depend
+/// on whether the sending process records metrics.
+fn image(builder: &StreamCoresetBuilder) -> Result<Vec<u8>, FailReason> {
+    let mut snap = builder
+        .checkpoint()
+        .map_err(|e| FailReason::Storage(format!("image: {e}")))?;
+    snap.metrics = MetricsSnapshot::default();
+    Ok(snap.to_bytes())
+}
+
+/// Restores an uploaded image. Bytes that do not decode to a restorable
+/// image, or that carry a metrics registry, fail the run.
+fn open(payload: &[u8]) -> Result<StreamCoresetBuilder, FailReason> {
+    Snapshot::from_bytes(payload)
+        .ok()
+        .filter(|snap| snap.metrics == MetricsSnapshot::default())
+        .and_then(|snap| StreamCoresetBuilder::restore(&snap).ok())
+        .ok_or_else(|| FailReason::Storage("malformed upload".into()))
+}
+
+/// An upload the merge check refused.
+fn refused(e: MergeError) -> FailReason {
+    FailReason::Storage(format!("refused upload: {e}"))
+}
+
+/// The simulated faulty network between machines and coordinator, and
+/// its accounting.
+struct Network {
     plan: FaultPlan,
     max_attempts: u64,
-    delivery_idx: &mut u64,
-    stats: &mut CommStats,
-    seen: &mut HashSet<(u32, u64)>,
-) -> Result<Option<Vec<u8>>, u64> {
-    let _mem = sbc_obs::alloc::scope(sbc_obs::alloc::Component::Wire);
-    let env_bytes = to_bytes(&env);
-    sbc_obs::histogram!("dist.wire.upload_msg_bytes").record(env_bytes.len() as u64);
-    let wire_ids = CausalIds::NONE.on_machine(env.machine as u16);
-    for attempt in 0..max_attempts {
-        let idx = *delivery_idx;
-        *delivery_idx += 1;
-        stats.messages += 1;
-        stats.upload_bytes += env_bytes.len() as u64;
-        trace::instant("wire.send", wire_ids, idx);
-        if attempt > 0 {
-            stats.retransmissions += 1;
-            stats.backoff_units += 1 << (attempt - 1);
-            sbc_obs::counter!("dist.fault.retransmit").incr();
-            trace::instant("wire.retry", wire_ids, attempt);
-        }
-        if plan.drops_delivery(idx) {
-            stats.dropped += 1;
-            sbc_obs::counter!("dist.fault.drop").incr();
-            trace::event(TraceKind::Fault, "wire.drop", wire_ids, idx);
-            continue;
-        }
-        let copies = if plan.duplicates_delivery(idx) {
-            stats.duplicates += 1;
-            sbc_obs::counter!("dist.fault.dup").incr();
-            trace::event(TraceKind::Fault, "wire.dup", wire_ids, idx);
-            2
-        } else {
-            1
-        };
-        let mut delivered = None;
-        for _ in 0..copies {
-            // Round-trip through bytes: the receiver decodes what was
-            // actually on the wire.
-            let env: Envelope = from_bytes(&env_bytes).expect("wire round-trip");
-            if seen.insert((env.machine, env.seq)) {
-                delivered = Some(env.payload);
-            } else {
-                sbc_obs::counter!("dist.fault.dedup").incr();
-                trace::instant("wire.dedup", wire_ids, idx);
-            }
-        }
-        return Ok(delivered);
-    }
-    Err(max_attempts)
+    /// Transmissions so far: the index fault decisions are keyed by.
+    delivery_idx: u64,
+    /// `(machine, seq)` of every envelope delivered so far.
+    seen: HashSet<(u32, u64)>,
+    stats: CommStats,
 }
 
-/// Folds per-machine summaries up a fixed binary merge tree, pushing
-/// every non-root merged node back through the faulty network.
+impl Network {
+    /// Pushes one envelope through the network: every transmission is
+    /// accounted in `stats`, drops are retried with simulated
+    /// exponential backoff up to `max_attempts`, duplicates are
+    /// discarded by the `(machine, seq)` dedupe.
+    ///
+    /// Returns the delivered payload (`None` if every arriving copy was
+    /// a duplicate of an already-seen envelope) or `Err(attempts)` when
+    /// the attempt budget is exhausted.
+    fn send(&mut self, env: Envelope) -> Result<Option<Vec<u8>>, u64> {
+        let _mem = sbc_obs::alloc::scope(sbc_obs::alloc::Component::Wire);
+        let env_bytes = to_bytes(&env);
+        sbc_obs::histogram!("dist.wire.upload_msg_bytes").record(env_bytes.len() as u64);
+        let wire_ids = CausalIds::NONE.on_machine(env.machine as u16);
+        let stats = &mut self.stats;
+        for attempt in 0..self.max_attempts {
+            let idx = self.delivery_idx;
+            self.delivery_idx += 1;
+            stats.messages += 1;
+            stats.upload_bytes += env_bytes.len() as u64;
+            trace::instant("wire.send", wire_ids, idx);
+            if attempt > 0 {
+                stats.retransmissions += 1;
+                stats.backoff_units += 1 << (attempt - 1);
+                sbc_obs::counter!("dist.fault.retransmit").incr();
+                trace::instant("wire.retry", wire_ids, attempt);
+            }
+            if self.plan.drops_delivery(idx) {
+                stats.dropped += 1;
+                sbc_obs::counter!("dist.fault.drop").incr();
+                trace::event(TraceKind::Fault, "wire.drop", wire_ids, idx);
+                continue;
+            }
+            let copies = if self.plan.duplicates_delivery(idx) {
+                stats.duplicates += 1;
+                sbc_obs::counter!("dist.fault.dup").incr();
+                trace::event(TraceKind::Fault, "wire.dup", wire_ids, idx);
+                2
+            } else {
+                1
+            };
+            let mut delivered = None;
+            for _ in 0..copies {
+                // Round-trip through bytes: the receiver decodes what was
+                // actually on the wire.
+                let env: Envelope = from_bytes(&env_bytes).expect("wire round-trip");
+                if self.seen.insert((env.machine, env.seq)) {
+                    delivered = Some(env.payload);
+                } else {
+                    sbc_obs::counter!("dist.fault.dedup").incr();
+                    trace::instant("wire.dedup", wire_ids, idx);
+                }
+            }
+            return Ok(delivered);
+        }
+        Err(self.max_attempts)
+    }
+}
+
+/// Folds the machines' builders up a fixed binary merge tree, pushing
+/// every non-root merged node's image back through the faulty network.
 ///
 /// Leaf order = shard order; level `ℓ ≥ 1` nodes travel as
 /// `Envelope { machine: node index within level, seq: ℓ }`, which never
 /// collides with the leaves' `(j, 0)` dedupe keys. An odd node at the
 /// end of a level is carried up without a re-send (it already arrived).
 fn fold_tree(
-    grid: &GridHierarchy,
-    leaves: Vec<Vec<InstanceSummary>>,
-    plan: FaultPlan,
-    max_attempts: u64,
-    delivery_idx: &mut u64,
-    stats: &mut CommStats,
-    seen: &mut HashSet<(u32, u64)>,
-) -> Result<Vec<InstanceSummary>, FailReason> {
+    leaves: Vec<StreamCoresetBuilder>,
+    net: &mut Network,
+) -> Result<StreamCoresetBuilder, FailReason> {
     let _span = sbc_obs::span!("dist.tree.fold_ns");
     let mut level = leaves;
     let mut lvl: u64 = 1;
@@ -461,7 +414,7 @@ fn fold_tree(
                 next.push(a);
                 break;
             };
-            let merged = merge_summaries(grid, vec![a, b])?;
+            let merged = a.merge(b).map_err(refused)?;
             sbc_obs::counter!("dist.tree.merges").incr();
             trace::event(
                 TraceKind::Merge,
@@ -470,25 +423,22 @@ fn fold_tree(
                 lvl,
             );
             if next_len > 1 {
-                // Not the root: the merged summary re-enters the wire on
+                // Not the root: the merged image re-enters the wire on
                 // its way to the next aggregator.
                 let env = Envelope {
                     machine: node_idx,
                     seq: lvl,
-                    payload: to_bytes(&merged),
+                    payload: image(&merged)?,
                 };
-                let payload =
-                    send_envelope(env, plan, max_attempts, delivery_idx, stats, seen)
-                        .map_err(|attempts| {
-                            FailReason::Storage(format!(
+                let payload = net
+                    .send(env)
+                    .map_err(|attempts| {
+                        FailReason::Storage(format!(
                             "tree node {node_idx} (level {lvl}): upload lost after {attempts} send attempt(s)"
                         ))
-                        })?
-                        .ok_or_else(|| FailReason::Storage("missing tree upload".into()))?;
-                next.push(
-                    from_bytes(&payload)
-                        .ok_or_else(|| FailReason::Storage("malformed tree upload".into()))?,
-                );
+                    })?
+                    .ok_or_else(|| FailReason::Storage("missing tree upload".into()))?;
+                next.push(open(&payload)?);
             } else {
                 // The root merge happens at the coordinator itself.
                 next.push(merged);
@@ -499,150 +449,6 @@ fn fold_tree(
         lvl += 1;
     }
     Ok(level.pop().expect("tree fold leaves one root"))
-}
-
-/// Merges per-machine instance summaries into global ones.
-///
-/// Cell counts add; small-cell points union and are re-filtered at the
-/// *global* count threshold `β` (Lemma 4.6's argument: a cell with ≤ β
-/// points globally has ≤ β on every machine, so its points all appear in
-/// some machine's `S⁽ʲ⁾`). `α` is re-checked on the merged cell sets. A
-/// role-level that FAILed on any machine is failed globally.
-pub fn merge_summaries(
-    grid: &GridHierarchy,
-    per_machine: Vec<Vec<InstanceSummary>>,
-) -> Result<Vec<InstanceSummary>, FailReason> {
-    let num_instances = per_machine
-        .iter()
-        .map(Vec::len)
-        .min()
-        .ok_or_else(|| FailReason::Storage("no machines".into()))?;
-
-    let mut merged = Vec::with_capacity(num_instances);
-    for idx in 0..num_instances {
-        let first = &per_machine[0][idx];
-        let mut inst = InstanceSummary {
-            o: first.o,
-            h: Vec::new(),
-            hp: Vec::new(),
-            hhat: Vec::new(),
-            psi: first.psi.clone(),
-            psip: first.psip.clone(),
-            phi: first.phi.clone(),
-        };
-        // Role h (levels −1..=L−1): store index = level + 1 → grid level.
-        for li in 0..first.h.len() {
-            let level = li as i32 - 1;
-            inst.h.push(merge_role(
-                grid,
-                level,
-                per_machine.iter().map(|m| &m[idx].h[li]),
-            ));
-        }
-        for li in 0..first.hp.len() {
-            inst.hp.push(merge_role(
-                grid,
-                li as i32,
-                per_machine.iter().map(|m| &m[idx].hp[li]),
-            ));
-        }
-        for li in 0..first.hhat.len() {
-            let level = li as i32;
-            let any_some = per_machine.iter().any(|m| m[idx].hhat[li].is_some());
-            if !any_some {
-                inst.hhat.push(None);
-                continue;
-            }
-            let parts: Vec<&Result<RoleLevelSummary, String>> = per_machine
-                .iter()
-                .filter_map(|m| m[idx].hhat[li].as_ref())
-                .collect();
-            if parts.len() != per_machine.len() {
-                inst.hhat
-                    .push(Some(Err(MergeFailure::InconsistentHhatPresence.to_wire())));
-                continue;
-            }
-            inst.hhat
-                .push(Some(merge_role(grid, level, parts.into_iter())));
-        }
-        merged.push(inst);
-    }
-    Ok(merged)
-}
-
-/// Merges one role-level across machines. The summary data model keeps
-/// `String` errors on the wire, so the typed [`MergeFailure`] is
-/// converted via [`MergeFailure::to_wire`] at the boundary — callers
-/// (and crash dumps) still see the stable `E<code>` prefix.
-fn merge_role<'a>(
-    grid: &GridHierarchy,
-    level: i32,
-    parts: impl Iterator<Item = &'a Result<RoleLevelSummary, String>>,
-) -> Result<RoleLevelSummary, String> {
-    merge_role_typed(grid, level, parts).map_err(|e| e.to_wire())
-}
-
-fn merge_role_typed<'a>(
-    grid: &GridHierarchy,
-    level: i32,
-    parts: impl Iterator<Item = &'a Result<RoleLevelSummary, String>>,
-) -> Result<RoleLevelSummary, MergeFailure> {
-    let mut cells: HashMap<sbc_geometry::CellId, i64> = HashMap::new();
-    let mut points: Vec<(Point, i64)> = Vec::new();
-    let mut dirty: Vec<sbc_geometry::CellId> = Vec::new();
-    let mut beta = usize::MAX;
-    let mut alpha = usize::MAX;
-    for part in parts {
-        let part = part
-            .as_ref()
-            .map_err(|e| MergeFailure::MachineStoreFailed(e.clone()))?;
-        beta = beta.min(part.beta);
-        alpha = alpha.min(part.alpha);
-        for (cell, cnt) in &part.cells {
-            *cells.entry(cell.clone()).or_insert(0) += cnt;
-        }
-        points.extend(part.small_points.iter().cloned());
-        dirty.extend(part.dirty_small_cells.iter().cloned());
-    }
-    if cells.len() > alpha {
-        return Err(MergeFailure::AlphaExceeded {
-            cells: cells.len(),
-            alpha,
-        });
-    }
-    // Global small-cell filter.
-    let beta_i = beta as i64;
-    let mut small_points: Vec<(Point, i64)> = Vec::new();
-    let mut merged_map: HashMap<Point, i64> = HashMap::new();
-    for (p, c) in points {
-        let cell = grid.cell_of(&p, level);
-        if cells.get(&cell).copied().unwrap_or(0) <= beta_i {
-            *merged_map.entry(p).or_insert(0) += c;
-        }
-    }
-    for (p, c) in merged_map {
-        if c > 0 {
-            small_points.push((p, c));
-        }
-    }
-    small_points.sort_by(|a, b| a.0.cmp(&b.0));
-    // Dirty cells only matter if still small globally.
-    dirty.retain(|cell| {
-        let c = cells.get(cell).copied().unwrap_or(0);
-        c > 0 && c <= beta_i
-    });
-    dirty.sort();
-    dirty.dedup();
-    let mut cells: Vec<(sbc_geometry::CellId, i64)> =
-        cells.into_iter().filter(|&(_, c)| c != 0).collect();
-    cells.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(RoleLevelSummary {
-        cells,
-        small_points,
-        beta,
-        alpha,
-        dirty_small_cells: dirty,
-    })
 }
 
 #[cfg(test)]
@@ -833,50 +639,151 @@ mod tests {
         assert_eq!(a.entries(), c.entries(), "tree dedupe must absorb dups");
     }
 
-    #[test]
-    fn merge_failure_codes_are_stable_and_wire_parseable() {
-        // The numeric codes are a wire contract (300-range reserved for
-        // summary-merge failures in the workspace registry): renumbering
-        // them breaks deployed coordinators, so they are pinned here.
-        let cases = [
-            (MergeFailure::MachineStoreFailed("boom".into()), 300),
-            (MergeFailure::AlphaExceeded { cells: 9, alpha: 4 }, 301),
-            (MergeFailure::InconsistentHhatPresence, 302),
-        ];
-        for (failure, code) in cases {
-            assert_eq!(failure.code(), code);
-            let wire = failure.to_wire();
-            assert!(wire.starts_with(&format!("E{code}: ")), "{wire}");
-            assert_eq!(MergeFailure::code_of_wire(&wire), Some(code));
+    /// A lossless network.
+    fn lossless() -> Network {
+        Network {
+            plan: FaultPlan::NONE,
+            max_attempts: 1,
+            delivery_idx: 0,
+            seen: HashSet::new(),
+            stats: CommStats::default(),
         }
-        // Pre-code strings (legacy summaries) parse to no code, not junk.
-        assert_eq!(MergeFailure::code_of_wire("machine store failed"), None);
-        assert_eq!(MergeFailure::code_of_wire("Everything: fine"), None);
+    }
+
+    /// The image of a builder drawn from `(grid, hash_seed)` that
+    /// ingested `pts`.
+    fn machine_image(
+        p: &CoresetParams,
+        grid: &GridHierarchy,
+        hash_seed: u64,
+        pts: &[Point],
+    ) -> Vec<u8> {
+        let mut rng = StdRng::seed_from_u64(hash_seed);
+        let mut b = StreamCoresetBuilder::with_grid(
+            p.clone(),
+            StreamParams::default(),
+            grid.clone(),
+            &mut rng,
+        );
+        b.insert_batch(pts);
+        image(&b).unwrap()
+    }
+
+    fn is_malformed<T>(out: &Result<T, FailReason>) -> bool {
+        matches!(out, Err(FailReason::Storage(m)) if m == "malformed upload")
     }
 
     #[test]
-    fn merged_alpha_violation_reports_the_typed_code() {
-        // Build two single-cell summaries whose union exceeds α = 1: the
-        // role-level must fail with the stable E301 wire form.
-        let grid_params = GridParams::from_log_delta(6, 2);
-        let mut rng = StdRng::seed_from_u64(5);
-        let grid = GridHierarchy::new(grid_params, &mut rng);
-        let mk = |x: u32| RoleLevelSummary {
-            cells: vec![(grid.cell_of(&Point::new(vec![x, x]), 5), 1)],
-            small_points: vec![],
-            beta: 0,
-            alpha: 1,
-            dirty_small_cells: vec![],
+    fn truncated_or_corrupted_uploads_are_malformed() {
+        let p = params();
+        let pts = gaussian_mixture(p.grid, 1500, 3, 0.04, 3);
+        let grid = GridHierarchy::new(p.grid, &mut StdRng::seed_from_u64(1));
+        let bytes = machine_image(&p, &grid, 2, &pts);
+        assert!(open(&bytes).is_ok());
+        for cut in (0..bytes.len())
+            .step_by(bytes.len() / 16)
+            .chain([bytes.len() - 1])
+        {
+            assert!(is_malformed(&open(&bytes[..cut])), "cut at {cut}");
+        }
+        // The magic, and a version never written.
+        for at in [0, 8] {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x40;
+            assert!(is_malformed(&open(&flipped)), "flip at {at}");
+        }
+        // An image that carries a metrics registry.
+        let mut snap = Snapshot::from_bytes(&bytes).unwrap();
+        snap.metrics.counters.push(("dist.protocol.runs".into(), 1));
+        assert!(is_malformed(&open(&snap.to_bytes())));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// A bit-flipped upload is malformed, or it restores and the
+        /// coordinator folds it beside an honest one and assembles or
+        /// refuses — never a panic.
+        #[test]
+        fn bit_flipped_uploads_never_panic(at in 0usize..1 << 20, xor in 1u8..=255) {
+            let p = CoresetParams::builder(2, GridParams::from_log_delta(6, 2)).build().unwrap();
+            let pts = gaussian_mixture(p.grid, 400, 2, 0.05, 5);
+            let grid = GridHierarchy::new(p.grid, &mut StdRng::seed_from_u64(6));
+            let honest = machine_image(&p, &grid, 7, &pts[..200]);
+            let mut flipped = machine_image(&p, &grid, 7, &pts[200..]);
+            let i = at % flipped.len();
+            flipped[i] ^= xor;
+            match open(&flipped) {
+                Ok(b) => {
+                    let leaves = vec![open(&honest).unwrap(), b];
+                    let coordinator = open(&machine_image(&p, &grid, 7, &[])).unwrap();
+                    if let Ok(root) = fold(leaves, coordinator, false, &mut lossless()) {
+                        let _ = root.finish();
+                    }
+                }
+                Err(e) => proptest::prop_assert!(is_malformed(&Err::<(), _>(e))),
+            }
+        }
+    }
+
+    #[test]
+    fn uploads_off_the_broadcast_are_refused() {
+        let p = params();
+        let pts = gaussian_mixture(p.grid, 1500, 3, 0.04, 5);
+        let grid = GridHierarchy::new(p.grid, &mut StdRng::seed_from_u64(9));
+        let honest = machine_image(&p, &grid, 10, &pts);
+        let other_k = CoresetParams::builder(2, p.grid).build().unwrap();
+        let shifted = GridHierarchy::new(p.grid, &mut StdRng::seed_from_u64(11));
+        let hostile = [
+            (
+                machine_image(&p, &grid, 12, &pts),
+                "hash coefficients differ",
+            ),
+            (machine_image(&p, &shifted, 10, &pts), "grid shifts differ"),
+            (
+                machine_image(&other_k, &grid, 10, &pts),
+                "coreset parameters differ",
+            ),
+        ];
+        for (bytes, why) in &hostile {
+            // Alone, only the coordinator's own builder can tell; beside
+            // an honest machine, their merge already does.
+            for with_honest in [false, true] {
+                for tree in [false, true] {
+                    let mut leaves = vec![open(bytes).unwrap()];
+                    if with_honest {
+                        leaves.insert(0, open(&honest).unwrap());
+                    }
+                    let coordinator = open(&machine_image(&p, &grid, 10, &[])).unwrap();
+                    let err = fold(leaves, coordinator, tree, &mut lossless())
+                        .err()
+                        .expect("refused");
+                    assert!(
+                        matches!(&err, FailReason::Storage(m) if m.starts_with("refused upload") && m.contains(why)),
+                        "{why}: {err:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reruns_are_bit_identical() {
+        // Part masses are `f64` sums: summed in hash-map order, they
+        // moved in the last ulp from one run to the next.
+        let p = params();
+        let pts = gaussian_mixture(p.grid, 5000, 3, 0.04, 11);
+        let shards = split_round_robin(&pts, 1);
+        let sp = StreamParams {
+            faults: FaultPlan::parse("overflow-early").unwrap(),
+            ..StreamParams::default()
         };
-        let a = Ok(mk(1));
-        let b = Ok(mk(40));
-        let merged = merge_role(&grid, 5, [&a, &b].into_iter());
-        let err = merged.expect_err("two cells cannot fit α = 1");
-        assert_eq!(
-            err,
-            MergeFailure::AlphaExceeded { cells: 2, alpha: 1 }.to_wire()
-        );
-        assert_eq!(MergeFailure::code_of_wire(&err), Some(301));
+        let (first, _) = DistributedCoreset::run(&shards, &p, &sp, 5).unwrap();
+        for rerun in 0..15 {
+            let (again, _) = DistributedCoreset::run(&shards, &p, &sp, 5).unwrap();
+            assert_eq!(first.o, again.o, "rerun {rerun}");
+            assert_eq!(first.entries(), again.entries(), "rerun {rerun}");
+        }
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //!
 //! The codec itself ([`Encode`]/[`Decode`] and friends) lives in
 //! [`sbc_streaming::codec`] — checkpoints and the wire share one binary
-//! format — and is re-exported here unchanged. This module adds the
-//! transport [`Envelope`]: the unit of (simulated) delivery, carrying
-//! the sender's machine id and a per-machine sequence number so the
-//! coordinator can discard duplicate re-deliveries (idempotence under
-//! retransmission, exercised by the fault-injection tests).
+//! format, and an upload's payload *is* a checkpoint image — and is
+//! re-exported here unchanged. This module adds the transport
+//! [`Envelope`]: the unit of (simulated) delivery, carrying the sender's
+//! machine id and a per-machine sequence number so the coordinator can
+//! discard duplicate re-deliveries (idempotence under retransmission,
+//! exercised by the fault-injection tests).
 
 pub use sbc_streaming::codec::{from_bytes, to_bytes, Decode, Encode};
 

@@ -1,5 +1,6 @@
 //! Wire-format robustness: decoding must be total (no panics) on
-//! arbitrary bytes, and round-trips must be exact on real summaries.
+//! arbitrary bytes, and a machine's upload — its builder's checkpoint
+//! image — must round-trip exactly.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -8,8 +9,8 @@ use sbc_core::CoresetParams;
 use sbc_distributed::wire::{from_bytes, to_bytes};
 use sbc_geometry::dataset::gaussian_mixture;
 use sbc_geometry::{CellId, GridParams, Point};
-use sbc_streaming::coreset_stream::InstanceSummary;
 use sbc_streaming::{Snapshot, StreamCoresetBuilder, StreamParams};
+use std::sync::OnceLock;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -20,21 +21,39 @@ proptest! {
     fn decoder_is_total_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = from_bytes::<Vec<(CellId, i64)>>(&bytes);
         let _ = from_bytes::<Point>(&bytes);
-        let _ = from_bytes::<InstanceSummary>(&bytes);
-        let _ = from_bytes::<Result<String, String>>(&bytes);
+        let _ = from_bytes::<Option<String>>(&bytes);
+    }
+
+    /// A machine image cut anywhere and continued with garbage decodes
+    /// or is rejected, and a decodable one restores or is rejected —
+    /// never a panic.
+    #[test]
+    fn machine_image_with_garbage_tail_does_not_panic(
+        keep in 0usize..1 << 16,
+        tail in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let image = machine_image();
+        let mut bytes = image[..keep % image.len()].to_vec();
+        bytes.extend_from_slice(&tail);
+        if let Ok(snap) = Snapshot::from_bytes(&bytes) {
+            let _ = StreamCoresetBuilder::restore(&snap);
+        }
     }
 
     /// Snapshot decoding (which shares the wire codec) is total on
-    /// garbage too — it errors, it never panics. Covers the v3 fields
-    /// (`merge_depth`, `StreamParams::shards`).
+    /// garbage too — it errors, it never panics. Covers both versions
+    /// read: 3 (per view) and 4 (per arena, what machines upload).
     #[test]
     fn snapshot_decoder_is_total_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = Snapshot::from_bytes(&bytes);
         // Valid magic + version but garbage body must also be rejected
         // gracefully.
-        let mut framed = b"SBCCKPT\0\x03\0\0\0".to_vec();
-        framed.extend_from_slice(&bytes);
-        let _ = Snapshot::from_bytes(&framed);
+        for version in [3u8, 4] {
+            let mut framed = b"SBCCKPT\0".to_vec();
+            framed.extend_from_slice(&[version, 0, 0, 0]);
+            framed.extend_from_slice(&bytes);
+            let _ = Snapshot::from_bytes(&framed);
+        }
     }
 
     /// Bit-flipping a real merged-node snapshot never panics the
@@ -113,39 +132,48 @@ fn merged_snapshot_roundtrips_with_v3_fields() {
     assert_eq!(restored.merge_depth(), 1);
 }
 
-/// Full-fidelity round-trip of genuine exported summaries — what the
-/// machines actually put on the wire.
-#[test]
-fn real_summaries_roundtrip_exactly() {
+/// What one machine of the protocol uploads: the checkpoint image of a
+/// builder drawn from the shared seed after ingesting its shard, with
+/// no metrics registry.
+fn machine_image() -> &'static [u8] {
+    static IMAGE: OnceLock<Vec<u8>> = OnceLock::new();
+    IMAGE.get_or_init(|| {
+        let mut snap = machine().checkpoint().expect("checkpoints");
+        snap.metrics = Default::default();
+        snap.to_bytes()
+    })
+}
+
+fn machine() -> StreamCoresetBuilder {
     let gp = GridParams::from_log_delta(7, 2);
     let params = CoresetParams::builder(2, gp).build().unwrap();
-    let pts = gaussian_mixture(gp, 800, 2, 0.05, 3);
     let mut rng = StdRng::seed_from_u64(5);
     let mut builder = StreamCoresetBuilder::new(params, StreamParams::default(), &mut rng);
-    for p in &pts {
-        builder.insert(p);
-    }
-    let summaries = builder.export_summaries();
-    let bytes = to_bytes(&summaries);
-    let decoded: Vec<InstanceSummary> = from_bytes(&bytes).expect("roundtrip");
-    assert_eq!(decoded.len(), summaries.len());
-    for (a, b) in summaries.iter().zip(&decoded) {
-        assert_eq!(a.o, b.o);
-        assert_eq!(a.psi, b.psi);
-        assert_eq!(a.psip, b.psip);
-        assert_eq!(a.phi, b.phi);
-        assert_eq!(a.h.len(), b.h.len());
-        for (x, y) in a.h.iter().zip(&b.h) {
-            match (x, y) {
-                (Ok(u), Ok(v)) => {
-                    assert_eq!(u.cells, v.cells);
-                    assert_eq!(u.small_points, v.small_points);
-                    assert_eq!(u.beta, v.beta);
-                    assert_eq!(u.alpha, v.alpha);
-                }
-                (Err(e1), Err(e2)) => assert_eq!(e1, e2),
-                other => panic!("variant mismatch: {other:?}"),
-            }
-        }
+    builder.insert_batch(&gaussian_mixture(gp, 800, 2, 0.05, 3));
+    builder
+}
+
+/// A machine image round-trips byte for byte, and the restored builder
+/// holds and finishes what the machine's did.
+#[test]
+fn machine_image_roundtrips_exactly() {
+    let bytes = machine_image();
+    let snap = Snapshot::from_bytes(bytes).expect("decodes");
+    assert_eq!(snap.to_bytes(), bytes, "canonical encoding");
+    let restored = StreamCoresetBuilder::restore(&snap).expect("restores");
+    let original = machine();
+    assert_eq!(restored.export_summaries(), original.export_summaries());
+    assert_eq!(
+        restored.finish_ref().map(|cs| cs.entries().to_vec()),
+        original.finish_ref().map(|cs| cs.entries().to_vec())
+    );
+}
+
+/// No proper prefix of a machine image decodes.
+#[test]
+fn truncated_machine_images_are_rejected() {
+    let bytes = machine_image();
+    for cut in (0..bytes.len()).step_by(97).chain([bytes.len() - 1]) {
+        assert!(Snapshot::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
     }
 }

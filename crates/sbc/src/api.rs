@@ -45,11 +45,14 @@
 //! ([`ApiError::code`] / [`SbcError::code`](crate::SbcError::code)).
 //! The workspace registry:
 //!
-//! | range   | owner                                           |
-//! |---------|--------------------------------------------------|
-//! | 101–105 | [`SbcError`](crate::SbcError) core variants      |
-//! | 200–299 | [`ApiError`] (framing, protocol, admission)      |
-//! | 300–399 | `sbc_distributed::MergeFailure` (summary merges) |
+//! | range   | owner                                                 |
+//! |---------|--------------------------------------------------------|
+//! | 101–105 | [`SbcError`](crate::SbcError) core variants            |
+//! | 200–299 | [`ApiError`] (framing, protocol, admission)            |
+//! | 300–399 | retired (summary-merge failures, gone); never reused   |
+//!
+//! The registry is append-only: a code, once assigned or retired, is
+//! never given a new meaning.
 
 use sbc_geometry::Point;
 use sbc_streaming::codec::{Decode, Encode};
@@ -2016,7 +2019,7 @@ mod tests {
     #[test]
     fn api_error_codes_are_stable() {
         // The 200-range is a wire contract; renumbering breaks deployed
-        // clients. 300+ belongs to sbc_distributed::MergeFailure.
+        // clients. 300–399 is retired and never reused.
         let cases: [(ApiError, u16); 21] = [
             (ApiError::BadMagic, 200),
             (ApiError::Truncated, 201),
@@ -2113,8 +2116,5 @@ mod tests {
             };
             assert_eq!(relayed.code(), code);
         }
-        let code = sbc_distributed::MergeFailure::InconsistentHhatPresence.code();
-        assert_eq!(code, 302);
-        assert!((300..400).contains(&code), "merge codes own the 300 range");
     }
 }

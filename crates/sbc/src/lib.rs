@@ -129,9 +129,9 @@ pub enum SbcError {
 impl SbcError {
     /// The stable numeric code for this error, following the workspace
     /// registry: core variants own 101–105, [`api::ApiError`] owns the
-    /// 200 range, `sbc_distributed::MergeFailure` the 300 range. These
-    /// are a wire contract ([`api::ApiResponse::Error`]) — append-only,
-    /// never renumbered.
+    /// 200 range, and the 300 range (once summary-merge failures) is
+    /// retired, never reused. These are a wire contract
+    /// ([`api::ApiResponse::Error`]) — append-only, never renumbered.
     pub fn code(&self) -> u16 {
         match self {
             SbcError::Params(_) => 101,

@@ -19,9 +19,13 @@
 //! bit-identical for a given `(seed, shards)` — whether shards ingest
 //! serially or on threads.
 //!
-//! Shards today are threads in one process; the same merge operates
-//! machine-to-machine over `sbc-distributed`'s envelope layer
-//! (`DistributedCoreset::run_tree`).
+//! Shards here are builders in one process. `sbc-distributed` runs the
+//! same merge machine to machine: each machine uploads its builder's
+//! checkpoint image over the envelope layer, and the coordinator
+//! restores the images and folds them with the same `merge_many` (or
+//! pairwise up a tree, `DistributedCoreset::run_tree`), so on shards cut
+//! by [`ShardedIngest::shard_of`] every protocol run equals
+//! [`ShardedIngest::finish`] bit for bit.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -19,8 +19,6 @@
 
 use sbc_geometry::{CellId, Point};
 
-use crate::coreset_stream::{InstanceSummary, RoleLevelSummary};
-
 /// Types serializable to the binary format.
 pub trait Encode {
     /// Appends this value's encoding to `buf`.
@@ -254,30 +252,6 @@ impl<A: Decode, B: Decode> Decode for (A, B) {
     }
 }
 
-impl<T: Encode, E: Encode> Encode for Result<T, E> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Ok(v) => {
-                0u8.encode(buf);
-                v.encode(buf);
-            }
-            Err(e) => {
-                1u8.encode(buf);
-                e.encode(buf);
-            }
-        }
-    }
-}
-impl<T: Decode, E: Decode> Decode for Result<T, E> {
-    fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
-        match u8::decode(buf, cursor)? {
-            0 => Some(Ok(T::decode(buf, cursor)?)),
-            1 => Some(Err(E::decode(buf, cursor)?)),
-            _ => None,
-        }
-    }
-}
-
 impl Encode for Point {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.coords().encode(buf);
@@ -305,52 +279,6 @@ impl Decode for CellId {
     }
 }
 
-impl Encode for RoleLevelSummary {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.cells.encode(buf);
-        self.small_points.encode(buf);
-        self.beta.encode(buf);
-        self.alpha.encode(buf);
-        self.dirty_small_cells.encode(buf);
-    }
-}
-impl Decode for RoleLevelSummary {
-    fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
-        Some(RoleLevelSummary {
-            cells: Vec::decode(buf, cursor)?,
-            small_points: Vec::decode(buf, cursor)?,
-            beta: usize::decode(buf, cursor)?,
-            alpha: usize::decode(buf, cursor)?,
-            dirty_small_cells: Vec::decode(buf, cursor)?,
-        })
-    }
-}
-
-impl Encode for InstanceSummary {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.o.encode(buf);
-        self.h.encode(buf);
-        self.hp.encode(buf);
-        self.hhat.encode(buf);
-        self.psi.encode(buf);
-        self.psip.encode(buf);
-        self.phi.encode(buf);
-    }
-}
-impl Decode for InstanceSummary {
-    fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
-        Some(InstanceSummary {
-            o: f64::decode(buf, cursor)?,
-            h: Vec::decode(buf, cursor)?,
-            hp: Vec::decode(buf, cursor)?,
-            hhat: Vec::decode(buf, cursor)?,
-            psi: Vec::decode(buf, cursor)?,
-            psip: Vec::decode(buf, cursor)?,
-            phi: Vec::decode(buf, cursor)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,7 +301,6 @@ mod tests {
         roundtrip(vec![1u32, 2, 3]);
         roundtrip(Option::<u64>::None);
         roundtrip(Some(9u64));
-        roundtrip(Result::<u64, String>::Err("nope".into()));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::checkpoint::{
 use crate::merge::{EpsSchedule, MergeError};
 use crate::model::StreamOp;
 use crate::nested::{point_in_grid, CutsOf, Nested, ViewSpec};
-use crate::storing::{StoreDeath, Storing, StoringConfig};
+use crate::storing::{StoreDeath, Storing, StoringConfig, StoringFail};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sbc_core::coreset::{
@@ -47,7 +47,6 @@ use sbc_hash::{HashBank, KWiseHash, OpenTable};
 use sbc_obs::fault::{splitmix64, FaultPlan};
 use sbc_obs::json::JsonValue;
 use sbc_obs::trace::{self, CausalIds, TraceKind};
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Ops per ingest batch: large enough to amortize precompute, small
@@ -587,8 +586,7 @@ impl ShardedSpaceReport {
 }
 
 /// Decoded output of one `Storing` structure: the `(C, f, S)` triple of
-/// Lemma 4.2, plus the `β` it was filtered at (needed to re-apply the
-/// small-cell filter after a distributed merge).
+/// Lemma 4.2, plus the `β` and `α` it was sized with.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RoleLevelSummary {
     /// Non-empty cells with counts.
@@ -604,10 +602,10 @@ pub struct RoleLevelSummary {
     pub dirty_small_cells: Vec<CellId>,
 }
 
-/// Per-`o`-instance summaries of all three roles — what one machine
-/// sends the coordinator in the Lemma 4.6 protocol, and what the
-/// coordinator assembles coresets from. A `Err(description)` marks a
-/// store that FAILed (overflow / decode / budget).
+/// Per-`o`-instance summaries of all three roles: the decoded view of a
+/// builder's state that tests compare across ingest paths, checkpoint
+/// round trips and merges. A `Err(description)` marks a store that
+/// FAILed (overflow / decode / budget).
 #[derive(Clone, Debug, PartialEq)]
 pub struct InstanceSummary {
     /// The guess `o`.
@@ -1244,59 +1242,46 @@ impl StreamCoresetBuilder {
         }
     }
 
-    /// Exports the decoded per-instance summaries — the machine side of
-    /// the distributed protocol (Lemma 4.6).
+    /// Exports the decoded per-instance summaries: every view's
+    /// `(C, f, S)` triple, the projection of the builder's state that
+    /// equivalence tests compare.
     pub fn export_summaries(&self) -> Vec<InstanceSummary> {
-        (0..self.instances.len())
-            .map(|i| self.summarize(i))
-            .collect()
-    }
-
-    /// Decodes instance `i`'s stores (its views of the ladder stores).
-    /// Draws no randomness.
-    fn summarize(&self, i: usize) -> InstanceSummary {
-        let inst = &self.instances[i];
-        let every = |role: u8| {
-            self.role_stores(role)
-                .iter()
-                .map(|st| {
-                    self.decode(st, i)
-                        .expect("every instance has h and h′ stores")
-                })
+        // Instance `i`'s view of `st`, decoded (`None` where it has none).
+        let decode = |st: &LadderStore, i: usize| {
+            let j = st.view(i)?;
+            let cfg = st.store.config(j);
+            Some(
+                st.store
+                    .finish(&self.grid, j)
+                    .map(|out| RoleLevelSummary {
+                        cells: out.cells,
+                        small_points: out.small_points,
+                        beta: cfg.beta,
+                        alpha: cfg.alpha,
+                        dirty_small_cells: out.dirty_small_cells,
+                    })
+                    .map_err(|e| format!("{e:?}")),
+            )
+        };
+        let views = |role: u8, i: usize| self.role_stores(role).iter().map(move |st| decode(st, i));
+        let every = |role: u8, i: usize| {
+            views(role, i)
+                .map(|out| out.expect("every instance has h and h′ stores"))
                 .collect()
         };
-        InstanceSummary {
-            o: inst.o,
-            h: every(trace::role::H),
-            hp: every(trace::role::HP),
-            hhat: self
-                .role_stores(trace::role::HHAT)
-                .iter()
-                .map(|st| self.decode(st, i))
-                .collect(),
-            psi: inst.psi.clone(),
-            psip: inst.psip.clone(),
-            phi: inst.phi.clone(),
-        }
-    }
-
-    /// Instance `i`'s store in `st`, decoded (`None` where it has none),
-    /// a failure rendered as [`InstanceSummary`] carries it.
-    fn decode(&self, st: &LadderStore, i: usize) -> Option<Result<RoleLevelSummary, String>> {
-        let j = st.view(i)?;
-        let cfg = st.store.config(j);
-        Some(
-            st.store
-                .finish(&self.grid, j)
-                .map(|out| RoleLevelSummary {
-                    cells: out.cells,
-                    small_points: out.small_points,
-                    beta: cfg.beta,
-                    alpha: cfg.alpha,
-                    dirty_small_cells: out.dirty_small_cells,
-                })
-                .map_err(|e| format!("{e:?}")),
-        )
+        self.instances
+            .iter()
+            .enumerate()
+            .map(|(i, inst)| InstanceSummary {
+                o: inst.o,
+                h: every(trace::role::H, i),
+                hp: every(trace::role::HP, i),
+                hhat: views(trace::role::HHAT, i).collect(),
+                psi: inst.psi.clone(),
+                psip: inst.psip.clone(),
+                phi: inst.phi.clone(),
+            })
+            .collect()
     }
 
     /// Captures a complete, restartable image of the builder: parameters,
@@ -1550,44 +1535,20 @@ impl StreamCoresetBuilder {
     /// Guesses are tried in ascending `o`, each read straight from the
     /// builder's stores: a store is decoded only when the selection
     /// reaches it, and a guess whose h stores FAIL is rejected from their
-    /// view counters without decoding anything.
+    /// view counters without decoding anything. Stops at the first
+    /// acceptable guess.
     ///
     /// Assembly draws from a *clone* of the builder's RNG that is not
     /// written back, so emitting a mid-stream coreset leaves the
     /// continued run bit-identical to one that never called this.
     pub fn finish_ref(&self) -> Result<Coreset, FailReason> {
         let mut rng = self.rng.clone();
-        self.assemble((0..self.instances.len()).map(Guess::Live), &mut rng)
-    }
-
-    /// Coordinator-side assembly: runs the ascending-`o` selection over
-    /// (possibly merged) instance summaries. The builder supplies the
-    /// grid, parameters and the shared ĥ hashes for per-part
-    /// sub-thresholding — its own stores are not consulted.
-    pub fn finish_from_summaries(
-        &mut self,
-        summaries: &[InstanceSummary],
-    ) -> Result<Coreset, FailReason> {
-        let mut rng = self.rng.clone();
-        let out = self.assemble(summaries.iter().map(Guess::Summary), &mut rng);
-        self.rng = rng;
-        out
-    }
-
-    /// Shared assembly core behind [`Self::finish_from_summaries`] and
-    /// [`Self::finish_ref`], over guesses in ascending `o`; it stops at
-    /// the first acceptable one. The caller owns the RNG-advance policy.
-    fn assemble<'a>(
-        &'a self,
-        guesses: impl Iterator<Item = Guess<'a>>,
-        rng: &mut StdRng,
-    ) -> Result<Coreset, FailReason> {
         let mut last_err = FailReason::NoWorkableO;
         let mut fallback: Option<Coreset> = None;
-        for guess in guesses {
+        for (i, inst) in self.instances.iter().enumerate() {
             sbc_obs::counter!("stream.finish.instances").incr();
-            let o = self.source(guess).o;
-            match self.try_instance(guess) {
+            let o = inst.o;
+            match self.try_instance(i) {
                 Ok(coreset) => {
                     if coreset.is_empty() {
                         Reject::Empty.count();
@@ -1603,7 +1564,7 @@ impl StreamCoresetBuilder {
                     // sits below the window.
                     let (pts, ws) = coreset.split();
                     let est =
-                        opt_upper_estimate(&pts, Some(&ws), self.params.k, self.params.r, rng)
+                        opt_upper_estimate(&pts, Some(&ws), self.params.k, self.params.r, &mut rng)
                             .max(1.0);
                     if o > est * 64.0 && est > 1.0 {
                         // Out the top of the window (skip this check for
@@ -1638,112 +1599,49 @@ impl StreamCoresetBuilder {
         Err(last_err)
     }
 
-    /// `guess`'s `o` and realized rates.
-    fn source<'a>(&'a self, guess: Guess<'a>) -> Source<'a> {
-        match guess {
-            Guess::Live(i) => {
-                let inst = &self.instances[i];
-                Source {
-                    o: inst.o,
-                    psi: &inst.psi,
-                    psip: &inst.psip,
-                    phi: &inst.phi,
-                }
-            }
-            Guess::Summary(s) => Source {
-                o: s.o,
-                psi: &s.psi,
-                psip: &s.psip,
-                phi: &s.phi,
-            },
-        }
-    }
-
-    /// The FAIL verdict of `guess`'s store `idx` of `role`, rendered as
-    /// [`InstanceSummary`] carries it (`None` where the guess has no
-    /// store there). A live store answers from its view counters.
-    fn verdict(&self, guess: Guess<'_>, role: u8, idx: usize) -> Option<Result<(), String>> {
-        match guess {
-            Guess::Live(i) => {
-                let st = &self.role_stores(role)[idx];
-                let j = st.view(i)?;
-                Some(st.store.check(j).map_err(|e| format!("{e:?}")))
-            }
-            Guess::Summary(_) => self
-                .output(guess, role, idx)
-                .map(|out| out.map(|_| ()).map_err(Cow::into_owned)),
-        }
-    }
-
-    /// `guess`'s store `idx` of `role` (`None` where it has none); a live
-    /// store is decoded here.
-    fn output<'a>(
-        &'a self,
-        guess: Guess<'a>,
-        role: u8,
-        idx: usize,
-    ) -> Option<Result<Cow<'a, RoleLevelSummary>, Cow<'a, str>>> {
-        match guess {
-            Guess::Live(i) => self
-                .decode(&self.role_stores(role)[idx], i)
-                .map(|out| out.map(Cow::Owned).map_err(Cow::Owned)),
-            Guess::Summary(s) => {
-                let out = match role {
-                    trace::role::H => Some(&s.h[idx]),
-                    trace::role::HP => Some(&s.hp[idx]),
-                    _ => s.hhat[idx].as_ref(),
-                };
-                out.map(|out| {
-                    out.as_ref()
-                        .map(Cow::Borrowed)
-                        .map_err(|e| Cow::Borrowed(e.as_str()))
-                })
-            }
-        }
-    }
-
-    /// Algorithms 3, 1 and 2 on one guess, cheapest rejection first:
-    /// every h store's verdict, then the h decode and the partition, the
-    /// heavy budget, the h′ verdicts, decode and part masses, and only
-    /// then the ĥ stores, level by level. A rejection reports the
-    /// [`FailReason`] of the first check it fails in that order.
-    fn try_instance(&self, guess: Guess<'_>) -> Result<Coreset, (Reject, FailReason)> {
+    /// Algorithms 3, 1 and 2 on guess `i`, cheapest rejection first:
+    /// every h store's view counters, then the h decode and the
+    /// partition, the heavy budget, the h′ counters, decode and part
+    /// masses, and only then the ĥ stores, level by level. A rejection
+    /// reports the [`FailReason`] of the first check it fails in that
+    /// order.
+    fn try_instance(&self, i: usize) -> Result<Coreset, (Reject, FailReason)> {
         let l = self.params.l() as usize;
-        let src = self.source(guess);
-        // A store that died renders as `Overflowed`, also at the end of
-        // a coordinator's merge failure.
-        let storage = |role: &str, level: i32, e: &str| {
-            let why = if e.ends_with("Overflowed") {
-                Reject::Overflowed
-            } else {
-                Reject::TooManyCells
+        let inst = &self.instances[i];
+        let storage = |role: &str, level: i32, e: StoringFail| {
+            let why = match e {
+                StoringFail::Overflowed => Reject::Overflowed,
+                _ => Reject::TooManyCells,
             };
-            let e = FailReason::Storage(format!("o={:.3e} {role} level {level}: {e}", src.o));
+            let e = FailReason::Storage(format!("o={:.3e} {role} level {level}: {e:?}", inst.o));
             (why, e)
         };
+        // Guess `i`'s view of `st`, decoded (`None` where it has none).
+        let output = |st: &LadderStore| st.view(i).map(|j| st.store.finish(&self.grid, j));
         let cells = |role: u8, name: &str, offset: i32, rates: &[f64]| {
-            for idx in 0..=l {
-                if let Some(Err(e)) = self.verdict(guess, role, idx) {
-                    return Err(storage(name, idx as i32 + offset, &e));
-                }
+            let stores = self.role_stores(role);
+            for (idx, st) in stores.iter().enumerate() {
+                let j = st.view(i).expect("every instance has h and h′ stores");
+                st.store
+                    .check(j)
+                    .map_err(|e| storage(name, idx as i32 + offset, e))?;
             }
             // Role → cell occupancy estimates (Algorithm 3 steps 3 and 5).
             let mut counts = CellCounts::new(self.params.l());
-            for (idx, &rate) in rates[..=l].iter().enumerate() {
-                let out = self
-                    .output(guess, role, idx)
+            for ((idx, st), &rate) in stores.iter().enumerate().zip(rates) {
+                let out = output(st)
                     .expect("every instance has h and h′ stores")
-                    .map_err(|e| storage(name, idx as i32 + offset, &e))?;
-                for (cell, cnt) in &out.cells {
-                    counts.set(cell.clone(), *cnt as f64 / rate);
+                    .map_err(|e| storage(name, idx as i32 + offset, e))?;
+                for (cell, cnt) in out.cells {
+                    counts.set(cell, cnt as f64 / rate);
                 }
             }
             Ok(counts)
         };
 
         // Algorithm 1 on the role-h estimates.
-        let counts = cells(trace::role::H, "h", -1, src.psi)?;
-        let partition = Partition::build(&counts, &self.params, src.o)
+        let counts = cells(trace::role::H, "h", -1, &inst.psi)?;
+        let partition = Partition::build(&counts, &self.params, inst.o)
             .map_err(|e| (Reject::Partition, FailReason::Partition(e)))?;
         if let Some(sel) = self.params.selection_heavy_budget() {
             if partition.num_heavy() as f64 > sel {
@@ -1758,9 +1656,9 @@ impl StreamCoresetBuilder {
         }
 
         // Role h′ → part masses; Algorithm 2 checks + assembly context.
-        let hp_counts = cells(trace::role::HP, "h'", 0, src.psip)?;
+        let hp_counts = cells(trace::role::HP, "h'", 0, &inst.psip)?;
         let pm = PartMasses::from_counts(&hp_counts, &partition);
-        let ctx = CoresetBuilderCtx::new(&self.params, src.o, partition, pm).map_err(|e| {
+        let ctx = CoresetBuilderCtx::new(&self.params, inst.o, partition, pm).map_err(|e| {
             let why = match e {
                 FailReason::Partition(_) => Reject::Partition,
                 _ => Reject::LevelMass,
@@ -1775,12 +1673,12 @@ impl StreamCoresetBuilder {
         let mut part_phis: Vec<std::collections::HashMap<usize, f64>> =
             vec![std::collections::HashMap::new(); l + 1];
         let mut level_phis = vec![0.0f64; l + 1];
-        for level in 0..=l {
-            level_phis[level] = src.phi[level];
-            let Some(out) = self.output(guess, trace::role::HHAT, level) else {
+        for (level, st) in self.role_stores(trace::role::HHAT).iter().enumerate() {
+            level_phis[level] = inst.phi[level];
+            let Some(out) = output(st) else {
                 continue; // Tᵢ(o) ≤ 1 ⇒ no non-empty crucial cells
             };
-            let out = out.map_err(|e| storage("ĥ", level as i32, &e))?;
+            let out = out.map_err(|e| storage("ĥ", level as i32, e))?;
             // Coreset samples must be complete: a dirty small cell that
             // belongs to a kept part means lost samples — reject the
             // instance (conservatively, without checking part membership).
@@ -1789,13 +1687,13 @@ impl StreamCoresetBuilder {
                     Reject::DirtyCells,
                     FailReason::Storage(format!(
                         "o={:.3e} ĥ level {level}: {} dirty small cells",
-                        src.o,
+                        inst.o,
                         out.dirty_small_cells.len()
                     )),
                 ));
             }
-            for (point, mult) in &out.small_points {
-                let Some((lvl, part)) = ctx.accept(&self.grid, point, Some(level as i32)) else {
+            for (point, mult) in out.small_points {
+                let Some((lvl, part)) = ctx.accept(&self.grid, &point, Some(level as i32)) else {
                     continue;
                 };
                 debug_assert_eq!(lvl as usize, level);
@@ -1806,8 +1704,8 @@ impl StreamCoresetBuilder {
                     let realized = realized_prob(phi_part);
                     part_phis[level].insert(part, realized);
                     entries.push(CoresetEntry {
-                        point: point.clone(),
-                        weight: *mult as f64 / realized,
+                        point,
+                        weight: mult as f64 / realized,
                         level: lvl,
                         part,
                     });
@@ -1816,24 +1714,6 @@ impl StreamCoresetBuilder {
         }
         Ok(ctx.finish(entries, level_phis, part_phis, self.grid.shift().to_vec()))
     }
-}
-
-/// One guess as [`StreamCoresetBuilder::try_instance`] reads it: instance
-/// `i` of the builder's own ladder, whose stores are decoded only when
-/// read, or a materialized summary (the distributed coordinator's).
-#[derive(Clone, Copy)]
-enum Guess<'a> {
-    Live(usize),
-    Summary(&'a InstanceSummary),
-}
-
-/// A guess's `o` and realized rates (`psi` indexed by `level + 1`,
-/// `psip` and `phi` by `level`).
-struct Source<'a> {
-    o: f64,
-    psi: &'a [f64],
-    psip: &'a [f64],
-    phi: &'a [f64],
 }
 
 /// Why a guess was not taken: the `stream.finish.reject.*` counter it

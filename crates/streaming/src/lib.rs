@@ -32,7 +32,8 @@
 //! versioned byte format for [`StreamCoresetBuilder::checkpoint`] /
 //! [`StreamCoresetBuilder::restore`] such that restore-then-continue is
 //! bit-identical to an uninterrupted pass. The underlying little-endian
-//! codec ([`codec`]) is shared with `sbc-distributed`'s wire format.
+//! codec ([`codec`]) is shared with `sbc-distributed`'s wire format,
+//! whose machines upload exactly these images.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

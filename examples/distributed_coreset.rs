@@ -39,7 +39,7 @@ fn main() -> Result<(), SbcError> {
             stats.upload_bytes / s as u64
         );
     }
-    println!("\nUpload bytes grow ~linearly in s (per-machine summaries are");
+    println!("\nUpload bytes grow ~linearly in s (per-machine sketch images are");
     println!("poly(k·d·log Δ), independent of the shard size) — Theorem 4.7.");
 
     // Same protocol, lossy network: drop 1 in 8 deliveries.

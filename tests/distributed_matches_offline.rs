@@ -1,16 +1,21 @@
 //! Distributed ↔ streaming ↔ offline agreement (Theorem 4.7): the
 //! coordinator protocol must produce coresets of the same quality as the
 //! centralized constructions, with communication independent of the
-//! shard contents' size.
+//! shard contents' size. On shards cut by `ShardedIngest::shard_of`,
+//! every protocol variant must give bit for bit what the sharded
+//! in-process merge gives, under network faults and, when
+//! `SBC_FAULT_PROFILE` is set (the CI robustness job runs `chaos@7`),
+//! that profile too.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sbc::{FaultPlan, SbcError, ShardedIngest};
 use sbc_clustering::cost::capacitated_cost;
 use sbc_clustering::kmeanspp::kmeanspp_seeds;
-use sbc_core::CoresetParams;
-use sbc_distributed::DistributedCoreset;
+use sbc_core::{Coreset, CoresetParams, FailReason};
+use sbc_distributed::{CommStats, DistributedCoreset};
 use sbc_geometry::dataset::{gaussian_mixture, split_round_robin};
-use sbc_geometry::GridParams;
+use sbc_geometry::{GridParams, Point};
 use sbc_streaming::StreamParams;
 
 fn params() -> CoresetParams {
@@ -91,4 +96,103 @@ fn broadcast_cost_is_tiny_and_upload_scales_with_s() {
     // Upload grows with s but sublinearly in these regimes (per-machine
     // summaries shrink as shards shrink).
     assert!(uploads[2] > uploads[0] / 2, "more machines, more messages");
+}
+
+/// Network faults under test, plus `SBC_FAULT_PROFILE` when set.
+fn fault_plans() -> Vec<FaultPlan> {
+    let mut plans: Vec<FaultPlan> = ["none", "drop8", "dup8"]
+        .iter()
+        .map(|name| FaultPlan::parse(name).unwrap())
+        .collect();
+    if let Ok(profile) = std::env::var("SBC_FAULT_PROFILE") {
+        plans.push(FaultPlan::parse(&profile).expect("valid SBC_FAULT_PROFILE"));
+    }
+    plans
+}
+
+/// The bits of an outcome: the chosen guess, every entry, the level and
+/// part rates and the grid shift, or the failure.
+fn bits(out: &Result<Coreset, FailReason>) -> String {
+    match out {
+        Ok(cs) => {
+            let part_phis: Vec<Vec<(usize, f64)>> = cs
+                .part_phis
+                .iter()
+                .map(|rates| {
+                    let mut rates: Vec<(usize, f64)> =
+                        rates.iter().map(|(&p, &r)| (p, r)).collect();
+                    rates.sort_by_key(|&(p, _)| p);
+                    rates
+                })
+                .collect();
+            format!(
+                "o={:?} entries={:?} phis={:?} part_phis={part_phis:?} shift={:?}",
+                cs.o,
+                cs.entries(),
+                cs.phis,
+                cs.shift
+            )
+        }
+        Err(e) => format!("{e:?}"),
+    }
+}
+
+type Run = fn(
+    &[Vec<Point>],
+    &CoresetParams,
+    &StreamParams,
+    u64,
+) -> Result<(Coreset, CommStats), FailReason>;
+
+#[test]
+fn every_protocol_variant_equals_the_sharded_oracle() {
+    let p = params();
+    let pts = gaussian_mixture(p.grid, 3000, 3, 0.04, 73);
+    // The default profile yields a coreset; the starved one (a cell or
+    // two per store, only the smallest guesses) fails every guess.
+    let starved = StreamParams {
+        alpha_factor: 0.02,
+        cap_cells: 2,
+        o_ladder_max: Some(16.0),
+        ..StreamParams::default()
+    };
+    let runs: [(&str, Run); 4] = [
+        ("run", DistributedCoreset::run),
+        ("run_threaded", DistributedCoreset::run_threaded),
+        ("run_tree", DistributedCoreset::run_tree),
+        ("run_tree_threaded", DistributedCoreset::run_tree_threaded),
+    ];
+    let seed = 37;
+    let mut failed = 0;
+    for faults in fault_plans() {
+        for (profile, base) in [("default", StreamParams::default()), ("starved", starved)] {
+            for s in [1usize, 2, 5, 8] {
+                let sp = StreamParams {
+                    shards: s,
+                    faults,
+                    ..base
+                };
+                let mut ingest = ShardedIngest::new(p.clone(), sp, seed).unwrap();
+                let mut shards = vec![Vec::new(); s];
+                for pt in &pts {
+                    shards[ingest.shard_of(pt)].push(pt.clone());
+                }
+                ingest.insert_batch(&pts);
+                let oracle = match ingest.finish() {
+                    Err(SbcError::Build(e)) => Err(e),
+                    out => out.map_err(|e| panic!("sharded ingest: {e}")),
+                };
+                failed += usize::from(oracle.is_err());
+                for (name, run) in runs {
+                    let out = run(&shards, &p, &sp, seed).map(|(cs, _)| cs);
+                    assert_eq!(
+                        bits(&out),
+                        bits(&oracle),
+                        "{name}, {profile}, s = {s}, faults {faults:?}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(failed > 0, "no case exercised a failing finish");
 }
