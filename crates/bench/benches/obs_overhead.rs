@@ -8,12 +8,12 @@
 //!
 //! The memory-telemetry pillar gets the same treatment: this binary
 //! installs [`sbc_obs::alloc::TrackingAlloc`] globally (a passthrough
-//! unless built with `--features obs-alloc`), prices its bookkeeping at
+//! unless built with `--features obs`), prices its bookkeeping at
 //! the *measured* alloc/dealloc pairs per ingest op, and holds that
 //! share under 1%; a `sbc_obs::timeline` sampler running at the default
 //! 250 ms cadence may slow the same ingest by at most 2%.
 //!
-//! Run with `cargo bench --bench obs_overhead [--features obs,obs-alloc]`.
+//! Run with `cargo bench --bench obs_overhead [--features obs]`.
 //! This is a plain `harness = false` guard (it asserts and exits
 //! non-zero on regression) rather than a Criterion tracker, because its
 //! job is a pass/fail bound, not a trend line.
@@ -29,7 +29,7 @@ use std::time::Instant;
 
 /// Route the bench's own allocations through the tracking allocator so
 /// the "enabled" state under test is the real one (passthrough to
-/// `System` without the `obs-alloc` feature).
+/// `System` without the `obs` feature).
 #[global_allocator]
 static ALLOC: sbc_obs::alloc::TrackingAlloc = sbc_obs::alloc::TrackingAlloc;
 
@@ -141,7 +141,7 @@ fn main() {
          ({traced_op_ns:.1} ns/op traced vs {op_ns:.1} ns/op untraced)",
         steady_overhead * 100.0
     );
-    if cfg!(feature = "obs") {
+    if sbc_obs::COMPILED {
         assert!(recorded > 0, "recording run captured no events");
     }
     println!("OK: 64Ki-ring recorder steady-state overhead is within the 5% budget");

@@ -234,7 +234,7 @@ fn check_schema(doc: &JsonValue, path: &str) -> Result<(), String> {
         }
     }
     // Telemetry: memory-truth reconciliation plus the sampler/allocator
-    // overhead figures. `alloc_tracking` varies with the feature matrix
+    // overhead figures. `alloc_tracking` varies with the `obs` feature
     // (bool), everything else is numeric.
     let telemetry = doc.get("telemetry").unwrap();
     if telemetry

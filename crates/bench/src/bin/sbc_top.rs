@@ -176,7 +176,7 @@ fn render(doc: &JsonValue, path: &str) -> Option<String> {
             }
         }
     } else {
-        out.push_str("\nallocator attribution off (rebuild with --features obs-alloc)\n");
+        out.push_str("\nallocator attribution off (rebuild with --features obs)\n");
     }
 
     render_service(&mut out, &latest, &oldest, dt);

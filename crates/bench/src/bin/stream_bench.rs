@@ -35,8 +35,8 @@
 //!
 //! The robustness and metrics passes also run under the **telemetry
 //! sampler** (`sbc_obs::timeline`): a background thread snapshots RSS,
-//! the metrics registry, and — with `--features obs-alloc`, which this
-//! bin turns into a process-wide [`sbc_obs::alloc::TrackingAlloc`] —
+//! the metrics registry, and — with `--features obs`, which this bin
+//! turns into a process-wide [`sbc_obs::alloc::TrackingAlloc`] —
 //! per-component allocator attribution. `--telemetry-out <path>` tails
 //! the ring to a JSON file (atomically rewritten every tick, plus a
 //! Prometheus text-exposition sibling at `<path minus .json>.prom`)
@@ -65,7 +65,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// Route every heap allocation through the tracking allocator: a
-/// zero-overhead passthrough to `System` unless the `obs-alloc` feature
+/// zero-overhead passthrough to `System` unless the `obs` feature
 /// compiled the attribution paths in.
 #[global_allocator]
 static ALLOC: sbc_obs::alloc::TrackingAlloc = sbc_obs::alloc::TrackingAlloc;
@@ -343,7 +343,8 @@ fn ingest_secs(params: &CoresetParams, ops: &[StreamOp], reps: usize) -> f64 {
 /// budgets): nanoseconds of allocator bookkeeping per recorded
 /// alloc/dealloc pair, the enabled-but-idle (gate closed) allocator
 /// share of one ingest op, and the slowdown of a full ingest with a
-/// default-cadence sampler running.
+/// default-cadence sampler running (signed: a sampled run that came out
+/// faster reads negative, so noise is visible rather than hidden as 0).
 struct OverheadFigures {
     alloc_pair_ns: f64,
     alloc_idle_pct: f64,
@@ -407,7 +408,7 @@ fn measure_overheads(params: &CoresetParams, ops: &[StreamOp], cadence_ms: u64) 
     );
     let sampled_secs = ingest_secs(params, ops, 2);
     sampler.stop();
-    let sampling_pct = (sampled_secs / base_secs - 1.0).max(0.0) * 100.0;
+    let sampling_pct = (sampled_secs / base_secs - 1.0) * 100.0;
 
     OverheadFigures {
         alloc_pair_ns,

@@ -16,14 +16,15 @@
 //!
 //! # The zero-cost contract
 //!
-//! Two gates, one per binding time:
+//! One implementation, two gates, one per binding time:
 //!
-//! 1. **Compile time** — with the `obs` cargo feature *disabled* (the
-//!    default), every handle is a zero-sized type and every recording
-//!    call an empty `#[inline(always)]` function: the instrumentation
-//!    vanishes entirely, including local accumulators feeding it (they
-//!    become dead stores). `tests/noop.rs` pins this with size and
-//!    behavior assertions.
+//! 1. **Compile time** — the `obs` cargo feature sets [`COMPILED`].
+//!    Every recorder in this crate (metrics, flight recorder, `svc`,
+//!    `alloc`) checks it first, so with the feature *disabled* (the
+//!    default) each recording call folds to an early return: no name is
+//!    interned, the clock is never read, no trace ring or allocator
+//!    scope cell is touched, and [`alloc::TrackingAlloc`] passes straight
+//!    through to the system allocator. `tests/off.rs` pins this.
 //! 2. **Run time** — with the feature *enabled*, recording is further
 //!    gated by a global flag ([`set_enabled`], default **off**). An
 //!    enabled-but-idle binary pays one relaxed load + predictable
@@ -41,17 +42,15 @@ pub mod svc;
 pub mod timeline;
 pub mod trace;
 
+mod registry;
+
 use json::JsonValue;
+pub use registry::*;
 
-#[cfg(feature = "obs")]
-mod imp_enabled;
-#[cfg(feature = "obs")]
-pub use imp_enabled::*;
-
-#[cfg(not(feature = "obs"))]
-mod imp_noop;
-#[cfg(not(feature = "obs"))]
-pub use imp_noop::*;
+/// Whether the `obs` cargo feature is compiled in. Every recorder
+/// returns early when it is false, and tests key their live-side
+/// assertions on it.
+pub const COMPILED: bool = cfg!(feature = "obs");
 
 /// Resolves (and caches) a [`Counter`] by static name.
 ///

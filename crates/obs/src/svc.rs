@@ -11,8 +11,9 @@
 //!   Perfetto export.
 //! * **SLO histograms** — request latency keyed by
 //!   `(tenant-class, request tag)` in the shared power-of-two registry
-//!   (`svc.latency.<single|sharded>.<tag>`), plus error-code counters
-//!   over the stable 200–231 wire codes (`svc.error.<code>`).
+//!   (`svc.latency.<single|sharded>.<tag>`), plus one error counter per
+//!   wire code in 200–299 (`svc.error.<code>`; any other code counts
+//!   under `svc.error.other`).
 //! * **Gauges + per-tenant rows** — live/evicted tenant counts, spill
 //!   bytes, admission rejects/sheds, restores and restore storms, and a
 //!   bounded per-tenant table (ops, errors, bytes, p99, state) that
@@ -25,16 +26,22 @@
 //!   `(seed, tenant, seq)`, so reruns dump identical files).
 //!
 //! The module obeys the crate's zero-cost contract: without the `obs`
-//! feature every recording call is an empty `#[inline(always)]`
-//! function and [`RequestTimer`] is a ZST that never reads the clock;
-//! with the feature on, metrics are further gated by the global
-//! [`crate::set_enabled`] flag. Nothing here feeds back into service
-//! decisions, so served coresets are bit-identical in every state.
+//! feature ([`crate::COMPILED`] false) every recorder returns early,
+//! gauges and the slow-request configuration never store, and
+//! [`RequestTimer`] never reads the clock; with the feature on, metrics
+//! are further gated by the global [`crate::set_enabled`] flag. Nothing
+//! here feeds back into service decisions, so served coresets are
+//! bit-identical in every state.
 
-use crate::trace::CausalIds;
+use crate::trace::{self, CausalIds};
+use crate::COMPILED;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------
-// Shared vocabulary (compiled in both feature states).
+// Shared vocabulary.
 // ---------------------------------------------------------------------
 
 /// Identity of one decoded API record: which tenant it addresses and
@@ -342,555 +349,433 @@ pub fn slow_dump_stem(rid: RequestId) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Recording implementation (feature `obs` on).
+// Recording.
 // ---------------------------------------------------------------------
 
-#[cfg(feature = "obs")]
-mod imp {
-    use super::*;
-    use crate::trace;
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Mutex, OnceLock};
-    use std::time::Instant;
+/// Per-tenant rows tracked before the table saturates; overflow
+/// tenants are counted in `svc.tenants.untracked` instead of
+/// silently dropped.
+pub const TRACKED_TENANTS_CAP: usize = 1024;
 
-    /// Per-tenant rows tracked before the table saturates; overflow
-    /// tenants are counted in `svc.tenants.untracked` instead of
-    /// silently dropped.
-    pub const TRACKED_TENANTS_CAP: usize = 1024;
+/// Tenant rows published per timeline sample (top by ops).
+pub const SAMPLED_TENANTS: usize = 32;
 
-    /// Tenant rows published per timeline sample (top by ops).
-    pub const SAMPLED_TENANTS: usize = 32;
+/// Consecutive restoring requests that constitute a restore storm.
+const STORM_RUN: u64 = 4;
 
-    /// Consecutive restoring requests that constitute a restore storm.
-    const STORM_RUN: u64 = 4;
+static GAUGES: [AtomicU64; Gauge::COUNT] = [const { AtomicU64::new(0) }; Gauge::COUNT];
+static SLOW_THRESHOLD_NS: AtomicU64 = AtomicU64::new(0);
+static SLOW_PROBE_SEED: AtomicU64 = AtomicU64::new(0);
+static SLOW_PROBE_EVERY: AtomicU64 = AtomicU64::new(0);
+static SLOW_MAX_DUMPS: AtomicU64 = AtomicU64::new(0);
+static SLOW_DUMPS: AtomicU64 = AtomicU64::new(0);
+static RESTORE_STORMS: AtomicU64 = AtomicU64::new(0);
+static UNTRACKED_TENANTS: AtomicU64 = AtomicU64::new(0);
 
-    static GAUGES: [AtomicU64; Gauge::COUNT] = [const { AtomicU64::new(0) }; Gauge::COUNT];
-    static SLOW_THRESHOLD_NS: AtomicU64 = AtomicU64::new(0);
-    static SLOW_PROBE_SEED: AtomicU64 = AtomicU64::new(0);
-    static SLOW_PROBE_EVERY: AtomicU64 = AtomicU64::new(0);
-    static SLOW_MAX_DUMPS: AtomicU64 = AtomicU64::new(0);
-    static SLOW_DUMPS: AtomicU64 = AtomicU64::new(0);
-    static RESTORE_STORMS: AtomicU64 = AtomicU64::new(0);
-    static UNTRACKED_TENANTS: AtomicU64 = AtomicU64::new(0);
+const LATENCY_NAMES: [[&str; RequestTag::COUNT]; RequestClass::COUNT] = [
+    [
+        "svc.latency.single.hello",
+        "svc.latency.single.open",
+        "svc.latency.single.insert",
+        "svc.latency.single.delete",
+        "svc.latency.single.query",
+        "svc.latency.single.stats",
+        "svc.latency.single.checkpoint",
+        "svc.latency.single.evict",
+        "svc.latency.single.close",
+        "svc.latency.single.server_stats",
+        "svc.latency.single.shutdown",
+        "svc.latency.single.health",
+        "svc.latency.single.migrate_out",
+        "svc.latency.single.migrate_chunk",
+        "svc.latency.single.migrate_drain",
+        "svc.latency.single.cutover",
+        "svc.latency.single.migrate_abort",
+        "svc.latency.single.unknown",
+    ],
+    [
+        "svc.latency.sharded.hello",
+        "svc.latency.sharded.open",
+        "svc.latency.sharded.insert",
+        "svc.latency.sharded.delete",
+        "svc.latency.sharded.query",
+        "svc.latency.sharded.stats",
+        "svc.latency.sharded.checkpoint",
+        "svc.latency.sharded.evict",
+        "svc.latency.sharded.close",
+        "svc.latency.sharded.server_stats",
+        "svc.latency.sharded.shutdown",
+        "svc.latency.sharded.health",
+        "svc.latency.sharded.migrate_out",
+        "svc.latency.sharded.migrate_chunk",
+        "svc.latency.sharded.migrate_drain",
+        "svc.latency.sharded.cutover",
+        "svc.latency.sharded.migrate_abort",
+        "svc.latency.sharded.unknown",
+    ],
+];
 
-    const LATENCY_NAMES: [[&str; RequestTag::COUNT]; RequestClass::COUNT] = [
-        [
-            "svc.latency.single.hello",
-            "svc.latency.single.open",
-            "svc.latency.single.insert",
-            "svc.latency.single.delete",
-            "svc.latency.single.query",
-            "svc.latency.single.stats",
-            "svc.latency.single.checkpoint",
-            "svc.latency.single.evict",
-            "svc.latency.single.close",
-            "svc.latency.single.server_stats",
-            "svc.latency.single.shutdown",
-            "svc.latency.single.health",
-            "svc.latency.single.migrate_out",
-            "svc.latency.single.migrate_chunk",
-            "svc.latency.single.migrate_drain",
-            "svc.latency.single.cutover",
-            "svc.latency.single.migrate_abort",
-            "svc.latency.single.unknown",
-        ],
-        [
-            "svc.latency.sharded.hello",
-            "svc.latency.sharded.open",
-            "svc.latency.sharded.insert",
-            "svc.latency.sharded.delete",
-            "svc.latency.sharded.query",
-            "svc.latency.sharded.stats",
-            "svc.latency.sharded.checkpoint",
-            "svc.latency.sharded.evict",
-            "svc.latency.sharded.close",
-            "svc.latency.sharded.server_stats",
-            "svc.latency.sharded.shutdown",
-            "svc.latency.sharded.health",
-            "svc.latency.sharded.migrate_out",
-            "svc.latency.sharded.migrate_chunk",
-            "svc.latency.sharded.migrate_drain",
-            "svc.latency.sharded.cutover",
-            "svc.latency.sharded.migrate_abort",
-            "svc.latency.sharded.unknown",
-        ],
-    ];
+static LATENCY: [[OnceLock<crate::Histogram>; RequestTag::COUNT]; RequestClass::COUNT] =
+    [const { [const { OnceLock::new() }; RequestTag::COUNT] }; RequestClass::COUNT];
 
-    static LATENCY: [[OnceLock<crate::Histogram>; RequestTag::COUNT]; RequestClass::COUNT] =
-        [const { [const { OnceLock::new() }; RequestTag::COUNT] }; RequestClass::COUNT];
+/// Stable counter path for a wire error code: every code in 200–299
+/// gets its own series, anything else folds into `svc.error.other`, so
+/// a buggy peer can add at most 101 series to the registry.
+fn error_counter_name(code: u16) -> String {
+    if (200..300).contains(&code) {
+        format!("svc.error.{code}")
+    } else {
+        "svc.error.other".to_string()
+    }
+}
 
-    /// Stable counter path for a wire error code: known 200–246 codes
-    /// get their own series, anything else folds into
-    /// `svc.error.other` so a buggy peer cannot explode the registry.
-    fn error_counter_name(code: u16) -> &'static str {
-        match code {
-            200 => "svc.error.200",
-            201 => "svc.error.201",
-            202 => "svc.error.202",
-            203 => "svc.error.203",
-            204 => "svc.error.204",
-            210 => "svc.error.210",
-            211 => "svc.error.211",
-            212 => "svc.error.212",
-            213 => "svc.error.213",
-            214 => "svc.error.214",
-            220 => "svc.error.220",
-            221 => "svc.error.221",
-            230 => "svc.error.230",
-            231 => "svc.error.231",
-            240 => "svc.error.240",
-            241 => "svc.error.241",
-            242 => "svc.error.242",
-            243 => "svc.error.243",
-            244 => "svc.error.244",
-            245 => "svc.error.245",
-            246 => "svc.error.246",
-            _ => "svc.error.other",
+struct Row {
+    ops: u64,
+    errors: u64,
+    bytes: u64,
+    state: u64,
+    lat_count: u64,
+    lat: [u64; 65],
+}
+
+impl Row {
+    fn new() -> Row {
+        Row {
+            ops: 0,
+            errors: 0,
+            bytes: 0,
+            state: TenantState::Live as u64,
+            lat_count: 0,
+            lat: [0; 65],
         }
     }
 
-    struct Row {
-        ops: u64,
-        errors: u64,
-        bytes: u64,
-        state: u64,
-        lat_count: u64,
-        lat: [u64; 65],
-    }
-
-    impl Row {
-        fn new() -> Row {
-            Row {
-                ops: 0,
-                errors: 0,
-                bytes: 0,
-                state: TenantState::Live as u64,
-                lat_count: 0,
-                lat: [0; 65],
+    /// p99 over the row's power-of-two buckets (ceil-rank, bucket
+    /// upper bound — same convention as
+    /// [`crate::HistogramSnapshot::quantile`]).
+    fn p99_ns(&self) -> u64 {
+        if self.lat_count == 0 {
+            return 0;
+        }
+        let rank = ((0.99 * self.lat_count as f64).ceil() as u64).clamp(1, self.lat_count);
+        let mut seen = 0u64;
+        for (i, &n) in self.lat.iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                return crate::bucket_upper_bound(i);
             }
         }
-
-        /// p99 over the row's power-of-two buckets (ceil-rank, bucket
-        /// upper bound — same convention as
-        /// [`crate::HistogramSnapshot::quantile`]).
-        fn p99_ns(&self) -> u64 {
-            if self.lat_count == 0 {
-                return 0;
-            }
-            let rank = ((0.99 * self.lat_count as f64).ceil() as u64).clamp(1, self.lat_count);
-            let mut seen = 0u64;
-            for (i, &n) in self.lat.iter().enumerate() {
-                seen += n;
-                if seen >= rank {
-                    return crate::bucket_upper_bound(i);
-                }
-            }
-            u64::MAX
-        }
+        u64::MAX
     }
+}
 
-    fn rows() -> &'static Mutex<HashMap<u64, Row>> {
-        static ROWS: OnceLock<Mutex<HashMap<u64, Row>>> = OnceLock::new();
-        ROWS.get_or_init(|| Mutex::new(HashMap::new()))
-    }
+fn rows() -> &'static Mutex<HashMap<u64, Row>> {
+    static ROWS: OnceLock<Mutex<HashMap<u64, Row>>> = OnceLock::new();
+    ROWS.get_or_init(|| Mutex::new(HashMap::new()))
+}
 
-    struct StormState {
-        last_seq: u64,
-        run: u64,
-    }
+struct StormState {
+    last_seq: u64,
+    run: u64,
+}
 
-    fn storm() -> &'static Mutex<StormState> {
-        static STORM: OnceLock<Mutex<StormState>> = OnceLock::new();
-        STORM.get_or_init(|| {
-            Mutex::new(StormState {
-                last_seq: u64::MAX,
-                run: 0,
-            })
+fn storm() -> &'static Mutex<StormState> {
+    static STORM: OnceLock<Mutex<StormState>> = OnceLock::new();
+    STORM.get_or_init(|| {
+        Mutex::new(StormState {
+            last_seq: u64::MAX,
+            run: 0,
         })
+    })
+}
+
+fn with_row(tenant: u64, f: impl FnOnce(&mut Row)) {
+    let mut map = rows().lock().unwrap();
+    if let Some(row) = map.get_mut(&tenant) {
+        f(row);
+    } else if map.len() < TRACKED_TENANTS_CAP {
+        let row = map.entry(tenant).or_insert_with(Row::new);
+        f(row);
+    } else {
+        UNTRACKED_TENANTS.fetch_add(1, Ordering::Relaxed);
     }
+}
 
-    fn with_row(tenant: u64, f: impl FnOnce(&mut Row)) {
-        let mut map = rows().lock().unwrap();
-        if let Some(row) = map.get_mut(&tenant) {
-            f(row);
-        } else if map.len() < TRACKED_TENANTS_CAP {
-            let row = map.entry(tenant).or_insert_with(Row::new);
-            f(row);
-        } else {
-            UNTRACKED_TENANTS.fetch_add(1, Ordering::Relaxed);
-        }
+/// Service-plane gate, ANDed with the global flag: lets an overhead
+/// bench isolate this module's cost on top of an already-enabled
+/// pipeline. Defaults on, so flipping [`crate::set_enabled`] alone
+/// lights the service plane up too.
+static SVC_METRICS: AtomicBool = AtomicBool::new(true);
+
+/// Gates the service-plane recorders independently of the global
+/// flag (both must be on). Production embedders never need this;
+/// `serve_bench` uses it to measure exactly this module's overhead.
+pub fn set_metrics_enabled(on: bool) {
+    SVC_METRICS.store(on, Ordering::Relaxed);
+}
+
+/// Whether service metrics recording is on: the global
+/// [`crate::set_enabled`] flag AND the service-plane gate. Two
+/// relaxed loads.
+#[inline(always)]
+pub fn metrics_active() -> bool {
+    crate::enabled() && SVC_METRICS.load(Ordering::Relaxed)
+}
+
+/// Records one completed request: latency into the
+/// `(class, tag)` histogram, the error counter when the response
+/// carried a wire error code, and the tenant's row. No-op unless
+/// metrics are enabled.
+pub fn observe_request(
+    class: RequestClass,
+    tag: RequestTag,
+    rid: RequestId,
+    latency_ns: u64,
+    error_code: Option<u16>,
+) {
+    if !metrics_active() {
+        return;
     }
-
-    /// Service-plane gate, ANDed with the global flag: lets an overhead
-    /// bench isolate this module's cost on top of an already-enabled
-    /// pipeline. Defaults on, so flipping [`crate::set_enabled`] alone
-    /// lights the service plane up too.
-    static SVC_METRICS: AtomicBool = AtomicBool::new(true);
-
-    /// Gates the service-plane recorders independently of the global
-    /// flag (both must be on). Production embedders never need this;
-    /// `serve_bench` uses it to measure exactly this module's overhead.
-    pub fn set_metrics_enabled(on: bool) {
-        SVC_METRICS.store(on, Ordering::Relaxed);
+    let cell = &LATENCY[class as usize][tag as usize];
+    let hist = cell.get_or_init(|| crate::histogram(LATENCY_NAMES[class as usize][tag as usize]));
+    hist.record(latency_ns);
+    if let Some(code) = error_code {
+        crate::counter(&error_counter_name(code)).incr();
     }
-
-    /// Whether service metrics recording is on: the global
-    /// [`crate::set_enabled`] flag AND the service-plane gate. Two
-    /// relaxed loads.
-    #[inline(always)]
-    pub fn metrics_active() -> bool {
-        crate::enabled() && SVC_METRICS.load(Ordering::Relaxed)
-    }
-
-    /// Records one completed request: latency into the
-    /// `(class, tag)` histogram, the error counter when the response
-    /// carried a wire error code, and the tenant's row. No-op unless
-    /// metrics are enabled.
-    pub fn observe_request(
-        class: RequestClass,
-        tag: RequestTag,
-        rid: RequestId,
-        latency_ns: u64,
-        error_code: Option<u16>,
-    ) {
-        if !metrics_active() {
-            return;
-        }
-        let cell = &LATENCY[class as usize][tag as usize];
-        let hist =
-            cell.get_or_init(|| crate::histogram(LATENCY_NAMES[class as usize][tag as usize]));
-        hist.record(latency_ns);
-        if let Some(code) = error_code {
-            crate::counter(error_counter_name(code)).incr();
-        }
-        if rid.has_tenant() {
-            with_row(rid.tenant, |row| {
-                row.ops += 1;
-                if error_code.is_some() {
-                    row.errors += 1;
-                }
-                row.lat_count += 1;
-                row.lat[crate::bucket_index(latency_ns)] += 1;
-            });
-        }
-    }
-
-    /// Publishes a tenant's lifecycle state and measured bytes into its
-    /// row. No-op unless metrics are enabled.
-    pub fn observe_tenant_state(tenant: u64, state: TenantState, bytes: u64) {
-        if !metrics_active() {
-            return;
-        }
-        with_row(tenant, |row| {
-            row.state = state as u64;
-            row.bytes = bytes;
+    if rid.has_tenant() {
+        with_row(rid.tenant, |row| {
+            row.ops += 1;
+            if error_code.is_some() {
+                row.errors += 1;
+            }
+            row.lat_count += 1;
+            row.lat[crate::bucket_index(latency_ns)] += 1;
         });
     }
+}
 
-    /// Records an evict→restore round trip and detects restore storms:
-    /// a run of [`STORM_RUN`] consecutive request sequence numbers that
-    /// all restored (a working set thrashing in and out of the budget)
-    /// bumps `svc.restore.storms` once per run. No-op unless metrics
-    /// are enabled.
-    pub fn observe_restore(rid: RequestId) {
-        if !metrics_active() {
-            return;
-        }
-        let mut st = storm().lock().unwrap();
-        st.run = if st.last_seq.wrapping_add(1) == rid.seq {
-            st.run + 1
-        } else {
-            1
-        };
-        st.last_seq = rid.seq;
-        if st.run == STORM_RUN {
-            RESTORE_STORMS.fetch_add(1, Ordering::Relaxed);
-        }
+/// Publishes a tenant's lifecycle state and measured bytes into its
+/// row. No-op unless metrics are enabled.
+pub fn observe_tenant_state(tenant: u64, state: TenantState, bytes: u64) {
+    if !metrics_active() {
+        return;
     }
+    with_row(tenant, |row| {
+        row.state = state as u64;
+        row.bytes = bytes;
+    });
+}
 
-    /// Counts a migration lifecycle event (by `amount` — 1 for
-    /// discrete events, the op count for [`MigrationEvent::Replayed`])
-    /// under its `svc.migration.*` series. No-op unless metrics are
-    /// enabled.
-    pub fn observe_migration(event: MigrationEvent, amount: u64) {
-        if amount == 0 || !metrics_active() {
-            return;
-        }
-        crate::counter(event.counter_name()).add(amount);
+/// Records an evict→restore round trip and detects restore storms:
+/// a run of [`STORM_RUN`] consecutive request sequence numbers that
+/// all restored (a working set thrashing in and out of the budget)
+/// bumps `svc.restore.storms` once per run. No-op unless metrics
+/// are enabled.
+pub fn observe_restore(rid: RequestId) {
+    if !metrics_active() {
+        return;
     }
+    let mut st = storm().lock().unwrap();
+    st.run = if st.last_seq.wrapping_add(1) == rid.seq {
+        st.run + 1
+    } else {
+        1
+    };
+    st.last_seq = rid.seq;
+    if st.run == STORM_RUN {
+        RESTORE_STORMS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
-    /// Sets a gauge to a point-in-time value.
-    #[inline]
-    pub fn set_gauge(gauge: Gauge, value: u64) {
+/// Counts a migration lifecycle event (by `amount` — 1 for
+/// discrete events, the op count for [`MigrationEvent::Replayed`])
+/// under its `svc.migration.*` series. No-op unless metrics are
+/// enabled.
+pub fn observe_migration(event: MigrationEvent, amount: u64) {
+    if amount == 0 || !metrics_active() {
+        return;
+    }
+    crate::counter(event.counter_name()).add(amount);
+}
+
+/// Sets a gauge to a point-in-time value (no-op without the `obs`
+/// feature).
+#[inline]
+pub fn set_gauge(gauge: Gauge, value: u64) {
+    if COMPILED {
         GAUGES[gauge as usize].store(value, Ordering::Relaxed);
     }
+}
 
-    /// Current value of a gauge.
-    pub fn gauge(gauge: Gauge) -> u64 {
-        GAUGES[gauge as usize].load(Ordering::Relaxed)
+/// Current value of a gauge.
+pub fn gauge(gauge: Gauge) -> u64 {
+    GAUGES[gauge as usize].load(Ordering::Relaxed)
+}
+
+/// Installs the slow-request dump configuration (no-op without the
+/// `obs` feature, so the trigger can never fire).
+pub fn set_slow_request(cfg: SlowRequestConfig) {
+    if !COMPILED {
+        return;
     }
+    SLOW_THRESHOLD_NS.store(cfg.threshold_ns, Ordering::Relaxed);
+    SLOW_PROBE_SEED.store(cfg.probe_seed, Ordering::Relaxed);
+    SLOW_PROBE_EVERY.store(cfg.probe_every, Ordering::Relaxed);
+    SLOW_MAX_DUMPS.store(cfg.max_dumps, Ordering::Relaxed);
+}
 
-    /// Installs the slow-request dump configuration.
-    pub fn set_slow_request(cfg: SlowRequestConfig) {
-        SLOW_THRESHOLD_NS.store(cfg.threshold_ns, Ordering::Relaxed);
-        SLOW_PROBE_SEED.store(cfg.probe_seed, Ordering::Relaxed);
-        SLOW_PROBE_EVERY.store(cfg.probe_every, Ordering::Relaxed);
-        SLOW_MAX_DUMPS.store(cfg.max_dumps, Ordering::Relaxed);
+/// The installed slow-request dump configuration.
+pub fn slow_request_config() -> SlowRequestConfig {
+    SlowRequestConfig {
+        threshold_ns: SLOW_THRESHOLD_NS.load(Ordering::Relaxed),
+        probe_seed: SLOW_PROBE_SEED.load(Ordering::Relaxed),
+        probe_every: SLOW_PROBE_EVERY.load(Ordering::Relaxed),
+        max_dumps: SLOW_MAX_DUMPS.load(Ordering::Relaxed),
     }
+}
 
-    /// The installed slow-request dump configuration.
-    pub fn slow_request_config() -> SlowRequestConfig {
-        SlowRequestConfig {
-            threshold_ns: SLOW_THRESHOLD_NS.load(Ordering::Relaxed),
-            probe_seed: SLOW_PROBE_SEED.load(Ordering::Relaxed),
-            probe_every: SLOW_PROBE_EVERY.load(Ordering::Relaxed),
-            max_dumps: SLOW_MAX_DUMPS.load(Ordering::Relaxed),
-        }
+/// Slow-request dumps written so far.
+pub fn slow_dumps() -> u64 {
+    SLOW_DUMPS.load(Ordering::Relaxed)
+}
+
+/// Dumps the flight recorder's tail to
+/// `slow-<tenant>-<seq>.json` when the request's wall time crossed
+/// the threshold or the seeded probe selected it. Returns whether a
+/// file was written (requires a crash directory and, for useful
+/// content, trace recording).
+pub fn maybe_dump_slow(rid: RequestId, elapsed_ns: u64) -> bool {
+    let threshold = SLOW_THRESHOLD_NS.load(Ordering::Relaxed);
+    let every = SLOW_PROBE_EVERY.load(Ordering::Relaxed);
+    if threshold == 0 && every == 0 {
+        return false;
     }
-
-    /// Slow-request dumps written so far.
-    pub fn slow_dumps() -> u64 {
-        SLOW_DUMPS.load(Ordering::Relaxed)
+    let threshold_hit = threshold > 0 && elapsed_ns >= threshold;
+    let probe_hit = slow_probe_hit(SLOW_PROBE_SEED.load(Ordering::Relaxed), rid, every);
+    if !(threshold_hit || probe_hit) {
+        return false;
     }
-
-    /// Dumps the flight recorder's tail to
-    /// `slow-<tenant>-<seq>.json` when the request's wall time crossed
-    /// the threshold or the seeded probe selected it. Returns whether a
-    /// file was written (requires a crash directory and, for useful
-    /// content, trace recording).
-    pub fn maybe_dump_slow(rid: RequestId, elapsed_ns: u64) -> bool {
-        let threshold = SLOW_THRESHOLD_NS.load(Ordering::Relaxed);
-        let every = SLOW_PROBE_EVERY.load(Ordering::Relaxed);
-        if threshold == 0 && every == 0 {
-            return false;
-        }
-        let threshold_hit = threshold > 0 && elapsed_ns >= threshold;
-        let probe_hit = slow_probe_hit(SLOW_PROBE_SEED.load(Ordering::Relaxed), rid, every);
-        if !(threshold_hit || probe_hit) {
-            return false;
-        }
-        // Dump budget: each dump is a full ring export, so a hot server
-        // with a trigger-happy threshold must run out of budget, not
-        // disk. The count-then-write race can overshoot by a few dumps
-        // under concurrency, never unboundedly.
-        let budget = slow_request_config().dump_budget();
-        if SLOW_DUMPS.load(Ordering::Relaxed) >= budget {
-            return false;
-        }
-        let reason = if threshold_hit {
-            format!(
-                "request tenant={} seq={} took {elapsed_ns} ns (slow threshold {threshold} ns)",
-                rid.tenant, rid.seq
-            )
-        } else {
-            format!(
-                "seeded slow-request probe selected tenant={} seq={} (1 in {every})",
-                rid.tenant, rid.seq
-            )
-        };
-        let written = trace::dump_named(&slow_dump_stem(rid), &reason);
-        if written {
-            SLOW_DUMPS.fetch_add(1, Ordering::Relaxed);
-        }
-        written
+    // Dump budget: each dump is a full ring export, so a hot server
+    // with a trigger-happy threshold must run out of budget, not
+    // disk. The count-then-write race can overshoot by a few dumps
+    // under concurrency, never unboundedly.
+    let budget = slow_request_config().dump_budget();
+    if SLOW_DUMPS.load(Ordering::Relaxed) >= budget {
+        return false;
     }
-
-    /// The service gauges plus the top-[`SAMPLED_TENANTS`] tenant rows
-    /// (by ops), flattened to `(name, value)` pairs for a timeline
-    /// sample: `svc.tenant.<id>.{ops,errors,bytes,p99_ns,state}`.
-    /// Empty unless metrics are enabled.
-    pub fn sampled_counters() -> Vec<(String, u64)> {
-        if !crate::enabled() {
-            return Vec::new();
-        }
-        let mut out: Vec<(String, u64)> = Vec::new();
-        for i in 0..Gauge::COUNT {
-            let g = [
-                Gauge::TenantsLive,
-                Gauge::TenantsEvicted,
-                Gauge::SpillBytes,
-                Gauge::AdmissionRejects,
-                Gauge::AdmissionSheds,
-                Gauge::Restores,
-            ][i];
-            out.push((g.name().to_string(), GAUGES[i].load(Ordering::Relaxed)));
-        }
-        out.push((
-            "svc.restore.storms".to_string(),
-            RESTORE_STORMS.load(Ordering::Relaxed),
-        ));
-        out.push((
-            "svc.slow.dumps".to_string(),
-            SLOW_DUMPS.load(Ordering::Relaxed),
-        ));
-        let map = rows().lock().unwrap();
-        out.push(("svc.tenants.tracked".to_string(), map.len() as u64));
-        out.push((
-            "svc.tenants.untracked".to_string(),
-            UNTRACKED_TENANTS.load(Ordering::Relaxed),
-        ));
-        let mut order: Vec<(u64, u64)> = map.iter().map(|(id, r)| (r.ops, *id)).collect();
-        // Top by ops; ties broken by tenant id so samples are stable.
-        order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        for &(_, id) in order.iter().take(SAMPLED_TENANTS) {
-            let row = &map[&id];
-            out.push((format!("svc.tenant.{id}.ops"), row.ops));
-            out.push((format!("svc.tenant.{id}.errors"), row.errors));
-            out.push((format!("svc.tenant.{id}.bytes"), row.bytes));
-            out.push((format!("svc.tenant.{id}.p99_ns"), row.p99_ns()));
-            out.push((format!("svc.tenant.{id}.state"), row.state));
-        }
-        out
+    let reason = if threshold_hit {
+        format!(
+            "request tenant={} seq={} took {elapsed_ns} ns (slow threshold {threshold} ns)",
+            rid.tenant, rid.seq
+        )
+    } else {
+        format!(
+            "seeded slow-request probe selected tenant={} seq={} (1 in {every})",
+            rid.tenant, rid.seq
+        )
+    };
+    let written = trace::dump_named(&slow_dump_stem(rid), &reason);
+    if written {
+        SLOW_DUMPS.fetch_add(1, Ordering::Relaxed);
     }
+    written
+}
 
-    /// Clears gauges, tenant rows, storm state, and dump counts (the
-    /// slow-request configuration is kept — it is configuration, not
-    /// data). For tests.
-    pub fn reset() {
-        for g in &GAUGES {
-            g.store(0, Ordering::Relaxed);
-        }
-        RESTORE_STORMS.store(0, Ordering::Relaxed);
-        SLOW_DUMPS.store(0, Ordering::Relaxed);
-        UNTRACKED_TENANTS.store(0, Ordering::Relaxed);
-        rows().lock().unwrap().clear();
-        let mut st = storm().lock().unwrap();
-        st.last_seq = u64::MAX;
-        st.run = 0;
+/// The service gauges plus the top-[`SAMPLED_TENANTS`] tenant rows
+/// (by ops), flattened to `(name, value)` pairs for a timeline
+/// sample: `svc.tenant.<id>.{ops,errors,bytes,p99_ns,state}`.
+/// Empty unless metrics are enabled.
+pub fn sampled_counters() -> Vec<(String, u64)> {
+    if !crate::enabled() {
+        return Vec::new();
     }
-
-    /// Wall-clock timer for one request. Reads the clock only when
-    /// something will consume the measurement (metrics, tracing, or a
-    /// slow-request trigger armed), so an idle instrumented build pays
-    /// three relaxed loads per request and no syscalls.
-    pub struct RequestTimer {
-        start: Option<Instant>,
+    let mut out: Vec<(String, u64)> = Vec::new();
+    for i in 0..Gauge::COUNT {
+        let g = [
+            Gauge::TenantsLive,
+            Gauge::TenantsEvicted,
+            Gauge::SpillBytes,
+            Gauge::AdmissionRejects,
+            Gauge::AdmissionSheds,
+            Gauge::Restores,
+        ][i];
+        out.push((g.name().to_string(), GAUGES[i].load(Ordering::Relaxed)));
     }
+    out.push((
+        "svc.restore.storms".to_string(),
+        RESTORE_STORMS.load(Ordering::Relaxed),
+    ));
+    out.push((
+        "svc.slow.dumps".to_string(),
+        SLOW_DUMPS.load(Ordering::Relaxed),
+    ));
+    let map = rows().lock().unwrap();
+    out.push(("svc.tenants.tracked".to_string(), map.len() as u64));
+    out.push((
+        "svc.tenants.untracked".to_string(),
+        UNTRACKED_TENANTS.load(Ordering::Relaxed),
+    ));
+    let mut order: Vec<(u64, u64)> = map.iter().map(|(id, r)| (r.ops, *id)).collect();
+    // Top by ops; ties broken by tenant id so samples are stable.
+    order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    for &(_, id) in order.iter().take(SAMPLED_TENANTS) {
+        let row = &map[&id];
+        out.push((format!("svc.tenant.{id}.ops"), row.ops));
+        out.push((format!("svc.tenant.{id}.errors"), row.errors));
+        out.push((format!("svc.tenant.{id}.bytes"), row.bytes));
+        out.push((format!("svc.tenant.{id}.p99_ns"), row.p99_ns()));
+        out.push((format!("svc.tenant.{id}.state"), row.state));
+    }
+    out
+}
 
-    impl RequestTimer {
-        /// Starts the timer if any consumer is armed.
-        pub fn start() -> RequestTimer {
-            let armed = crate::enabled()
+/// Clears gauges, tenant rows, storm state, and dump counts (the
+/// slow-request configuration is kept — it is configuration, not
+/// data). For tests.
+pub fn reset() {
+    for g in &GAUGES {
+        g.store(0, Ordering::Relaxed);
+    }
+    RESTORE_STORMS.store(0, Ordering::Relaxed);
+    SLOW_DUMPS.store(0, Ordering::Relaxed);
+    UNTRACKED_TENANTS.store(0, Ordering::Relaxed);
+    rows().lock().unwrap().clear();
+    let mut st = storm().lock().unwrap();
+    st.last_seq = u64::MAX;
+    st.run = 0;
+}
+
+/// Wall-clock timer for one request. Reads the clock only when
+/// something will consume the measurement (metrics, tracing, or a
+/// slow-request trigger armed), so an idle instrumented build pays
+/// three relaxed loads per request and no syscalls, and a build without
+/// the `obs` feature pays nothing.
+pub struct RequestTimer {
+    start: Option<Instant>,
+}
+
+impl RequestTimer {
+    /// Starts the timer if any consumer is armed.
+    #[inline]
+    pub fn start() -> RequestTimer {
+        let armed = COMPILED
+            && (crate::enabled()
                 || trace::enabled()
                 || SLOW_THRESHOLD_NS.load(Ordering::Relaxed) != 0
-                || SLOW_PROBE_EVERY.load(Ordering::Relaxed) != 0;
-            RequestTimer {
-                start: armed.then(Instant::now),
-            }
+                || SLOW_PROBE_EVERY.load(Ordering::Relaxed) != 0);
+        RequestTimer {
+            start: armed.then(Instant::now),
         }
+    }
 
-        /// Elapsed nanoseconds, or 0 when the timer never armed.
-        pub fn elapsed_ns(&self) -> u64 {
-            self.start
-                .map(|s| s.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-                .unwrap_or(0)
-        }
+    /// Elapsed nanoseconds, or 0 when the timer never armed.
+    #[inline]
+    pub fn elapsed_ns(&self) -> u64 {
+        self.start
+            .map(|s| s.elapsed().as_nanos().min(u64::MAX as u128) as u64)
+            .unwrap_or(0)
     }
 }
-
-// ---------------------------------------------------------------------
-// No-op implementation (feature `obs` off): ZSTs, empty bodies.
-// ---------------------------------------------------------------------
-
-#[cfg(not(feature = "obs"))]
-mod imp {
-    use super::*;
-
-    /// Always `false` in a no-op build.
-    #[inline(always)]
-    pub fn metrics_active() -> bool {
-        false
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn observe_request(
-        _class: RequestClass,
-        _tag: RequestTag,
-        _rid: RequestId,
-        _latency_ns: u64,
-        _error_code: Option<u16>,
-    ) {
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn observe_tenant_state(_tenant: u64, _state: TenantState, _bytes: u64) {}
-
-    /// No-op.
-    #[inline(always)]
-    pub fn observe_restore(_rid: RequestId) {}
-
-    /// No-op.
-    #[inline(always)]
-    pub fn observe_migration(_event: MigrationEvent, _amount: u64) {}
-
-    /// No-op.
-    #[inline(always)]
-    pub fn set_gauge(_gauge: Gauge, _value: u64) {}
-
-    /// Always `0` in a no-op build.
-    #[inline(always)]
-    pub fn gauge(_gauge: Gauge) -> u64 {
-        0
-    }
-
-    /// No-op: a no-op build cannot arm the slow-request trigger.
-    #[inline(always)]
-    pub fn set_slow_request(_cfg: SlowRequestConfig) {}
-
-    /// Always [`SlowRequestConfig::DISABLED`] in a no-op build.
-    #[inline(always)]
-    pub fn slow_request_config() -> SlowRequestConfig {
-        SlowRequestConfig::DISABLED
-    }
-
-    /// Always `0` in a no-op build.
-    #[inline(always)]
-    pub fn slow_dumps() -> u64 {
-        0
-    }
-
-    /// No-op; never writes.
-    #[inline(always)]
-    pub fn maybe_dump_slow(_rid: RequestId, _elapsed_ns: u64) -> bool {
-        false
-    }
-
-    /// Always empty in a no-op build.
-    #[inline(always)]
-    pub fn sampled_counters() -> Vec<(String, u64)> {
-        Vec::new()
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn reset() {}
-
-    /// No-op; the service plane can never record in this build.
-    #[inline(always)]
-    pub fn set_metrics_enabled(_on: bool) {}
-
-    /// Zero-sized stand-in that never reads the clock.
-    pub struct RequestTimer;
-
-    impl RequestTimer {
-        /// Returns the ZST timer.
-        #[inline(always)]
-        pub fn start() -> RequestTimer {
-            RequestTimer
-        }
-
-        /// Always `0` in a no-op build.
-        #[inline(always)]
-        pub fn elapsed_ns(&self) -> u64 {
-            0
-        }
-    }
-}
-
-pub use imp::*;
 
 #[cfg(test)]
 mod tests {

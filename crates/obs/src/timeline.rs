@@ -10,9 +10,9 @@
 //! `sbc-top` or any scrape agent can tail while the run is live.
 //!
 //! The timeline is an *observer*: sampling never feeds back into
-//! algorithmic state, and every exporter works in all feature states
-//! (`alloc_tracking: false` and zeroed components when `obs-alloc` is
-//! off; empty counters when `obs` is off).
+//! algorithmic state, and every exporter works in both feature states
+//! (`alloc_tracking: false`, zeroed components and empty counters when
+//! `obs` is off).
 
 use crate::alloc::AllocSnapshot;
 use crate::json::JsonValue;

@@ -4,9 +4,10 @@
 //! (flamegraph input), and fault-triggered crash dumps.
 //!
 //! The recorder follows the same zero-cost contract as the metrics
-//! registry in this crate: with the `obs` cargo feature **off** every
-//! handle is a zero-sized type and every call compiles to a no-op;
-//! with it **on**, recording is further gated behind a runtime flag
+//! registry in this crate: with the `obs` cargo feature **off**
+//! ([`crate::COMPILED`] false) every recording call returns before it
+//! reads the clock or touches a ring, and no crash directory can be
+//! set; with it **on**, recording is further gated behind a runtime flag
 //! ([`set_enabled`]) that is independent of the metrics flag, so a
 //! binary can collect counters without paying for a timeline (or vice
 //! versa).
@@ -42,6 +43,11 @@
 //! paths.
 
 use crate::json::JsonValue;
+use crate::COMPILED;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// Default ring capacity per thread, in events.
 pub const DEFAULT_CAPACITY: usize = 64 * 1024;
@@ -247,54 +253,46 @@ impl TraceSnapshot {
     }
 }
 
-/// JSON form of one event, shared by the Chrome exporter's `args` and
-/// the crash report. Unset causal ids are elided; `store_id` renders
-/// as a hex string (64-bit salts exceed the f64-safe integer range).
+/// Appends the set causal ids of `ids` to `o`, eliding unset fields;
+/// `store_id` renders as a hex string (64-bit salts exceed the
+/// f64-safe integer range).
+fn causal_fields(mut o: JsonValue, ids: &CausalIds) -> JsonValue {
+    if ids.op_index != u64::MAX {
+        o = o.field("op_index", ids.op_index);
+    }
+    if ids.store_id != 0 {
+        o = o.field("store_id", format!("{:#018x}", ids.store_id));
+    }
+    if ids.level != i16::MIN {
+        o = o.field("level", ids.level as i64);
+    }
+    if ids.role != role::NONE {
+        o = o.field("role", role::name(ids.role));
+    }
+    if ids.machine != u16::MAX {
+        o = o.field("machine", ids.machine as u64);
+    }
+    o
+}
+
+/// JSON form of one event in a crash report.
 fn record_json(tid: u64, e: &TraceRecord) -> JsonValue {
-    let mut o = JsonValue::object()
+    let o = JsonValue::object()
         .field("seq", e.seq)
         .field("tick_ns", e.tick_ns)
         .field("thread", tid)
         .field("kind", e.kind.as_str())
         .field("label", e.label);
-    if e.ids.op_index != u64::MAX {
-        o = o.field("op_index", e.ids.op_index);
-    }
-    if e.ids.store_id != 0 {
-        o = o.field("store_id", format!("{:#018x}", e.ids.store_id));
-    }
-    if e.ids.level != i16::MIN {
-        o = o.field("level", e.ids.level as i64);
-    }
-    if e.ids.role != role::NONE {
-        o = o.field("role", role::name(e.ids.role));
-    }
-    if e.ids.machine != u16::MAX {
-        o = o.field("machine", e.ids.machine as u64);
-    }
-    o.field("arg", e.arg)
+    causal_fields(o, &e.ids).field("arg", e.arg)
 }
 
 /// Causal-id `args` payload for a Chrome event (no seq/kind duplication
 /// beyond what Perfetto needs to group slices).
 fn chrome_args(e: &TraceRecord) -> JsonValue {
-    let mut o = JsonValue::object().field("seq", e.seq).field("arg", e.arg);
-    if e.ids.op_index != u64::MAX {
-        o = o.field("op_index", e.ids.op_index);
-    }
-    if e.ids.store_id != 0 {
-        o = o.field("store_id", format!("{:#018x}", e.ids.store_id));
-    }
-    if e.ids.level != i16::MIN {
-        o = o.field("level", e.ids.level as i64);
-    }
-    if e.ids.role != role::NONE {
-        o = o.field("role", role::name(e.ids.role));
-    }
-    if e.ids.machine != u16::MAX {
-        o = o.field("machine", e.ids.machine as u64);
-    }
-    o
+    causal_fields(
+        JsonValue::object().field("seq", e.seq).field("arg", e.arg),
+        &e.ids,
+    )
 }
 
 fn chrome_event(ph: &str, name: &str, tid: u64, ts_ns: u64, args: JsonValue) -> JsonValue {
@@ -465,361 +463,280 @@ pub fn crash_report(snap: &TraceSnapshot, reason: &str, last_n: usize) -> JsonVa
 }
 
 // ---------------------------------------------------------------------
-// Recording implementation (feature `obs` on).
+// Recording.
 // ---------------------------------------------------------------------
 
-#[cfg(feature = "obs")]
-mod recorder {
-    use super::*;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock};
-    use std::time::Instant;
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static SEQ: AtomicU64 = AtomicU64::new(0);
+static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
+static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
-    static NEXT_TID: AtomicU64 = AtomicU64::new(0);
+fn epoch() -> &'static Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now)
+}
 
-    fn epoch() -> &'static Instant {
-        static EPOCH: OnceLock<Instant> = OnceLock::new();
-        EPOCH.get_or_init(Instant::now)
-    }
+struct Ring {
+    tid: u64,
+    buf: Vec<TraceRecord>,
+    /// Index of the oldest event once the ring has wrapped.
+    head: usize,
+    /// Total events ever written to this ring.
+    written: u64,
+}
 
-    struct Ring {
-        tid: u64,
-        buf: Vec<TraceRecord>,
-        /// Index of the oldest event once the ring has wrapped.
-        head: usize,
-        /// Total events ever written to this ring.
-        written: u64,
-    }
-
-    impl Ring {
-        fn push(&mut self, rec: TraceRecord) {
-            let cap = CAPACITY.load(Ordering::Relaxed).max(1);
-            if self.buf.len() < cap {
-                self.buf.push(rec);
-            } else {
-                let n = self.buf.len();
-                self.buf[self.head % n] = rec;
-                self.head = (self.head + 1) % n;
-            }
-            self.written += 1;
+impl Ring {
+    fn push(&mut self, rec: TraceRecord) {
+        let cap = CAPACITY.load(Ordering::Relaxed).max(1);
+        if self.buf.len() < cap {
+            self.buf.push(rec);
+        } else {
+            let n = self.buf.len();
+            self.buf[self.head % n] = rec;
+            self.head = (self.head + 1) % n;
         }
-
-        fn ordered(&self) -> Vec<TraceRecord> {
-            let mut out = Vec::with_capacity(self.buf.len());
-            out.extend_from_slice(&self.buf[self.head..]);
-            out.extend_from_slice(&self.buf[..self.head]);
-            out
-        }
+        self.written += 1;
     }
 
-    type SharedRing = Arc<Mutex<Ring>>;
-
-    fn registry() -> &'static Mutex<Vec<SharedRing>> {
-        static REGISTRY: OnceLock<Mutex<Vec<SharedRing>>> = OnceLock::new();
-        REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
-    fn crash_dir() -> &'static Mutex<Option<PathBuf>> {
-        static DIR: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
-        DIR.get_or_init(|| Mutex::new(None))
-    }
-
-    fn dumped_labels() -> &'static Mutex<Vec<&'static str>> {
-        static DUMPED: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-        DUMPED.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
-    thread_local! {
-        static LOCAL_RING: std::cell::OnceCell<SharedRing> =
-            const { std::cell::OnceCell::new() };
-    }
-
-    fn register_ring() -> SharedRing {
-        let ring = Arc::new(Mutex::new(Ring {
-            tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-            buf: Vec::new(),
-            head: 0,
-            written: 0,
-        }));
-        registry().lock().unwrap().push(Arc::clone(&ring));
-        ring
-    }
-
-    /// Whether trace recording is currently on (feature compiled in
-    /// **and** runtime flag set). One relaxed load — safe to call on
-    /// hot paths.
-    #[inline(always)]
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    /// Turns trace recording on or off at runtime. Independent of the
-    /// metrics flag (`sbc_obs::set_enabled`).
-    pub fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::Relaxed);
-    }
-
-    /// Current per-thread ring capacity, in events.
-    pub fn capacity() -> usize {
-        CAPACITY.load(Ordering::Relaxed)
-    }
-
-    /// Sets the per-thread ring capacity and clears all rings (the new
-    /// capacity applies to events recorded from now on).
-    pub fn set_capacity(events: usize) {
-        CAPACITY.store(events.max(1), Ordering::Relaxed);
-        reset();
-    }
-
-    /// Clears every ring and restarts the sequence counter. Rings stay
-    /// registered to their threads.
-    pub fn reset() {
-        for ring in registry().lock().unwrap().iter() {
-            let mut r = ring.lock().unwrap();
-            r.buf.clear();
-            r.head = 0;
-            r.written = 0;
-        }
-        SEQ.store(0, Ordering::Relaxed);
-    }
-
-    /// Records one event on the calling thread's ring. No-op unless
-    /// [`enabled`]. `Fault` and `StoreKill` events additionally trigger
-    /// a crash dump when a crash directory is configured.
-    #[inline]
-    pub fn event(kind: TraceKind, label: &'static str, ids: CausalIds, arg: u64) {
-        if !enabled() {
-            return;
-        }
-        let rec = TraceRecord {
-            seq: SEQ.fetch_add(1, Ordering::Relaxed),
-            tick_ns: epoch().elapsed().as_nanos() as u64,
-            kind,
-            label,
-            ids,
-            arg,
-        };
-        LOCAL_RING.with(|cell| {
-            let ring = cell.get_or_init(register_ring);
-            ring.lock().unwrap().push(rec);
-        });
-        if matches!(kind, TraceKind::Fault | TraceKind::StoreKill) {
-            maybe_crash_dump(label);
-        }
-    }
-
-    /// Records a point event.
-    #[inline]
-    pub fn instant(label: &'static str, ids: CausalIds, arg: u64) {
-        event(TraceKind::Instant, label, ids, arg);
-    }
-
-    /// RAII span guard: records `SpanBegin` on creation (when recording
-    /// is enabled) and the matching `SpanEnd` on drop.
-    #[must_use = "a span records its end when dropped"]
-    pub struct TraceSpan {
-        label: &'static str,
-        ids: CausalIds,
-        armed: bool,
-    }
-
-    /// Opens a span; the returned guard closes it on drop. `arg` lands
-    /// on the begin event (e.g. a batch size).
-    #[inline]
-    pub fn span(label: &'static str, ids: CausalIds, arg: u64) -> TraceSpan {
-        let armed = enabled();
-        if armed {
-            event(TraceKind::SpanBegin, label, ids, arg);
-        }
-        TraceSpan { label, ids, armed }
-    }
-
-    impl Drop for TraceSpan {
-        fn drop(&mut self) {
-            if self.armed {
-                event(TraceKind::SpanEnd, self.label, self.ids, 0);
-            }
-        }
-    }
-
-    /// Copies every thread's ring into a [`TraceSnapshot`] (threads
-    /// ordered by tid, events oldest-first within each).
-    pub fn snapshot() -> TraceSnapshot {
-        let mut threads: Vec<ThreadTrace> = Vec::new();
-        let mut dropped = 0u64;
-        for ring in registry().lock().unwrap().iter() {
-            let r = ring.lock().unwrap();
-            dropped += r.written - r.buf.len() as u64;
-            threads.push(ThreadTrace {
-                tid: r.tid,
-                events: r.ordered(),
-            });
-        }
-        threads.sort_by_key(|t| t.tid);
-        TraceSnapshot {
-            feature_enabled: true,
-            capacity: capacity(),
-            dropped,
-            threads,
-        }
-    }
-
-    /// Configures (or clears) the directory fault-triggered crash dumps
-    /// are written to.
-    pub fn set_crash_dir(dir: Option<PathBuf>) {
-        *crash_dir().lock().unwrap() = dir;
-        dumped_labels().lock().unwrap().clear();
-    }
-
-    /// Writes `crash-<label>.json` to the configured crash directory
-    /// (if any) with the given reason and the last
-    /// [`DEFAULT_CRASH_EVENTS`] events. Returns `true` if a file was
-    /// written. Unlike the automatic fault-triggered dumps this is not
-    /// deduplicated per label.
-    pub fn crash_dump_now(label: &str, reason: &str) -> bool {
-        let Some(dir) = crash_dir().lock().unwrap().clone() else {
-            return false;
-        };
-        write_crash(&dir, label, reason)
-    }
-
-    /// Writes `<stem>.json` to the configured crash directory (if any)
-    /// with the given reason and the last [`DEFAULT_CRASH_EVENTS`]
-    /// events. Unlike [`crash_dump_now`] the stem is used verbatim
-    /// (after sanitizing to `[A-Za-z0-9_-]`, so slow-request stems like
-    /// `slow-7-42` keep their hyphens) with no `crash-` prefix, and the
-    /// dump is never deduplicated. Returns `true` if a file was written.
-    pub fn dump_named(stem: &str, reason: &str) -> bool {
-        let Some(dir) = crash_dir().lock().unwrap().clone() else {
-            return false;
-        };
-        let snap = snapshot();
-        let report = crash_report(&snap, reason, DEFAULT_CRASH_EVENTS);
-        let sanitized: String = stem
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        let path = dir.join(format!("{sanitized}.json"));
-        std::fs::write(&path, report.render_pretty()).is_ok()
-    }
-
-    /// Fault-triggered dump: first firing per label only, so a chaos
-    /// profile killing dozens of stores leaves one representative dump
-    /// per taxonomy instead of flooding the directory.
-    fn maybe_crash_dump(label: &'static str) {
-        let Some(dir) = crash_dir().lock().unwrap().clone() else {
-            return;
-        };
-        {
-            let mut dumped = dumped_labels().lock().unwrap();
-            if dumped.contains(&label) {
-                return;
-            }
-            dumped.push(label);
-        }
-        write_crash(&dir, label, &format!("fault event `{label}` fired"));
-    }
-
-    fn write_crash(dir: &std::path::Path, label: &str, reason: &str) -> bool {
-        let snap = snapshot();
-        let report = crash_report(&snap, reason, DEFAULT_CRASH_EVENTS);
-        let sanitized: String = label
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-            .collect();
-        let path = dir.join(format!("crash-{sanitized}.json"));
-        std::fs::write(&path, report.render_pretty()).is_ok()
+    fn ordered(&self) -> Vec<TraceRecord> {
+        let mut out = Vec::with_capacity(self.buf.len());
+        out.extend_from_slice(&self.buf[self.head..]);
+        out.extend_from_slice(&self.buf[..self.head]);
+        out
     }
 }
 
-// ---------------------------------------------------------------------
-// No-op implementation (feature `obs` off): ZST handles, empty bodies.
-// ---------------------------------------------------------------------
+type SharedRing = Arc<Mutex<Ring>>;
 
-#[cfg(not(feature = "obs"))]
-mod recorder {
-    use super::*;
-    use std::path::PathBuf;
+fn registry() -> &'static Mutex<Vec<SharedRing>> {
+    static REGISTRY: OnceLock<Mutex<Vec<SharedRing>>> = OnceLock::new();
+    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+}
 
-    /// Always `false` in a no-op build.
-    #[inline(always)]
-    pub fn enabled() -> bool {
-        false
-    }
+fn crash_dir() -> &'static Mutex<Option<PathBuf>> {
+    static DIR: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
+    DIR.get_or_init(|| Mutex::new(None))
+}
 
-    /// No-op: a no-op build cannot enable recording.
-    #[inline(always)]
-    pub fn set_enabled(_on: bool) {}
+fn dumped_labels() -> &'static Mutex<Vec<&'static str>> {
+    static DUMPED: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
+    DUMPED.get_or_init(|| Mutex::new(Vec::new()))
+}
 
-    /// Always `0` in a no-op build.
-    #[inline(always)]
-    pub fn capacity() -> usize {
+thread_local! {
+    static LOCAL_RING: std::cell::OnceCell<SharedRing> =
+        const { std::cell::OnceCell::new() };
+}
+
+fn register_ring() -> SharedRing {
+    let ring = Arc::new(Mutex::new(Ring {
+        tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
+        buf: Vec::new(),
+        head: 0,
+        written: 0,
+    }));
+    registry().lock().unwrap().push(Arc::clone(&ring));
+    ring
+}
+
+/// Whether trace recording is currently on (feature compiled in
+/// **and** runtime flag set). One relaxed load — safe to call on
+/// hot paths.
+#[inline(always)]
+pub fn enabled() -> bool {
+    COMPILED && ENABLED.load(Ordering::Relaxed)
+}
+
+/// Turns trace recording on or off at runtime. Independent of the
+/// metrics flag (`sbc_obs::set_enabled`).
+pub fn set_enabled(on: bool) {
+    ENABLED.store(on, Ordering::Relaxed);
+}
+
+/// Current per-thread ring capacity, in events (0 without the `obs`
+/// feature: no ring can ever hold an event).
+pub fn capacity() -> usize {
+    if COMPILED {
+        CAPACITY.load(Ordering::Relaxed)
+    } else {
         0
     }
+}
 
-    /// No-op.
-    #[inline(always)]
-    pub fn set_capacity(_events: usize) {}
+/// Sets the per-thread ring capacity and clears all rings (the new
+/// capacity applies to events recorded from now on).
+pub fn set_capacity(events: usize) {
+    CAPACITY.store(events.max(1), Ordering::Relaxed);
+    reset();
+}
 
-    /// No-op.
-    #[inline(always)]
-    pub fn reset() {}
-
-    /// No-op.
-    #[inline(always)]
-    pub fn event(_kind: TraceKind, _label: &'static str, _ids: CausalIds, _arg: u64) {}
-
-    /// No-op.
-    #[inline(always)]
-    pub fn instant(_label: &'static str, _ids: CausalIds, _arg: u64) {}
-
-    /// Zero-sized stand-in for the RAII span guard.
-    #[must_use = "a span records its end when dropped"]
-    pub struct TraceSpan;
-
-    /// No-op; returns a zero-sized guard.
-    #[inline(always)]
-    pub fn span(_label: &'static str, _ids: CausalIds, _arg: u64) -> TraceSpan {
-        TraceSpan
+/// Clears every ring and restarts the sequence counter. Rings stay
+/// registered to their threads.
+pub fn reset() {
+    for ring in registry().lock().unwrap().iter() {
+        let mut r = ring.lock().unwrap();
+        r.buf.clear();
+        r.head = 0;
+        r.written = 0;
     }
+    SEQ.store(0, Ordering::Relaxed);
+}
 
-    /// Returns an empty snapshot with `feature_enabled: false`.
-    #[inline(always)]
-    pub fn snapshot() -> TraceSnapshot {
-        TraceSnapshot::default()
+/// Records one event on the calling thread's ring. No-op unless
+/// [`enabled`]. `Fault` and `StoreKill` events additionally trigger
+/// a crash dump when a crash directory is configured.
+#[inline]
+pub fn event(kind: TraceKind, label: &'static str, ids: CausalIds, arg: u64) {
+    if !enabled() {
+        return;
     }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn set_crash_dir(_dir: Option<PathBuf>) {}
-
-    /// No-op; never writes.
-    #[inline(always)]
-    pub fn crash_dump_now(_label: &str, _reason: &str) -> bool {
-        false
-    }
-
-    /// No-op; never writes.
-    #[inline(always)]
-    pub fn dump_named(_stem: &str, _reason: &str) -> bool {
-        false
+    let rec = TraceRecord {
+        seq: SEQ.fetch_add(1, Ordering::Relaxed),
+        tick_ns: epoch().elapsed().as_nanos() as u64,
+        kind,
+        label,
+        ids,
+        arg,
+    };
+    LOCAL_RING.with(|cell| {
+        let ring = cell.get_or_init(register_ring);
+        ring.lock().unwrap().push(rec);
+    });
+    if matches!(kind, TraceKind::Fault | TraceKind::StoreKill) {
+        maybe_crash_dump(label);
     }
 }
 
-pub use recorder::{
-    capacity, crash_dump_now, dump_named, enabled, event, instant, reset, set_capacity,
-    set_crash_dir, set_enabled, snapshot, span, TraceSpan,
-};
+/// Records a point event.
+#[inline]
+pub fn instant(label: &'static str, ids: CausalIds, arg: u64) {
+    event(TraceKind::Instant, label, ids, arg);
+}
+
+/// RAII span guard: records `SpanBegin` on creation (when recording
+/// is enabled) and the matching `SpanEnd` on drop.
+#[must_use = "a span records its end when dropped"]
+pub struct TraceSpan {
+    label: &'static str,
+    ids: CausalIds,
+    armed: bool,
+}
+
+/// Opens a span; the returned guard closes it on drop. `arg` lands
+/// on the begin event (e.g. a batch size).
+#[inline]
+pub fn span(label: &'static str, ids: CausalIds, arg: u64) -> TraceSpan {
+    let armed = enabled();
+    if armed {
+        event(TraceKind::SpanBegin, label, ids, arg);
+    }
+    TraceSpan { label, ids, armed }
+}
+
+impl Drop for TraceSpan {
+    #[inline]
+    fn drop(&mut self) {
+        if self.armed {
+            event(TraceKind::SpanEnd, self.label, self.ids, 0);
+        }
+    }
+}
+
+/// Copies every thread's ring into a [`TraceSnapshot`] (threads
+/// ordered by tid, events oldest-first within each).
+pub fn snapshot() -> TraceSnapshot {
+    let mut threads: Vec<ThreadTrace> = Vec::new();
+    let mut dropped = 0u64;
+    for ring in registry().lock().unwrap().iter() {
+        let r = ring.lock().unwrap();
+        dropped += r.written - r.buf.len() as u64;
+        threads.push(ThreadTrace {
+            tid: r.tid,
+            events: r.ordered(),
+        });
+    }
+    threads.sort_by_key(|t| t.tid);
+    TraceSnapshot {
+        feature_enabled: COMPILED,
+        capacity: capacity(),
+        dropped,
+        threads,
+    }
+}
+
+/// Configures (or clears) the directory fault-triggered crash dumps
+/// are written to. Without the `obs` feature no directory is ever set,
+/// so nothing is written.
+pub fn set_crash_dir(dir: Option<PathBuf>) {
+    *crash_dir().lock().unwrap() = dir.filter(|_| COMPILED);
+    dumped_labels().lock().unwrap().clear();
+}
+
+/// Writes `crash-<label>.json` to the configured crash directory
+/// (if any) with the given reason and the last
+/// [`DEFAULT_CRASH_EVENTS`] events. Returns `true` if a file was
+/// written. Unlike the automatic fault-triggered dumps this is not
+/// deduplicated per label.
+pub fn crash_dump_now(label: &str, reason: &str) -> bool {
+    let Some(dir) = crash_dir().lock().unwrap().clone() else {
+        return false;
+    };
+    write_crash(&dir, label, reason)
+}
+
+/// Writes `<stem>.json` to the configured crash directory (if any)
+/// with the given reason and the last [`DEFAULT_CRASH_EVENTS`]
+/// events. Unlike [`crash_dump_now`] the stem is used verbatim
+/// (after sanitizing to `[A-Za-z0-9_-]`, so slow-request stems like
+/// `slow-7-42` keep their hyphens) with no `crash-` prefix, and the
+/// dump is never deduplicated. Returns `true` if a file was written.
+pub fn dump_named(stem: &str, reason: &str) -> bool {
+    let Some(dir) = crash_dir().lock().unwrap().clone() else {
+        return false;
+    };
+    let snap = snapshot();
+    let report = crash_report(&snap, reason, DEFAULT_CRASH_EVENTS);
+    let sanitized: String = stem
+        .chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect();
+    let path = dir.join(format!("{sanitized}.json"));
+    std::fs::write(&path, report.render_pretty()).is_ok()
+}
+
+/// Fault-triggered dump: first firing per label only, so a chaos
+/// profile killing dozens of stores leaves one representative dump
+/// per taxonomy instead of flooding the directory.
+fn maybe_crash_dump(label: &'static str) {
+    let Some(dir) = crash_dir().lock().unwrap().clone() else {
+        return;
+    };
+    {
+        let mut dumped = dumped_labels().lock().unwrap();
+        if dumped.contains(&label) {
+            return;
+        }
+        dumped.push(label);
+    }
+    write_crash(&dir, label, &format!("fault event `{label}` fired"));
+}
+
+fn write_crash(dir: &std::path::Path, label: &str, reason: &str) -> bool {
+    let snap = snapshot();
+    let report = crash_report(&snap, reason, DEFAULT_CRASH_EVENTS);
+    let sanitized: String = label
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+        .collect();
+    let path = dir.join(format!("crash-{sanitized}.json"));
+    std::fs::write(&path, report.render_pretty()).is_ok()
+}
 
 #[cfg(test)]
 mod tests {

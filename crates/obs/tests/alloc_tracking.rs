@@ -1,9 +1,9 @@
 //! Attribution correctness with the tracking allocator installed and
-//! the `obs-alloc` feature on. Each test claims a distinct component so
+//! the `obs` feature on. Each test claims a distinct component so
 //! the global counters don't interfere across the parallel test
 //! threads (allocations from other tests land in `untagged` or their
 //! own component).
-#![cfg(feature = "obs-alloc")]
+#![cfg(feature = "obs")]
 
 use sbc_obs::alloc::{self, Component, TrackingAlloc};
 

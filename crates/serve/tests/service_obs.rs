@@ -3,16 +3,16 @@
 //! error counters, deterministic slow-request dumps under seeded chaos,
 //! and the health record over the wire. This is the "feature on" half
 //! of the contract whose inertness half lives in
-//! `crates/obs/tests/svc_noop.rs`.
+//! `crates/obs/tests/off.rs`: every test but the health report returns
+//! at once unless `sbc_obs::COMPILED`.
 //!
-//! Run: `cargo test -p sbc-serve --features obs --test service_obs`.
-
-#![cfg(feature = "obs")]
+//! Run: `cargo test -p sbc-serve --features obs --test service_obs`
+//! (or `--features sbc-obs/obs` from anywhere in the workspace).
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
-use sbc::api::TenantSpec;
+use sbc::api::{ApiError, TenantSpec};
 use sbc::{FaultPlan, GridParams, Point};
 use sbc_obs::svc::{self, RequestId, SlowRequestConfig};
 use sbc_obs::trace::{self, TraceKind};
@@ -95,6 +95,9 @@ fn chaos_run(dir: &PathBuf) -> Vec<String> {
 
 #[test]
 fn slow_request_dumps_are_deterministic_under_seeded_chaos() {
+    if !sbc_obs::COMPILED {
+        return;
+    }
     let _guard = exclusive();
     let dir_a = std::env::temp_dir().join("sbc-svc-obs-chaos-a");
     let dir_b = std::env::temp_dir().join("sbc-svc-obs-chaos-b");
@@ -134,6 +137,9 @@ fn slow_request_dumps_are_deterministic_under_seeded_chaos() {
 
 #[test]
 fn slow_dump_budget_stops_the_trigger_from_filling_the_disk() {
+    if !sbc_obs::COMPILED {
+        return;
+    }
     let _guard = exclusive();
     let dir = std::env::temp_dir().join("sbc-svc-obs-budget");
     let _ = std::fs::remove_dir_all(&dir);
@@ -164,6 +170,9 @@ fn slow_dump_budget_stops_the_trigger_from_filling_the_disk() {
 
 #[test]
 fn request_spans_stitch_into_one_causal_chain() {
+    if !sbc_obs::COMPILED {
+        return;
+    }
     let _guard = exclusive();
     sbc_obs::reset();
     svc::reset();
@@ -259,6 +268,9 @@ fn request_spans_stitch_into_one_causal_chain() {
 
 #[test]
 fn slo_histograms_and_error_counters_record_per_tenant_traffic() {
+    if !sbc_obs::COMPILED {
+        return;
+    }
     let _guard = exclusive();
     sbc_obs::reset();
     svc::reset();
@@ -280,6 +292,25 @@ fn slo_histograms_and_error_counters_record_per_tenant_traffic() {
     // must land in its stable `svc.error.<code>` counter.
     let err = client.insert(777, &pts[..1]).expect_err("unopened tenant");
     let code = err.code();
+    // Every code in 200–299 has its own series (here `Moved`, 246, the
+    // newest); anything outside folds into `svc.error.other`.
+    let moved = ApiError::Moved { tenant: 9, peer: 2 }.code();
+    assert_eq!(moved, 246);
+    let rid = RequestId::for_tenant(9, 1);
+    svc::observe_request(
+        svc::RequestClass::Single,
+        svc::RequestTag::Insert,
+        rid,
+        10,
+        Some(moved),
+    );
+    svc::observe_request(
+        svc::RequestClass::Single,
+        svc::RequestTag::Insert,
+        rid,
+        10,
+        Some(999),
+    );
 
     let snap = sbc_obs::snapshot();
     // The timeline sampler's view: gauges plus the per-tenant rows
@@ -304,6 +335,9 @@ fn slo_histograms_and_error_counters_record_per_tenant_traffic() {
         Some(1),
         "wire error code {code} counted once"
     );
+    assert_eq!(snap.counter("svc.error.246"), Some(1), "Moved counted");
+    assert_eq!(snap.counter("svc.error.999"), None, "no series for 999");
+    assert_eq!(snap.counter("svc.error.other"), Some(1), "999 folded");
 
     let get = |name: &str| {
         sampled

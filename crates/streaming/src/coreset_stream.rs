@@ -626,8 +626,9 @@ pub struct InstanceSummary {
 }
 
 /// Interned `stream.ingest.*` metric handles, resolved once per builder
-/// so the batched hot path never touches the registry. All handles are
-/// zero-sized no-ops when `sbc-obs`'s `obs` feature is off.
+/// so the batched hot path never touches the registry. Without
+/// `sbc-obs`'s `obs` feature every handle is the shared sink and each
+/// recording call returns at once.
 struct IngestMetrics {
     ops_inserted: sbc_obs::Counter,
     ops_deleted: sbc_obs::Counter,

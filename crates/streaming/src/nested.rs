@@ -1776,7 +1776,7 @@ mod tests {
         deaths.sort_unstable();
         let (batched, per_op) = (life_events(1, n as u64), life_events(101, n as u64));
         assert_eq!(batched, per_op, "kill and fault events");
-        if cfg!(feature = "obs") {
+        if sbc_obs::COMPILED {
             assert_eq!(
                 batched, deaths,
                 "kill and fault events report update counts"

@@ -161,8 +161,7 @@ fn assert_metrics_invisible(p: &CoresetParams, ops: &[StreamOp], seed: u64) {
 
     // When instrumentation is compiled in, the enabled run must have
     // actually seen the ingest.
-    #[cfg(feature = "obs")]
-    {
+    if sbc_obs::COMPILED {
         let get = |name: &str| {
             on.snapshot
                 .counters
@@ -245,8 +244,7 @@ fn metrics_invisible_under_store_death() {
     assert_eq!(probe.space, recorded.space);
     assert_eq!(probe.finish, recorded.finish);
 
-    #[cfg(feature = "obs")]
-    {
+    if sbc_obs::COMPILED {
         let killed = recorded
             .snapshot
             .counters

@@ -198,8 +198,7 @@ fn identical_reruns_record_identical_sequences() {
         "re-running the same ingest recorded a different event sequence"
     );
 
-    #[cfg(feature = "obs")]
-    {
+    if sbc_obs::COMPILED {
         assert!(!first.events.is_empty(), "enabled run recorded nothing");
         let kills = lifecycle(&first.events)
             .iter()
@@ -235,11 +234,12 @@ fn per_op_and_batched_agree_on_lifecycle_events() {
         lifecycle(&batched.events),
         "batched ingest recorded different lifecycle/fault events"
     );
-    #[cfg(feature = "obs")]
-    assert!(
-        reference.iter().any(|e| e.0 == TraceKind::StoreKill as u8),
-        "workload recorded no kills — weaken the cap"
-    );
+    if sbc_obs::COMPILED {
+        assert!(
+            reference.iter().any(|e| e.0 == TraceKind::StoreKill as u8),
+            "workload recorded no kills — weaken the cap"
+        );
+    }
 }
 
 #[test]
@@ -252,6 +252,7 @@ fn threaded_shards_record_the_serial_events() {
         ingest_shards(&ops, false),
         "shards on two threads recorded different events than in turn"
     );
-    #[cfg(feature = "obs")]
-    assert!(!threaded.is_empty(), "enabled run recorded nothing");
+    if sbc_obs::COMPILED {
+        assert!(!threaded.is_empty(), "enabled run recorded nothing");
+    }
 }
