@@ -341,9 +341,9 @@ fn ingest_secs(params: &CoresetParams, ops: &[StreamOp], reps: usize) -> f64 {
 
 /// Telemetry cost figures for the report (and for `obs_overhead`'s
 /// budgets): nanoseconds of allocator bookkeeping per recorded
-/// alloc/dealloc pair, the enabled-but-idle (gate closed) allocator
-/// share of one ingest op, and the slowdown of a full ingest with a
-/// default-cadence sampler running (signed: a sampled run that came out
+/// alloc/dealloc pair, the enabled-but-idle (recording flag clear)
+/// allocator share of one ingest op, and the slowdown of a full ingest
+/// with a default-cadence sampler running (signed: a sampled run that came out
 /// faster reads negative, so noise is visible rather than hidden as 0).
 struct OverheadFigures {
     alloc_pair_ns: f64,
@@ -357,45 +357,48 @@ struct OverheadFigures {
 /// only).
 const ALLOC_PAIRS_PER_OP: f64 = 8.0;
 
+/// Prices the telemetry on a quiet process with metrics recording (and
+/// so allocator attribution) switched off, as the timed sections run.
 fn measure_overheads(params: &CoresetParams, ops: &[StreamOp], cadence_ms: u64) -> OverheadFigures {
-    let alloc_before = sbc_obs::alloc::snapshot();
-    let base_secs = ingest_secs(params, ops, 2);
-    let alloc_after = sbc_obs::alloc::snapshot();
-    let op_ns = base_secs * 1e9 / ops.len() as f64;
-
     // Alloc/dealloc pairs per amortized op: counted by the tracking
-    // allocator across the two reps above when it is attributing,
+    // allocator in one ingest with recording on when it is attributing,
     // otherwise the generous static bound.
+    sbc_obs::set_enabled(true);
+    let alloc_before = sbc_obs::alloc::snapshot();
+    ingest_secs(params, ops, 1);
+    let alloc_after = sbc_obs::alloc::snapshot();
+    sbc_obs::set_enabled(false);
     let pairs_per_op = if alloc_after.tracking {
         let pairs = alloc_after
             .total
             .allocs
-            .saturating_sub(alloc_before.total.allocs) as f64
-            / 2.0;
+            .saturating_sub(alloc_before.total.allocs) as f64;
         pairs / ops.len() as f64
     } else {
         ALLOC_PAIRS_PER_OP
     };
+    let base_secs = ingest_secs(params, ops, 2);
+    let op_ns = base_secs * 1e9 / ops.len() as f64;
 
     // Allocator bookkeeping, priced directly: the recording path for one
     // alloc + dealloc of a mid-sized block (reported as alloc_pair_ns),
-    // and the gate-closed idle path — the permanent cost of leaving the
-    // allocator installed — which is what the 1% budget in obs_overhead
-    // covers. A no-op build measures ~0 for both (the hook compiles to
-    // nothing).
+    // and the idle path with the flag clear — the permanent cost of
+    // leaving the allocator installed — which is what the 1% budget in
+    // obs_overhead covers. A no-op build measures ~0 for both (the hook
+    // compiles to nothing).
     let pairs = 2_000_000u64;
+    sbc_obs::set_enabled(true);
     let start = Instant::now();
     for i in 0..pairs {
         sbc_obs::alloc::__bench_record_pair(std::hint::black_box(256 + (i & 0xFF)));
     }
     let alloc_pair_ns = start.elapsed().as_secs_f64() * 1e9 / pairs as f64;
-    sbc_obs::alloc::set_enabled(false);
+    sbc_obs::set_enabled(false);
     let start = Instant::now();
     for i in 0..pairs {
         sbc_obs::alloc::__bench_record_pair(std::hint::black_box(256 + (i & 0xFF)));
     }
     let idle_pair_ns = start.elapsed().as_secs_f64() * 1e9 / pairs as f64;
-    sbc_obs::alloc::set_enabled(true);
     let alloc_idle_pct = pairs_per_op * idle_pair_ns / op_ns * 100.0;
 
     // Sampling: the same ingest with a live sampler at the configured
@@ -579,10 +582,11 @@ fn main() {
         rep.to_json()
     );
 
-    // Metrics recording starts after the timed section so the counters
-    // describe one clean, reproducible pass (and never skew the numbers
-    // above). Without the `obs` feature this records nothing and the
-    // section reports `"feature_enabled": false`.
+    // Metrics recording (and allocator attribution, which shares its
+    // flag) starts after the timed section so the counters describe one
+    // clean, reproducible pass (and never skew the numbers above).
+    // Without the `obs` feature this records nothing and the section
+    // reports `"feature_enabled": false`.
     sbc_obs::reset();
     sbc_obs::set_enabled(true);
     if sbc_obs::enabled() {
@@ -592,14 +596,15 @@ fn main() {
         builder.process_all(&insert_ops);
         exercise_pipeline(&params, &pts);
     }
-    sbc_obs::set_enabled(false);
     let snapshot = sbc_obs::snapshot();
 
-    // Wind down the sampler (final tick + export flush), then price the
-    // telemetry overheads on the now-quiet process.
+    // Wind down the sampler (final tick + export flush) and read the
+    // attribution while recording is still on, then price the telemetry
+    // overheads on the now-quiet process.
     let timeline = sampler.stop();
-    let overhead = measure_overheads(&params, &insert_ops, telemetry_every_ms);
     let alloc_snap = sbc_obs::alloc::snapshot();
+    sbc_obs::set_enabled(false);
+    let overhead = measure_overheads(&params, &insert_ops, telemetry_every_ms);
     let rss_peak = timeline.samples().map(|s| s.rss_bytes).max().unwrap_or(0);
     let peak_bytes_per_point = rep.peak_measured_bytes as f64 / n as f64;
     println!(

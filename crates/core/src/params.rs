@@ -111,7 +111,8 @@ pub enum ConstantsProfile {
 }
 
 impl ConstantsProfile {
-    /// A sensible practical default (used by [`CoresetParams::practical`]).
+    /// A sensible practical default (the profile [`CoresetParams::builder`]
+    /// starts from).
     pub fn default_practical() -> Self {
         ConstantsProfile::Practical {
             samples_per_part: 48.0,

@@ -89,7 +89,7 @@ fn over_load(occupied: usize, cap: usize) -> bool {
 }
 
 /// The deterministic slot capacity an [`OpenTable`] holds after its live
-/// count peaked at `peak`: the smallest power-of-two ≥ [`MIN_CAP`] whose
+/// count peaked at `peak`: the smallest power-of-two ≥ 8 (`MIN_CAP`) whose
 /// ⅞ load bound covers `peak`. Pure in its input — space reports use it
 /// so that a restored checkpoint (which never saw the original's
 /// transient physical growth) accounts identically to the original run.

@@ -96,7 +96,7 @@ const FOLD: usize = 64;
 /// All polynomials of the bank share the key, so one power table
 /// `x⁰ … x^(λ−1)` serves them all. Each value is then a dot product of
 /// the table with the polynomial's coefficients, summed exactly in a
-/// `u128` and reduced once per [`FOLD`] terms. The table takes λ − 1
+/// `u128` and reduced once per 64 terms (`FOLD`). The table takes λ − 1
 /// multiplications with a dependency depth of ⌈log₂ λ⌉ (`x^i` is
 /// `x^⌊i/2⌋ · x^⌈i/2⌉`); the dot products are independent of each other
 /// and of their own terms, where a Horner chain waits on every step.

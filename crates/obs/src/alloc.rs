@@ -25,9 +25,12 @@
 //! default, [`crate::COMPILED`] false), [`TrackingAlloc`] is an inline
 //! passthrough to [`std::alloc::System`] with no header, scopes never
 //! touch the scope cell, and nothing is ever recorded — `tests/off.rs`
-//! pins this. With it on, the per-allocation cost is one thread-local
-//! read, three byte stores and a handful of relaxed atomic RMWs (the
-//! `obs_overhead` bench guards <1% on the ingest path).
+//! pins this. With it on, attribution records while the global flag
+//! ([`crate::set_enabled`]) is set, like the metrics registry: the
+//! recording cost per allocation is one thread-local read, three byte
+//! stores and a handful of relaxed atomic RMWs; the idle cost (flag
+//! clear) is one relaxed load and a header-flag write, which the
+//! `obs_overhead` bench holds under 1% of the ingest path.
 
 use crate::COMPILED;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -108,9 +111,9 @@ pub struct DetailStats {
 /// Point-in-time export of the allocator's attribution state.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AllocSnapshot {
-    /// True only when the `obs` feature is compiled in, the recording
-    /// gate is open *and* a [`TrackingAlloc`] is installed as the global
-    /// allocator (observed via its first allocation).
+    /// True only when the `obs` feature is compiled in, the global
+    /// recording flag is set *and* a [`TrackingAlloc`] is installed as
+    /// the global allocator (observed via its first allocation).
     pub tracking: bool,
     /// Process-wide totals across all components.
     pub total: AllocStats,
@@ -238,25 +241,15 @@ static DETAILS: [Stat; DETAIL_SLOTS] = [STAT_INIT; DETAIL_SLOTS];
 /// not enough — a binary must also install the allocator).
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 
-/// Runtime recording gate, mirroring the metrics/tracing pillars'
-/// enabled-but-idle state: when closed, the alloc path pays one
-/// relaxed load plus the header write and skips all bookkeeping.
-/// Blocks carry a recorded flag in their header, so allocations
-/// made while disabled are also skipped at dealloc and toggling
-/// never unbalances the counters. Open by default — a binary that
-/// installs the allocator under the `obs` feature wants attribution.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Opens or closes the recording gate (see [`ENABLED`]).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Relaxed);
-}
-
-/// Whether allocations are being attributed: the `obs` feature is
-/// compiled in and the recording gate is open.
+/// Whether allocations are being attributed: the metrics recording
+/// flag ([`crate::enabled`]), which needs the `obs` feature. While it is
+/// clear the alloc path pays one relaxed load plus the header write and
+/// skips all bookkeeping. Blocks carry a recorded flag in their header,
+/// so allocations made while it was clear are also skipped at dealloc
+/// and toggling never unbalances the counters.
 #[inline(always)]
 fn recording() -> bool {
-    COMPILED && ENABLED.load(Relaxed)
+    crate::enabled()
 }
 
 thread_local! {
@@ -322,7 +315,7 @@ fn decode_detail(d: u8) -> (u8, i32) {
 }
 
 /// True when a [`TrackingAlloc`] has been observed handling
-/// allocations in this process and the recording gate is open (never
+/// allocations in this process and the recording flag is set (never
 /// without the `obs` feature).
 #[inline]
 pub fn tracking_active() -> bool {
@@ -349,8 +342,8 @@ fn record_dealloc(tag: u8, detail: u8, size: u64) {
 
 /// Measures one alloc/dealloc bookkeeping round trip without going
 /// through the system allocator (bench hook, not public API).
-/// Respects the recording gate like the real paths, so with the
-/// gate closed this prices the enabled-but-idle state.
+/// Respects the recording flag like the real paths, so with the flag
+/// clear this prices the enabled-but-idle state.
 #[doc(hidden)]
 pub fn __bench_record_pair(size: u64) {
     if !recording() {
@@ -423,7 +416,7 @@ unsafe impl GlobalAlloc for TrackingAlloc {
         // SAFETY: ptr came from our alloc with the same layout, so
         // the flag and tag bytes and the raw base are where we put
         // them. Only blocks recorded at alloc time are debited —
-        // the counters stay balanced across gate toggles.
+        // the counters stay balanced across flag toggles.
         unsafe {
             if ptr.sub(3).read() != 0 {
                 let (tag, detail) = (ptr.sub(2).read(), ptr.sub(1).read());

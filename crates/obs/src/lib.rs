@@ -26,7 +26,10 @@
 //!    scope cell is touched, and [`alloc::TrackingAlloc`] passes straight
 //!    through to the system allocator. `tests/off.rs` pins this.
 //! 2. **Run time** — with the feature *enabled*, recording is further
-//!    gated by a global flag ([`set_enabled`], default **off**). An
+//!    gated by a global flag ([`set_enabled`], default **off**), which
+//!    the metrics registry and allocator attribution share; the flight
+//!    recorder ([`trace::set_enabled`]) and the service plane
+//!    ([`svc::set_metrics_enabled`]) keep their own. An
 //!    enabled-but-idle binary pays one relaxed load + predictable
 //!    branch per call site — the `obs_overhead` bench guards that this
 //!    stays within noise (<1%) of the uninstrumented path.

@@ -567,7 +567,7 @@ pub fn observe_tenant_state(tenant: u64, state: TenantState, bytes: u64) {
 }
 
 /// Records an evict→restore round trip and detects restore storms:
-/// a run of [`STORM_RUN`] consecutive request sequence numbers that
+/// a run of 4 (`STORM_RUN`) consecutive request sequence numbers that
 /// all restored (a working set thrashing in and out of the budget)
 /// bumps `svc.restore.storms` once per run. No-op unless metrics
 /// are enabled.

@@ -1,5 +1,7 @@
-//! Attribution correctness with the tracking allocator installed and
-//! the `obs` feature on. Each test claims a distinct component so
+//! Attribution correctness with the tracking allocator installed, the
+//! `obs` feature on and recording switched on (`sbc_obs::set_enabled`,
+//! the flag attribution shares with the metrics registry; no test here
+//! switches it off). Each test claims a distinct component so
 //! the global counters don't interfere across the parallel test
 //! threads (allocations from other tests land in `untagged` or their
 //! own component).
@@ -16,6 +18,7 @@ fn stats(name: &str) -> alloc::AllocStats {
 
 #[test]
 fn scoped_allocations_are_attributed_and_freed_back() {
+    sbc_obs::set_enabled(true);
     let before = stats("arena");
     let buf: Box<[u64]> = {
         let _g = alloc::scope(Component::Arena);
@@ -39,6 +42,7 @@ fn scoped_allocations_are_attributed_and_freed_back() {
 
 #[test]
 fn detail_scopes_record_role_and_level() {
+    sbc_obs::set_enabled(true);
     let before: u64 = alloc::snapshot()
         .details
         .iter()
@@ -65,6 +69,7 @@ fn detail_scopes_record_role_and_level() {
 
 #[test]
 fn cross_thread_frees_credit_the_allocating_component() {
+    sbc_obs::set_enabled(true);
     let before = stats("flow");
     let v = {
         let _g = alloc::scope(Component::Flow);
@@ -79,6 +84,7 @@ fn cross_thread_frees_credit_the_allocating_component() {
 
 #[test]
 fn realloc_growth_stays_balanced() {
+    sbc_obs::set_enabled(true);
     let before = stats("checkpoint");
     {
         let _g = alloc::scope(Component::Checkpoint);
@@ -98,6 +104,7 @@ fn realloc_growth_stays_balanced() {
 
 #[test]
 fn nested_scopes_restore_the_outer_component() {
+    sbc_obs::set_enabled(true);
     let wire_before = stats("wire");
     let clustering_before = stats("clustering");
     let _outer = alloc::scope(Component::Wire);
@@ -117,6 +124,7 @@ fn nested_scopes_restore_the_outer_component() {
 
 #[test]
 fn high_alignment_allocations_round_trip() {
+    sbc_obs::set_enabled(true);
     // Alignments above the 16-byte minimum header exercise the
     // align-sized padding branch.
     #[repr(align(64))]

@@ -158,7 +158,7 @@ fn service_metrics_are_inert_even_when_asked_to_enable() {
 #[test]
 #[cfg_attr(feature = "obs", ignore = "checks the build without the `obs` feature")]
 fn allocator_tracking_stays_inert_under_allocation_pressure() {
-    alloc::set_enabled(true);
+    sbc_obs::set_enabled(true);
     let _guard = alloc::scope(Component::Arena);
     let mut big: Vec<u64> = (0..65_536).collect();
     big.extend(0..65_536); // grows through `realloc`

@@ -465,7 +465,7 @@ impl CoresetService {
     }
 
     /// Drains the recorded per-request admission-decision latencies
-    /// (the most recent [`ADMISSION_NS_CAP`] decisions — older samples
+    /// (the most recent 64 Ki (`ADMISSION_NS_CAP`) decisions — older samples
     /// are overwritten, not accumulated).
     pub fn take_admission_ns(&mut self) -> Vec<u64> {
         self.admission_ns_at = 0;

@@ -24,19 +24,15 @@
 //! holds it. [`Snapshot::from_bytes`] still reads version 3 — builders
 //! spilled or migrated by an older binary — by loading its views into
 //! the arenas and taking their version-4 image; nothing writes it.
-//!
-//! Only the arena store backend, which every builder runs, supports
-//! checkpointing; a ladder with sketch-backed stores would yield
-//! [`CheckpointError::UnsupportedBackend`].
 
 use sbc_core::{ConstantsProfile, CoresetParams};
-use sbc_geometry::{GridParams, Point};
+use sbc_geometry::{CellId, GridParams, Point};
 use sbc_obs::fault::{FaultPlan, StoreFaultKind};
 use sbc_obs::{HistogramSnapshot, MetricsSnapshot};
 
 use crate::codec::{Decode, Encode};
 use crate::coreset_stream::{StreamCoresetBuilder, StreamParams};
-use crate::storing::{CellSnapshot, StoreDeath, StoringSnapshot};
+use crate::storing::StoreDeath;
 
 /// File magic: identifies a byte buffer as an sbc checkpoint.
 pub const MAGIC: [u8; 8] = *b"SBCCKPT\0";
@@ -55,9 +51,6 @@ const VIEWS_VERSION: u32 = 3;
 /// Why a checkpoint could not be taken, serialized, or restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// A store uses the sketch backend, whose probed bucket rows have no
-    /// canonical serialization. Configure arena stores to checkpoint.
-    UnsupportedBackend,
     /// The buffer does not start with the checkpoint magic.
     BadMagic,
     /// The buffer's format version is neither [`VERSION`] nor the
@@ -74,9 +67,6 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CheckpointError::UnsupportedBackend => {
-                write!(f, "sketch-backed stores cannot be checkpointed")
-            }
             CheckpointError::BadMagic => write!(f, "not an sbc checkpoint (bad magic)"),
             CheckpointError::UnsupportedVersion { found } => {
                 write!(
@@ -90,6 +80,37 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+/// One store view's state as version-3 checkpoints wrote it, one per
+/// (instance, role, level). Decoded, never written: version 4 writes each
+/// nested arena once. Cells and per-cell points are sorted by their
+/// `key128`.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct StoringSnapshot {
+    /// Updates absorbed so far (drives fault-injection indices).
+    pub updates: u64,
+    /// Whether the store died mid-stream, and how.
+    pub death: Option<StoreDeath>,
+    /// Whether the death was injected (vs the natural occupancy cap).
+    pub injected: bool,
+    /// High-water mark of distinct non-empty cells.
+    pub peak_cells: u64,
+    /// Live cells, sorted by cell key.
+    pub cells: Vec<CellSnapshot>,
+}
+
+/// One cell's state inside a [`StoringSnapshot`].
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct CellSnapshot {
+    /// The cell.
+    pub cell: CellId,
+    /// Net point count.
+    pub count: i64,
+    /// Whether the point payload was evicted mid-stream.
+    pub dirty: bool,
+    /// Point payload (with multiplicities), sorted by point key.
+    pub points: Vec<(Point, i64)>,
+}
 
 /// One `o`-instance's store states in a version-3 image: roles h, h′
 /// and ĥ in ladder order. Decoded, never written.

@@ -597,8 +597,8 @@ pub struct RoleLevelSummary {
     pub beta: usize,
     /// The cell budget α of this store (re-checked after merging).
     pub alpha: usize,
-    /// Small cells whose points were lost to mid-stream eviction (arena
-    /// backend; see `StoringOutput::dirty_small_cells`).
+    /// Small cells whose points were lost to mid-stream eviction (see
+    /// `StoringOutput::dirty_small_cells`).
     pub dirty_small_cells: Vec<CellId>,
 }
 

@@ -15,14 +15,16 @@
 //! * `ĥᵢ` at rate `φᵢ` — the candidate coreset points themselves.
 //!
 //! Each substream is summarized by a `Storing(Gᵢ, α, β, δ)` structure
-//! (Lemma 4.2): [`storing`] provides an arena backend (flat hash tables
-//! with per-cell eviction and occupancy caps — behaviourally faithful,
-//! with measured space) and a genuine linear-sketch backend built from the
-//! s-sparse recovery structures in [`sparse`] (insert/delete-oblivious,
-//! fixed space). The thresholds of one (role, level) are nested along
-//! the `o` ladder, so the builder keeps each (role, level)'s stores as
-//! threshold views of one arena, every point stored once (the arena
-//! backend is the one-view case). At end of stream,
+//! (Lemma 4.2). The thresholds of one (role, level) are nested along the
+//! `o` ladder, so the builder keeps each (role, level)'s stores as
+//! threshold views of one nested arena, every point stored once: flat
+//! hash tables with per-cell eviction and occupancy caps, behaviourally
+//! faithful to Lemma 4.2, with measured space. That arena is the only
+//! store type. [`storing`] holds the stores' shared vocabulary and the
+//! paper's linear sketch, built from the s-sparse recovery structures in
+//! [`sparse`] (insert/delete-oblivious, fixed space): the reference the
+//! arena's views are checked against, and the nominal space accounting.
+//! At end of stream,
 //! [`StreamCoresetBuilder::finish`]
 //! replays Algorithms 1 + 2 on the estimates of the smallest workable
 //! `o` — reusing `sbc-core`'s `CoresetBuilderCtx` so offline and

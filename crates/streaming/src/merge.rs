@@ -24,18 +24,12 @@ pub enum MergeError {
     /// The builders disagree on parameters, grid shift, or hash
     /// coefficients — they are not shards of one logical stream.
     Incompatible(String),
-    /// A store uses the sketch backend, which has no mergeable
-    /// representation yet (configure arena stores to merge).
-    UnsupportedBackend,
 }
 
 impl std::fmt::Display for MergeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MergeError::Incompatible(why) => write!(f, "builders are not mergeable: {why}"),
-            MergeError::UnsupportedBackend => {
-                write!(f, "sketch-backed stores cannot be merged")
-            }
         }
     }
 }
@@ -126,8 +120,5 @@ mod tests {
         assert!(MergeError::Incompatible("shift".into())
             .to_string()
             .contains("shift"));
-        assert!(MergeError::UnsupportedBackend
-            .to_string()
-            .contains("sketch"));
     }
 }

@@ -48,7 +48,10 @@
 //! exact payload — the stream model's "no point is deleted more often
 //! than inserted" is what this relies on, as does the one-view store.
 //!
-//! The one-view case is `Storing`'s arena backend. Cells are
+//! This is the only served store type: a one-view [`Nested`] is the
+//! store of one Lemma 4.2 instance, and the linear sketch of
+//! `storing.rs` is the reference its views are checked against (the
+//! tests below). Cells are
 //! keyed by `CellId::pack` and points by `Point::pack`; where a packing
 //! does not fit 128 bits the key is a mixing hash (`key128`) that does
 //! not invert, and the store keeps a name table (key → `CellId`, key →
@@ -56,12 +59,13 @@
 //! in a `u64` when the level's packing fits 64 bits and every key
 //! unpacks, and in a `u128` otherwise.
 
-use crate::checkpoint::{
-    ArenaCheckpoint, CellCheckpoint, CellName, EntryCheckpoint, PointName, ViewCheckpoint,
-};
 #[cfg(test)]
-use crate::storing::CellSnapshot;
-use crate::storing::{StoreDeath, StoringConfig, StoringFail, StoringOutput, StoringSnapshot};
+use crate::checkpoint::CellSnapshot;
+use crate::checkpoint::{
+    ArenaCheckpoint, CellCheckpoint, CellName, EntryCheckpoint, PointName, StoringSnapshot,
+    ViewCheckpoint,
+};
+use crate::storing::{StoreDeath, StoringConfig, StoringFail, StoringOutput};
 use sbc_geometry::{CellId, GridHierarchy, GridParams, Point};
 use sbc_hash::{slots_for, OpenTable, TableKey};
 use sbc_obs::fault::{FaultPlan, StoreFaultKind};
@@ -86,8 +90,8 @@ pub(crate) struct ViewSpec {
     pub cap_cells: usize,
 }
 
-/// Update counting, fault injection and trace identity of one store —
-/// a view of a nested arena, or a sketch-backed `Storing`.
+/// Update counting, fault injection and trace identity of one store (a
+/// view of a nested arena).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Lifecycle {
     /// Updates absorbed so far, including ones ignored while dead.
@@ -1277,6 +1281,7 @@ impl Nested {
     }
 
     /// View `j`'s lifecycle (update count, injected death, trace ids).
+    #[cfg(test)]
     pub fn lifecycle(&self, j: usize) -> &Lifecycle {
         &self.views.all[j].life
     }
@@ -1287,8 +1292,13 @@ impl Nested {
         v.life.spawn(ids, v.cfg.alpha);
     }
 
-    /// Arms deterministic fault injection on view `j` (see
-    /// `Storing::arm_fault`).
+    /// Arms deterministic fault injection on view `j`: the view dies
+    /// (with the plan's configured kind) when its own update count
+    /// reaches the plan's kill index, if `salt` is among the selected
+    /// fraction. `salt` must identify the store's *position* (instance,
+    /// role, level) rather than anything arrival-order-dependent, so
+    /// per-op, batched and sharded ingest kill the same views at the same
+    /// points.
     pub fn arm_fault(&mut self, j: usize, plan: FaultPlan, salt: u64) {
         self.views.all[j].life.arm(plan, salt);
         let vs = &mut self.views;
@@ -1318,6 +1328,7 @@ impl Nested {
     }
 
     /// Whether view `j` died mid-stream.
+    #[cfg(test)]
     pub fn is_dead(&self, j: usize) -> bool {
         self.views.all[j].dead
     }
@@ -1446,11 +1457,30 @@ impl Nested {
     }
 
     /// Folds another store over the same level and views into this one
-    /// — per view, exactly `Storing::merge_from`'s rules: a dead side
-    /// poisons the view, update counters add, `peak_cells` takes the
-    /// max of both sides and the merged occupancy, and the merged
-    /// occupancy is re-checked against the cap. Returns `false` without
-    /// touching `self` when the stores' shapes differ.
+    /// — the composability step of a coreset merge tree. Both stores must
+    /// summarize the same (role, level) over **disjoint** shards of one
+    /// logical stream; the builder guarantees this structurally. Per
+    /// view, the merge mirrors what the monolithic store would have held:
+    ///
+    /// * cell counts add; a cell netting to zero is removed, exactly like
+    ///   [`Self::drain`];
+    /// * payloads union with multiplicity addition (zero entries
+    ///   removed); a cell whose merged count exceeds `2β` evicts its
+    ///   payload and turns dirty, mirroring the mid-stream eviction — for
+    ///   non-negative shard counts this is *associative*: the final dirty
+    ///   set depends only on the merged totals, not the fold shape;
+    /// * a dead side poisons the view (its substream summary is gone for
+    ///   good), keeping the already-recorded death kind;
+    /// * the merged occupancy is re-checked against the cap, so a runaway
+    ///   substream split under the cap across shards still dies at the
+    ///   merge, like it would have monolithically;
+    /// * update counters add and `peak_cells` takes the max of both sides
+    ///   and the merged occupancy.
+    ///
+    /// No fault-injection decision fires during a merge: kill indices
+    /// are positional per-view update counts, which each shard already
+    /// advanced. Returns `false` without touching `self` when the stores'
+    /// shapes differ.
     pub fn merge_from(&mut self, other: &Nested) -> bool {
         if self.views.all.len() != other.views.all.len() || self.level != other.level {
             return false;
@@ -1536,9 +1566,13 @@ impl Nested {
         self.bytes(grid, false).0
     }
 
-    /// Capacity-model bytes at realized occupancy: the cell table rounded
-    /// up to the power of two covering the peak (see
-    /// `Storing::expected_bytes`).
+    /// Capacity-model bytes at *realized* occupancy: what a deployment
+    /// sized to this store's actual high-water marks reserves, the cell
+    /// table rounded up to the power of two covering the peak
+    /// (hash-table style). A store whose views all died freed its memory
+    /// and reserves nothing. Deterministic given logical state, like
+    /// [`Self::stored_bytes`]; the two bracket each other within the
+    /// power-of-two rounding slack.
     pub fn expected_bytes(&self, grid: &GridHierarchy) -> usize {
         self.bytes(grid, false).1
     }
@@ -1570,10 +1604,13 @@ impl Nested {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storing::Storing;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sbc_geometry::dataset::uniform;
     use sbc_geometry::GridParams;
+    use std::collections::HashMap;
 
     /// Five views with β not monotone along the ladder, small caps (so
     /// some views die as runaways) and an armed fault on view 2.
@@ -1933,5 +1970,414 @@ mod tests {
                 .collect();
             check(&a, &merged);
         }
+    }
+
+    // One-view stores: the store of a single Lemma 4.2 instance.
+
+    fn cfg(alpha: usize, beta: usize, rows: usize) -> StoringConfig {
+        StoringConfig { alpha, beta, rows }
+    }
+
+    fn one_view(grid: &GridHierarchy, level: i32, cfg: StoringConfig, cap_cells: usize) -> Nested {
+        Nested::new(grid, level, &[ViewSpec { cfg, cap_cells }])
+    }
+
+    /// The update `(p, delta)`, routed to every view of a `len`-view
+    /// store at `level`.
+    fn routed<'a>(
+        grid: &GridHierarchy,
+        level: i32,
+        len: usize,
+        p: &'a Point,
+        delta: i64,
+    ) -> Update<'a> {
+        let key = p.key128(grid.params().delta);
+        (p, key, grid.cell_of(p, level).key128(), delta, len)
+    }
+
+    /// Applies `(p, delta)` to every view of `st`.
+    fn put(st: &mut Nested, grid: &GridHierarchy, p: &Point, delta: i64) {
+        let up = routed(grid, st.level, st.len(), p, delta);
+        st.drain(grid, std::iter::once(up));
+    }
+
+    /// The cuts of a one-view store's payload keys (every point reaches
+    /// its one view).
+    fn one_cut(keys: &[u128], cuts: &mut Vec<usize>) {
+        cuts.extend(keys.iter().map(|_| 1));
+    }
+
+    fn setup() -> (GridHierarchy, Vec<Point>) {
+        let gp = GridParams::from_log_delta(6, 2); // Δ = 64
+        let mut rng = StdRng::seed_from_u64(1);
+        let grid = GridHierarchy::new(gp, &mut rng);
+        let pts = uniform(gp, 120, 2);
+        (grid, pts)
+    }
+
+    /// Inserts `pts` into a one-view store (α = 256, β = 8), deletes the
+    /// second half, and returns the store's output next to a
+    /// ground-truth recount of the surviving half.
+    fn run_one_view(
+        grid: &GridHierarchy,
+        pts: &[Point],
+        level: i32,
+    ) -> (StoringOutput, StoringOutput) {
+        let mut st = one_view(grid, level, cfg(256, 8, 4), 4096);
+        let half = pts.len() / 2;
+        for p in pts {
+            put(&mut st, grid, p, 1);
+        }
+        for p in &pts[half..] {
+            put(&mut st, grid, p, -1);
+        }
+        let got = st.finish(grid, 0).expect("within budget");
+
+        let mut truth_cells: HashMap<CellId, i64> = HashMap::new();
+        for p in &pts[..half] {
+            *truth_cells.entry(grid.cell_of(p, level)).or_insert(0) += 1;
+        }
+        let mut cells: Vec<(CellId, i64)> = truth_cells.clone().into_iter().collect();
+        cells.sort_by(|a, b| a.0.cmp(&b.0));
+        // Merge duplicate points (generators may repeat coordinates; the
+        // store reports one entry with the net multiplicity).
+        let mut small_map: HashMap<Point, i64> = HashMap::new();
+        for p in &pts[..half] {
+            if truth_cells[&grid.cell_of(p, level)] <= 8 {
+                *small_map.entry(p.clone()).or_insert(0) += 1;
+            }
+        }
+        let mut small: Vec<(Point, i64)> = small_map.into_iter().collect();
+        small.sort_by(|a, b| a.0.cmp(&b.0));
+        let want = StoringOutput {
+            cells,
+            small_points: small,
+            dirty_small_cells: Vec::new(),
+        };
+        (got, want)
+    }
+
+    #[test]
+    fn one_view_matches_ground_truth_under_deletions() {
+        let (grid, pts) = setup();
+        let (got, want) = run_one_view(&grid, &pts, 4);
+        assert_eq!(got.cells, want.cells);
+        assert_eq!(got.small_points, want.small_points);
+    }
+
+    /// The same ground truth where keys do not pack into 64 bits: cells
+    /// packed in 128 bits, cells named by mixing hash, and (d = 16)
+    /// points named by mixing hash too.
+    #[test]
+    fn one_view_matches_ground_truth_at_wide_geometries() {
+        for (d, level) in [(12, 8), (12, 9), (16, 4), (16, 7)] {
+            let gp = GridParams::from_log_delta(10, d);
+            let mut rng = StdRng::seed_from_u64(d as u64);
+            let grid = GridHierarchy::new(gp, &mut rng);
+            let pts = uniform(gp, 120, d as u64);
+            let st = one_view(&grid, level, cfg(64, 2, 2), 4096);
+            assert!(st.is_wide(), "d = {d}, level {level}");
+            let (got, want) = run_one_view(&grid, &pts, level);
+            assert_eq!(got.cells, want.cells, "d = {d}, level {level}");
+            assert_eq!(
+                got.small_points, want.small_points,
+                "d = {d}, level {level}"
+            );
+            assert!(!got.small_points.is_empty());
+        }
+    }
+
+    /// Name tables hold exactly the live keys: one cell name per live
+    /// cell, one point name per payload entry, through insertions,
+    /// evictions, deletions and a merge — so a wide store's memory
+    /// follows its occupancy, not the keys it ever saw.
+    #[test]
+    fn name_tables_track_live_keys_only() {
+        let gp = GridParams::from_log_delta(10, 16);
+        let mut rng = StdRng::seed_from_u64(21);
+        let grid = GridHierarchy::new(gp, &mut rng);
+        let pts = uniform(gp, 200, 21);
+        let hot = pts[0].clone();
+        let check = |st: &Nested| {
+            assert!(st.is_wide(), "d = 16 at level 7 is keyed wide");
+            let (cells, payload, cell_names, point_names) = st.name_counts();
+            assert_eq!((cell_names, point_names), (Some(cells), Some(payload)));
+        };
+        let mk = || one_view(&grid, 7, cfg(64, 2, 2), 4096);
+        let (mut a, mut b) = (mk(), mk());
+        for p in &pts[..100] {
+            put(&mut a, &grid, p, 1);
+        }
+        for _ in 0..6 {
+            put(&mut a, &grid, &hot, 1); // past 2β: evicts the hot cell's payload
+        }
+        check(&a);
+        for p in &pts[..60] {
+            put(&mut a, &grid, p, -1);
+        }
+        check(&a);
+        for p in &pts[50..] {
+            put(&mut b, &grid, p, 1);
+        }
+        assert!(a.merge_from(&b));
+        check(&a);
+        let snap = a.checkpoint();
+        let mut c = mk();
+        assert!(c.load_arena(&grid, &snap, &one_cut));
+        check(&c);
+        assert_eq!(c.checkpoint(), snap);
+        assert_eq!(c.finish(&grid, 0), a.finish(&grid, 0));
+    }
+
+    #[test]
+    fn fails_when_cells_exceed_alpha() {
+        let (grid, pts) = setup();
+        let mut st = one_view(&grid, 6, cfg(4, 4, 3), 4096);
+        for p in &pts {
+            put(&mut st, &grid, p, 1);
+        }
+        let err = st.finish(&grid, 0).unwrap_err();
+        assert!(matches!(err, StoringFail::TooManyCells { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn dirty_small_cell_detected() {
+        // Blow a cell past 2β, then delete back under β: the store must
+        // refuse rather than silently return partial points.
+        let gp = GridParams::from_log_delta(6, 2);
+        let grid = GridHierarchy::unshifted(gp);
+        let mut st = one_view(&grid, 5, cfg(64, 2, 2), 512);
+        // Level-5 cells have side 2: one point with multiplicity 8 fills
+        // one cell past 2β.
+        let p = Point::new(vec![1, 1]);
+        for _ in 0..8 {
+            put(&mut st, &grid, &p, 1);
+        }
+        for _ in 0..7 {
+            put(&mut st, &grid, &p, -1);
+        }
+        let out = st.finish(&grid, 0).expect("counts still valid");
+        assert_eq!(
+            out.dirty_small_cells.len(),
+            1,
+            "the churned cell is flagged"
+        );
+        assert!(out.small_points.is_empty(), "its points are not fabricated");
+        assert_eq!(out.cells.len(), 1);
+        assert_eq!(out.cells[0].1, 1, "count survives eviction");
+    }
+
+    #[test]
+    fn batch_drain_matches_per_update_path() {
+        // The hoisted batch drain must be indistinguishable from the
+        // per-update path (forced here by a fault plan that is armed but
+        // never fires) — including with churn (zero-removal), at narrow
+        // and wide key widths, and when the occupancy cap kills the
+        // store mid-batch (the update counter must keep advancing for
+        // the items after the kill).
+        let never = FaultPlan {
+            store_kill_at: Some(u64::MAX),
+            store_kill_permille: 1000,
+            ..FaultPlan::NONE
+        };
+        let (narrow, narrow_pts) = setup();
+        let wide_gp = GridParams::from_log_delta(10, 16);
+        let wide = GridHierarchy::new(wide_gp, &mut StdRng::seed_from_u64(8));
+        let wide_pts = uniform(wide_gp, 120, 8);
+        for (grid, pts, level) in [(&narrow, &narrow_pts, 4), (&wide, &wide_pts, 7)] {
+            let ops: Vec<Update<'_>> = pts
+                .iter()
+                .flat_map(|p| [1, 1, -1].map(|d| routed(grid, level, 1, p, d)))
+                .collect();
+            for cap_cells in [4096, 8] {
+                let mk = || one_view(grid, level, cfg(256, 2, 4), cap_cells);
+                let (mut per_update, mut batched) = (mk(), mk());
+                per_update.arm_fault(0, never, 1);
+                for &up in &ops {
+                    per_update.drain(grid, std::iter::once(up));
+                }
+                batched.drain(grid, ops.iter().copied());
+                assert_eq!(
+                    per_update.lifecycle(0).updates,
+                    batched.lifecycle(0).updates
+                );
+                assert_eq!(per_update.checkpoint(), batched.checkpoint());
+                assert_eq!(per_update.finish(grid, 0), batched.finish(grid, 0));
+                assert_eq!(per_update.is_dead(0), batched.is_dead(0));
+            }
+        }
+    }
+
+    #[test]
+    fn cap_kills_runaway_stream() {
+        let (grid, pts) = setup();
+        let mut st = one_view(&grid, 6, cfg(4, 2, 2), 8);
+        for p in &pts {
+            put(&mut st, &grid, p, 1);
+        }
+        assert!(st.is_dead(0));
+        assert_eq!(st.death(0), Some(StoreDeath::RunawayKill));
+        assert_eq!(st.finish(&grid, 0).unwrap_err(), StoringFail::Overflowed);
+        // Dead structures hold (almost) no memory.
+        assert!(st.stored_bytes(&grid) < 256);
+        assert_eq!(st.occupancy(), None);
+    }
+
+    /// A dead side poisons the merge.
+    #[test]
+    fn merge_dead_side_poisons() {
+        let (grid, pts) = setup();
+        let mut live = one_view(&grid, 6, cfg(4, 2, 2), 8);
+        let mut dead = one_view(&grid, 6, cfg(4, 2, 2), 8);
+        put(&mut live, &grid, &pts[0], 1);
+        for p in &pts {
+            put(&mut dead, &grid, p, 1);
+        }
+        assert!(dead.is_dead(0));
+        assert!(live.merge_from(&dead));
+        assert!(live.is_dead(0));
+        assert!(live.stored_bytes(&grid) < 256);
+    }
+
+    #[test]
+    fn occupancy_reports_capacity_and_live_cells() {
+        let (grid, pts) = setup();
+        let mut st = one_view(&grid, 4, cfg(256, 8, 4), 4096);
+        assert_eq!(st.occupancy(), Some((st.occupancy().unwrap().0, 0)));
+        for p in &pts {
+            put(&mut st, &grid, p, 1);
+        }
+        let (slots, live) = st.occupancy().expect("a live store");
+        assert!(live > 0);
+        assert!(slots >= live, "load factor below 1: {live}/{slots}");
+        assert!(live * 8 <= slots * 7, "within the ⅞ load bound");
+    }
+
+    // The linear sketch of Lemma 4.2 (`Storing`) as the reference.
+
+    /// The views of [`specs`] (β not monotone along the ladder), with
+    /// caps no stream here reaches and the rows a sketch needs to isolate
+    /// small cells.
+    fn oracle_specs() -> Vec<ViewSpec> {
+        specs()
+            .into_iter()
+            .map(|spec| ViewSpec {
+                cfg: cfg(spec.cfg.alpha, spec.cfg.beta, 5),
+                cap_cells: 1 << 12,
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every view of a multi-view store equals the paper's linear
+        /// sketch fed only that view's substream (the updates whose cut
+        /// exceeds the view's index), up to the documented asymmetry: a
+        /// small cell whose payload the arena evicted mid-stream is
+        /// flagged dirty and its points withheld, where the sketch,
+        /// oblivious to transient density, recovers them. Points come
+        /// from an 8 × 8 corner, so deletions hit and cells churn.
+        #[test]
+        fn every_view_matches_the_sketch_of_its_substream(
+            ops in prop::collection::vec(((1u32..=8, 1u32..=8), prop::bool::ANY), 1..240),
+            level in 2i32..=5,
+            shift_seed in 0u64..500,
+        ) {
+            let gp = GridParams::from_log_delta(5, 2);
+            let mut rng = StdRng::seed_from_u64(shift_seed);
+            let grid = GridHierarchy::new(gp, &mut rng);
+            // Keep ground-truth multiplicities so deletes stay legal.
+            let mut truth: HashMap<Point, i64> = HashMap::new();
+            let mut stream = Vec::new();
+            for ((x, y), insert) in ops {
+                let p = Point::new(vec![x, y]);
+                let m = truth.entry(p.clone()).or_insert(0);
+                if insert {
+                    *m += 1;
+                    stream.push((p, 1));
+                } else if *m > 0 {
+                    *m -= 1;
+                    stream.push((p, -1));
+                }
+            }
+            let specs = oracle_specs();
+            let mut st = Nested::new(&grid, level, &specs);
+            feed(&mut st, &grid, level, &stream, None);
+            for (j, spec) in specs.iter().enumerate() {
+                prop_assert!(!st.is_dead(j), "view {} died", j);
+                let mut sketch = Storing::new(&grid, level, spec.cfg, &mut rng);
+                for (p, d) in &stream {
+                    if cut_of(p.key128(gp.delta)) > j {
+                        sketch.update(p, *d);
+                    }
+                }
+                match (st.finish(&grid, j), sketch.finish()) {
+                    (Ok(a), Ok(b)) => {
+                        prop_assert_eq!(&a.cells, &b.cells, "view {}: cell counts", j);
+                        let clean: Vec<(Point, i64)> = b
+                            .small_points
+                            .into_iter()
+                            .filter(|(p, _)| !a.dirty_small_cells.contains(&grid.cell_of(p, level)))
+                            .collect();
+                        prop_assert_eq!(&a.small_points, &clean, "view {}: small points", j);
+                    }
+                    // Both over budget.
+                    (Err(StoringFail::TooManyCells { .. }), Err(_)) => {}
+                    (a, b) => prop_assert!(false, "view {}: arena {:?} vs sketch {:?}", j, a, b),
+                }
+            }
+        }
+    }
+
+    /// Deterministic heavy churn: a cell is pumped far above 2β and
+    /// drained back; the sketch recovers, the arena flags the cell.
+    #[test]
+    fn churned_cell_sketch_recovers_arena_flags() {
+        let gp = GridParams::from_log_delta(5, 2);
+        let grid = GridHierarchy::unshifted(gp);
+        let c = cfg(64, 2, 5);
+        let mut arena = one_view(&grid, 4, c, 1024);
+        let mut sketch = Storing::new(&grid, 4, c, &mut StdRng::seed_from_u64(3));
+
+        // Pump one point's multiplicity past 2β, then drain back to 1: the
+        // final state is small, but the arena lost the payload.
+        let a = Point::new(vec![1, 1]);
+        for _ in 0..6 {
+            put(&mut arena, &grid, &a, 1); // count 6 > 2β = 4 ⇒ the arena evicts
+            sketch.update(&a, 1);
+        }
+        for _ in 0..5 {
+            put(&mut arena, &grid, &a, -1); // final multiplicity 1 ≤ β
+            sketch.update(&a, -1);
+        }
+        let sk = sketch.finish().expect("the sketch is oblivious to churn");
+        assert_eq!(
+            sk.small_points,
+            vec![(a.clone(), 1)],
+            "the sketch recovers the survivor"
+        );
+        assert!(sk.dirty_small_cells.is_empty());
+
+        let ex = arena.finish(&grid, 0).expect("counts remain exact");
+        assert_eq!(ex.cells, sk.cells, "counts agree");
+        assert!(ex.small_points.is_empty(), "payload was evicted");
+        assert_eq!(
+            ex.dirty_small_cells.len(),
+            1,
+            "the arena flags the evicted cell"
+        );
+
+        // Draining a dirty cell all the way to zero clears it entirely — an
+        // empty cell needs no flag.
+        let mut drained = one_view(&grid, 4, c, 1024);
+        for _ in 0..6 {
+            put(&mut drained, &grid, &a, 1);
+        }
+        for _ in 0..6 {
+            put(&mut drained, &grid, &a, -1);
+        }
+        let out = drained.finish(&grid, 0).expect("empty state");
+        assert!(out.cells.is_empty() && out.dirty_small_cells.is_empty());
     }
 }

@@ -8,7 +8,7 @@ use sbc_core::assign::{build_assignment_oracle, OracleError};
 use sbc_core::{build_coreset, CoresetParams};
 use sbc_geometry::dataset::gaussian_mixture;
 use sbc_geometry::{GridParams, Point};
-use sbc_streaming::storing::{Backend, Storing, StoringConfig, StoringFail};
+use sbc_streaming::storing::{Storing, StoringConfig, StoringFail};
 use sbc_streaming::{StreamCoresetBuilder, StreamParams};
 
 #[test]
@@ -31,65 +31,74 @@ fn oracle_rejects_infeasible_capacity() {
     }
 }
 
+/// The stores' FAIL verdicts across every instance and role, as
+/// [`StreamCoresetBuilder::export_summaries`] reports them.
+fn store_failures(b: &StreamCoresetBuilder) -> Vec<String> {
+    b.export_summaries()
+        .into_iter()
+        .flat_map(|s| {
+            s.h.into_iter()
+                .chain(s.hp)
+                .chain(s.hhat.into_iter().flatten())
+        })
+        .filter_map(Result::err)
+        .collect()
+}
+
 #[test]
 fn storing_overflow_and_alpha_fail_paths() {
     let gp = GridParams::from_log_delta(7, 2);
-    let grid = sbc_geometry::GridHierarchy::unshifted(gp);
+    let params = CoresetParams::builder(2, gp).build().unwrap();
     let pts = sbc_geometry::dataset::uniform(gp, 400, 2);
-    let mut rng = StdRng::seed_from_u64(2);
+    let ingest = |sparams: StreamParams| {
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut b = StreamCoresetBuilder::new(params.clone(), sparams, &mut rng);
+        for p in &pts {
+            b.insert(p);
+        }
+        b
+    };
 
-    // α exceeded (arena backend, generous cap).
-    let mut st = Storing::new(
-        &grid,
-        6,
-        StoringConfig {
-            alpha: 8,
-            beta: 2,
-            rows: 2,
-        },
-        Backend::Arena { cap_cells: 10_000 },
-        &mut rng,
+    // α exceeded: a tiny cell budget under a generous occupancy cap.
+    let b = ingest(StreamParams::builder().alpha_factor(0.05).build().unwrap());
+    let fails = store_failures(&b);
+    assert!(
+        fails.iter().any(|e| e.starts_with("TooManyCells")),
+        "{fails:?}"
     );
-    for p in &pts {
-        st.update(p, 1);
-    }
-    assert!(matches!(st.finish(), Err(StoringFail::TooManyCells { .. })));
+    assert!(
+        !fails.iter().any(|e| e.starts_with("Overflowed")),
+        "{fails:?}"
+    );
+    assert_eq!(b.space_report().runaway_kill, 0);
 
-    // Occupancy cap (arena backend, tight cap) ⇒ Overflowed, memory freed.
-    let mut st2 = Storing::new(
-        &grid,
-        6,
-        StoringConfig {
-            alpha: 8,
-            beta: 2,
-            rows: 2,
-        },
-        Backend::Arena { cap_cells: 16 },
-        &mut rng,
+    // Occupancy cap (tight) ⇒ runaway views die, free their memory and
+    // report Overflowed.
+    let b = ingest(
+        StreamParams::builder()
+            .alpha_factor(0.05)
+            .cap_cells(4)
+            .build()
+            .unwrap(),
     );
-    for p in &pts {
-        st2.update(p, 1);
-    }
-    assert!(st2.is_dead());
-    assert_eq!(st2.finish().unwrap_err(), StoringFail::Overflowed);
+    let fails = store_failures(&b);
+    assert!(fails.iter().any(|e| e == "Overflowed"), "{fails:?}");
+    let rep = b.space_report();
+    assert!(rep.runaway_kill > 0 && rep.dead_stores == rep.runaway_kill);
 
-    // Sketch decode failure on over-dense content.
-    let mut st3 = Storing::new(
-        &grid,
-        6,
-        StoringConfig {
-            alpha: 8,
-            beta: 2,
-            rows: 3,
-        },
-        Backend::Sketch,
-        &mut rng,
-    );
+    // The Lemma 4.2 linear sketch fails to decode over-dense content.
+    let grid = sbc_geometry::GridHierarchy::unshifted(gp);
+    let cfg = StoringConfig {
+        alpha: 8,
+        beta: 2,
+        rows: 3,
+    };
+    let mut sketch = Storing::new(&grid, 6, cfg, &mut StdRng::seed_from_u64(2));
     for p in &pts {
-        st3.update(p, 1);
+        sketch.update(p, 1);
     }
     assert!(matches!(
-        st3.finish(),
+        sketch.finish(),
         Err(StoringFail::DecodeFailed | StoringFail::TooManyCells { .. })
     ));
 }
