@@ -54,7 +54,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sbc_bench::Workload;
+use sbc_bench::{instrumented_ingest, median, time_ingest, Workload};
 use sbc_core::CoresetParams;
 use sbc_distributed::DistributedCoreset;
 use sbc_geometry::{dataset, GridParams};
@@ -93,33 +93,6 @@ struct PathResult {
     /// Median over reps of the per-op time over this path's time in the
     /// same rep.
     speedup_vs_per_op: f64,
-}
-
-/// Seconds of one full ingest of `ops` into a fresh builder.
-fn time_ingest(params: &CoresetParams, ops: &[StreamOp], per_op: bool) -> f64 {
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut builder = StreamCoresetBuilder::new(params.clone(), StreamParams::default(), &mut rng);
-    let start = Instant::now();
-    if per_op {
-        for op in ops {
-            builder.process(op);
-        }
-    } else {
-        builder.process_all(ops);
-    }
-    let secs = start.elapsed().as_secs_f64();
-    std::hint::black_box(builder.net_count());
-    secs
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let mid = xs.len() / 2;
-    if xs.len() % 2 == 1 {
-        xs[mid]
-    } else {
-        (xs[mid - 1] + xs[mid]) / 2.0
-    }
 }
 
 /// Times the per-op and batched paths, `reps` rounds of one run each,
@@ -324,21 +297,6 @@ fn prom_sibling(path: &str) -> String {
     format!("{}.prom", path.strip_suffix(".json").unwrap_or(path))
 }
 
-/// Best-of-`reps` seconds for one batched ingest of `ops` (untimed
-/// section; used to price the telemetry overheads below).
-fn ingest_secs(params: &CoresetParams, ops: &[StreamOp], reps: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut b = StreamCoresetBuilder::new(params.clone(), StreamParams::default(), &mut rng);
-        let start = Instant::now();
-        b.process_all(ops);
-        best = best.min(start.elapsed().as_secs_f64());
-        std::hint::black_box(b.net_count());
-    }
-    best
-}
-
 /// Telemetry cost figures for the report (and for `obs_overhead`'s
 /// budgets): nanoseconds of allocator bookkeeping per recorded
 /// alloc/dealloc pair, the enabled-but-idle (recording flag clear)
@@ -357,6 +315,9 @@ struct OverheadFigures {
 /// only).
 const ALLOC_PAIRS_PER_OP: f64 = 8.0;
 
+/// Interleaved plain/sampled ingest rounds behind `sampling_pct`.
+const OVERHEAD_ROUNDS: usize = 6;
+
 /// Prices the telemetry on a quiet process with metrics recording (and
 /// so allocator attribution) switched off, as the timed sections run.
 fn measure_overheads(params: &CoresetParams, ops: &[StreamOp], cadence_ms: u64) -> OverheadFigures {
@@ -365,7 +326,7 @@ fn measure_overheads(params: &CoresetParams, ops: &[StreamOp], cadence_ms: u64) 
     // otherwise the generous static bound.
     sbc_obs::set_enabled(true);
     let alloc_before = sbc_obs::alloc::snapshot();
-    ingest_secs(params, ops, 1);
+    time_ingest(params, ops, false);
     let alloc_after = sbc_obs::alloc::snapshot();
     sbc_obs::set_enabled(false);
     let pairs_per_op = if alloc_after.tracking {
@@ -377,8 +338,23 @@ fn measure_overheads(params: &CoresetParams, ops: &[StreamOp], cadence_ms: u64) 
     } else {
         ALLOC_PAIRS_PER_OP
     };
-    let base_secs = ingest_secs(params, ops, 2);
-    let op_ns = base_secs * 1e9 / ops.len() as f64;
+    // Sampling: the same ingest with a live sampler at the configured
+    // cadence (no file export — pricing the snapshots, not the disk),
+    // in rounds interleaved with plain ingests.
+    let mut sampler = None;
+    let sampling = instrumented_ingest(params, ops, OVERHEAD_ROUNDS, |on| {
+        if on {
+            sampler = Some(sbc_obs::timeline::Sampler::start(
+                Duration::from_millis(cadence_ms),
+                sbc_obs::timeline::DEFAULT_CAPACITY,
+                None,
+                None,
+            ));
+        } else if let Some(s) = sampler.take() {
+            s.stop();
+        }
+    });
+    let op_ns = sampling.base_secs * 1e9 / ops.len() as f64;
 
     // Allocator bookkeeping, priced directly: the recording path for one
     // alloc + dealloc of a mid-sized block (reported as alloc_pair_ns),
@@ -401,22 +377,10 @@ fn measure_overheads(params: &CoresetParams, ops: &[StreamOp], cadence_ms: u64) 
     let idle_pair_ns = start.elapsed().as_secs_f64() * 1e9 / pairs as f64;
     let alloc_idle_pct = pairs_per_op * idle_pair_ns / op_ns * 100.0;
 
-    // Sampling: the same ingest with a live sampler at the configured
-    // cadence (no file export — pricing the snapshots, not the disk).
-    let sampler = sbc_obs::timeline::Sampler::start(
-        Duration::from_millis(cadence_ms),
-        sbc_obs::timeline::DEFAULT_CAPACITY,
-        None,
-        None,
-    );
-    let sampled_secs = ingest_secs(params, ops, 2);
-    sampler.stop();
-    let sampling_pct = (sampled_secs / base_secs - 1.0) * 100.0;
-
     OverheadFigures {
         alloc_pair_ns,
         alloc_idle_pct,
-        sampling_pct,
+        sampling_pct: (sampling.ratio - 1.0) * 100.0,
     }
 }
 

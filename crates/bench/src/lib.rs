@@ -1,8 +1,9 @@
 //! Shared helpers for the Criterion benches and the `experiments`
-//! harness: canonical workloads, quality evaluation, and markdown table
-//! printing. See EXPERIMENTS.md for the experiment index (the paper has
-//! no empirical section; these regenerate the theorem-derived suite
-//! documented in DESIGN.md §4).
+//! harness: canonical workloads, quality evaluation, markdown table
+//! printing, and the ingest timing the overhead guards share. See
+//! EXPERIMENTS.md for the experiment index (the paper has no empirical
+//! section; these regenerate the theorem-derived suite documented in
+//! DESIGN.md §4).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -11,6 +12,9 @@ use sbc_core::verify::center_battery;
 use sbc_core::{Coreset, CoresetParams};
 use sbc_geometry::dataset;
 use sbc_geometry::{GridParams, Point};
+use sbc_streaming::model::StreamOp;
+use sbc_streaming::{StreamCoresetBuilder, StreamParams};
+use std::time::Instant;
 
 /// The canonical workload set used across experiments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -228,6 +232,84 @@ pub fn fmt_bytes(b: u64) -> String {
         format!("{:.1} KiB", b as f64 / 1024.0)
     } else {
         format!("{b} B")
+    }
+}
+
+/// Seconds of one full ingest of `ops` into a fresh builder (rng seed
+/// 7): op by op when `per_op`, else one `process_all` batch.
+pub fn time_ingest(params: &CoresetParams, ops: &[StreamOp], per_op: bool) -> f64 {
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut builder = StreamCoresetBuilder::new(params.clone(), StreamParams::default(), &mut rng);
+    let start = Instant::now();
+    if per_op {
+        for op in ops {
+            builder.process(op);
+        }
+    } else {
+        builder.process_all(ops);
+    }
+    let secs = start.elapsed().as_secs_f64();
+    std::hint::black_box(builder.net_count());
+    secs
+}
+
+/// The median of `xs` (the mean of the middle two for an even count).
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    }
+}
+
+/// What an instrument costs a batched ingest, from
+/// [`instrumented_ingest`].
+#[derive(Clone, Copy, Debug)]
+pub struct IngestSlowdown {
+    /// Seconds of the fastest uninstrumented ingest.
+    pub base_secs: f64,
+    /// Median over rounds of instrumented over uninstrumented seconds:
+    /// 1.0 is free, and noise can read below it.
+    pub ratio: f64,
+}
+
+/// Prices an instrument on a batched ingest of `ops`. One untimed
+/// warm-up ingest runs first; then each of `rounds` rounds times one
+/// plain and one instrumented ingest, `instrument(true)` switching the
+/// instrument on before the instrumented one and `instrument(false)`
+/// off after it (neither call is timed). Rounds alternate which ingest
+/// goes first, so a process whose ingest speeds up as it ages favours
+/// neither side when `rounds` is even, and the median of the per-round
+/// ratios is what one slow run cannot move.
+pub fn instrumented_ingest(
+    params: &CoresetParams,
+    ops: &[StreamOp],
+    rounds: usize,
+    mut instrument: impl FnMut(bool),
+) -> IngestSlowdown {
+    time_ingest(params, ops, false);
+    let mut base_secs = f64::INFINITY;
+    let mut ratios = Vec::with_capacity(rounds);
+    for round in 0..rounds.max(1) {
+        let mut timed = [0.0; 2];
+        for k in [round % 2, 1 - round % 2] {
+            let on = k == 1;
+            if on {
+                instrument(true);
+            }
+            timed[k] = time_ingest(params, ops, false);
+            if on {
+                instrument(false);
+            }
+        }
+        base_secs = base_secs.min(timed[0]);
+        ratios.push(timed[1] / timed[0]);
+    }
+    IngestSlowdown {
+        base_secs,
+        ratio: median(ratios),
     }
 }
 

@@ -251,12 +251,10 @@ fn bench_streaming_golden_file_matches_schema_v9() {
     // The service_obs section (v7): the instrumentation-overhead
     // comparison bench_guard gates, plus the SLO-histogram percentiles.
     let service_obs = doc.get("service_obs").expect("service_obs present");
-    assert!(
-        service_obs
-            .get("feature_enabled")
-            .and_then(|v| v.as_bool())
-            .is_some(),
-        "service_obs lacks the feature_enabled flag"
+    assert_eq!(
+        service_obs.get("feature_enabled").and_then(|v| v.as_bool()),
+        Some(true),
+        "service_obs baseline must be measured with the service metrics compiled in"
     );
     for key in [
         "metrics_disabled_ops_per_sec",

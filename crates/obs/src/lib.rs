@@ -117,19 +117,33 @@ impl HistogramSnapshot {
     /// rounding `serve_bench` uses for exact samples, quantized to the
     /// power-of-two grid. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for &(upper, n) in &self.buckets {
-            seen += n;
-            if seen >= rank {
-                return upper;
-            }
-        }
-        self.buckets.last().map(|&(u, _)| u).unwrap_or(0)
+        ceil_rank_quantile(q, self.count, self.buckets.iter().copied())
     }
+}
+
+/// The ceil-rank `q`-quantile of `count` samples held in ascending
+/// `(inclusive_upper_bound, count)` buckets: the upper bound of the
+/// bucket holding sample ⌈q·count⌉ (at least the first). 0 when there
+/// are no samples; the last bucket's bound when the buckets hold fewer
+/// than `count`.
+pub(crate) fn ceil_rank_quantile(
+    q: f64,
+    count: u64,
+    buckets: impl IntoIterator<Item = (u64, u64)>,
+) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+    let (mut seen, mut upper) = (0u64, 0u64);
+    for (bound, n) in buckets {
+        seen += n;
+        upper = bound;
+        if seen >= rank {
+            break;
+        }
+    }
+    upper
 }
 
 /// A point-in-time export of every registered metric, sorted by name.

@@ -450,22 +450,12 @@ impl Row {
         }
     }
 
-    /// p99 over the row's power-of-two buckets (ceil-rank, bucket
-    /// upper bound — same convention as
+    /// p99 over the row's power-of-two buckets (the walk of
     /// [`crate::HistogramSnapshot::quantile`]).
     fn p99_ns(&self) -> u64 {
-        if self.lat_count == 0 {
-            return 0;
-        }
-        let rank = ((0.99 * self.lat_count as f64).ceil() as u64).clamp(1, self.lat_count);
-        let mut seen = 0u64;
-        for (i, &n) in self.lat.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return crate::bucket_upper_bound(i);
-            }
-        }
-        u64::MAX
+        let buckets = self.lat.iter().enumerate();
+        let buckets = buckets.map(|(i, &n)| (crate::bucket_upper_bound(i), n));
+        crate::ceil_rank_quantile(0.99, self.lat_count, buckets)
     }
 }
 

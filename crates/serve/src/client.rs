@@ -12,6 +12,7 @@ use sbc::distributed::wire::Envelope;
 use sbc::streaming::codec::{from_bytes, to_bytes};
 use sbc::{FaultPlan, Point, SbcError};
 
+use crate::fleet::FleetServer;
 use crate::service::CoresetService;
 
 /// Carries one request frame to a service and returns its response
@@ -58,19 +59,93 @@ pub struct LossyStats {
     pub retries: u64,
 }
 
-/// A transport that wraps every frame in a `(machine, seq)` envelope
-/// and replays a seeded [`FaultPlan`]'s drop/duplicate decisions against
-/// it — the same fault machinery the distributed protocol runs under.
-/// Dropped deliveries are retried with the **same** sequence number;
-/// duplicated deliveries hit the service twice. Either way the service's
-/// per-client dedup window keeps the observable behavior identical to a
-/// faultless run, which is exactly what the chaos proptests pin.
-pub struct Lossy {
-    service: CoresetService,
+/// The fault-plan side of envelope delivery: the seeded [`FaultPlan`],
+/// the envelope machine id peers deduplicate on, and the delivery
+/// counter that indexes the plan. A [`Lossy`] transport keeps one for
+/// its service; a [`Fleet`](crate::Fleet) keeps one for all its members.
+pub(crate) struct Wire {
     plan: FaultPlan,
     machine: u32,
-    seq: u64,
     deliveries: u64,
+}
+
+impl Wire {
+    pub(crate) fn new(plan: FaultPlan, machine: u32) -> Wire {
+        Wire {
+            plan,
+            machine,
+            deliveries: 0,
+        }
+    }
+}
+
+/// One peer reached over a [`Wire`]: the [`Transport`] that both
+/// [`Lossy`] and the fleet's per-member [`Client`]s deliver through.
+/// Each frame travels in a `(machine, seq)` envelope under the next
+/// `seq`; a delivery the plan drops is retried with the **same** seq,
+/// and a delivery it duplicates reaches the peer twice. The peer's
+/// per-machine dedup window keeps either one invisible to the caller.
+pub(crate) struct Link<'a> {
+    pub(crate) wire: &'a mut Wire,
+    pub(crate) stats: &'a mut LossyStats,
+    /// The last envelope seq sent to this peer.
+    pub(crate) seq: &'a mut u64,
+    pub(crate) peer: &'a mut dyn FleetServer,
+}
+
+impl Transport for Link<'_> {
+    fn round_trip(&mut self, frame: &[u8]) -> Result<Vec<u8>, SbcError> {
+        *self.seq += 1;
+        let seq = *self.seq;
+        let env_bytes = to_bytes(&Envelope {
+            machine: self.wire.machine,
+            seq,
+            payload: frame.to_vec(),
+        });
+        let max_attempts = self.wire.plan.max_retries.max(1);
+        for attempt in 0..max_attempts {
+            if attempt > 0 {
+                self.stats.retries += 1;
+            }
+            let idx = self.wire.deliveries;
+            self.wire.deliveries += 1;
+            if self.wire.plan.drops_delivery(idx) {
+                self.stats.drops += 1;
+                continue; // lost on the wire; retry with the same seq
+            }
+            if self.wire.plan.duplicates_delivery(idx) {
+                self.stats.dups += 1;
+                let _ = self.peer.handle_envelope(&env_bytes);
+            }
+            let reply_bytes = self.peer.handle_envelope(&env_bytes);
+            let reply: Envelope = from_bytes(&reply_bytes).ok_or_else(|| ApiError::Transport {
+                message: "undecodable reply envelope".to_string(),
+            })?;
+            if reply.seq != seq {
+                return Err(ApiError::Transport {
+                    message: format!("reply seq {} for request seq {seq}", reply.seq),
+                }
+                .into());
+            }
+            return Ok(reply.payload);
+        }
+        Err(ApiError::Transport {
+            message: format!("no delivery after {max_attempts} attempts"),
+        }
+        .into())
+    }
+}
+
+/// A transport that wraps every frame in a `(machine, seq)` envelope
+/// and replays a seeded [`FaultPlan`]'s drop/duplicate decisions against
+/// it — the same fault machinery the distributed protocol runs under,
+/// delivered by the `Link` loop the fleet uses too. The service's
+/// per-client dedup window keeps the observable behavior identical to
+/// a faultless run, which is exactly what the chaos proptests pin.
+pub struct Lossy {
+    service: CoresetService,
+    wire: Wire,
+    seq: u64,
     /// Accumulated delivery counters.
     pub stats: LossyStats,
 }
@@ -80,10 +155,8 @@ impl Lossy {
     pub fn new(service: CoresetService, plan: FaultPlan, machine: u32) -> Lossy {
         Lossy {
             service,
-            plan,
-            machine,
+            wire: Wire::new(plan, machine),
             seq: 0,
-            deliveries: 0,
             stats: LossyStats::default(),
         }
     }
@@ -96,43 +169,13 @@ impl Lossy {
 
 impl Transport for Lossy {
     fn round_trip(&mut self, frame: &[u8]) -> Result<Vec<u8>, SbcError> {
-        self.seq += 1;
-        let env_bytes = to_bytes(&Envelope {
-            machine: self.machine,
-            seq: self.seq,
-            payload: frame.to_vec(),
-        });
-        let max_attempts = self.plan.max_retries.max(1);
-        for attempt in 0..max_attempts {
-            if attempt > 0 {
-                self.stats.retries += 1;
-            }
-            let idx = self.deliveries;
-            self.deliveries += 1;
-            if self.plan.drops_delivery(idx) {
-                self.stats.drops += 1;
-                continue; // lost on the wire; retry with the same seq
-            }
-            if self.plan.duplicates_delivery(idx) {
-                self.stats.dups += 1;
-                let _ = self.service.handle_envelope(&env_bytes);
-            }
-            let reply_bytes = self.service.handle_envelope(&env_bytes);
-            let reply: Envelope = from_bytes(&reply_bytes).ok_or_else(|| ApiError::Transport {
-                message: "undecodable reply envelope".to_string(),
-            })?;
-            if reply.seq != self.seq {
-                return Err(ApiError::Transport {
-                    message: format!("reply seq {} for request seq {}", reply.seq, self.seq),
-                }
-                .into());
-            }
-            return Ok(reply.payload);
+        Link {
+            wire: &mut self.wire,
+            stats: &mut self.stats,
+            seq: &mut self.seq,
+            peer: &mut self.service,
         }
-        Err(ApiError::Transport {
-            message: format!("no delivery after {max_attempts} attempts"),
-        }
-        .into())
+        .round_trip(frame)
     }
 }
 

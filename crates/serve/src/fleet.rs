@@ -13,14 +13,15 @@
 //! * [`FleetServer`] — the byte-level server surface the fleet drives
 //!   (`handle_envelope`). Implemented by [`CoresetService`]; tests
 //!   implement it for version shims to prove old-peer interop.
-//! * [`Fleet`] — owns the servers, routes typed requests, follows
-//!   [`ApiResponse::Moved`] redirects transparently, and drives the
-//!   migration protocol: freeze at the seq barrier
-//!   ([`Fleet::migrate_begin`]), ship chunks, drain+replay the
-//!   double-buffered ops, and atomically cut over
-//!   ([`Fleet::migrate_finish`]). Every byte crosses the same
-//!   `SBCSRV1`-in-envelope wire a socket would carry, through the
-//!   seeded [`FaultPlan`] drop/duplicate machinery.
+//! * [`Fleet`] — owns the servers and reaches each one through a typed
+//!   [`Client`] over the same envelope delivery loop
+//!   [`Lossy`](crate::Lossy) runs, with the seeded [`FaultPlan`]
+//!   indexed by one delivery counter for the whole fleet. It follows
+//!   [`ApiError::Moved`] redirects transparently and drives the
+//!   migration protocol through the client's migration calls: freeze
+//!   at the seq barrier ([`Fleet::migrate_begin`]), ship chunks,
+//!   drain+replay the double-buffered ops, and atomically cut over
+//!   ([`Fleet::migrate_finish`]).
 //!
 //! A peer that predates the migration tags answers `Unsupported` (it
 //! skips the record body by length prefix); the driver then aborts and
@@ -29,15 +30,11 @@
 
 use std::collections::HashMap;
 
-use sbc::api::{
-    frame_requests, unframe_responses, ApiError, ApiRequest, ApiResponse, TenantId, TenantSpec,
-};
-use sbc::distributed::wire::Envelope;
-use sbc::streaming::codec::{from_bytes, to_bytes};
-use sbc::{FaultPlan, SbcError};
+use sbc::api::{ApiError, CoresetPoint, ServerStatsReport, TenantId, TenantSpec};
+use sbc::{FaultPlan, Point, SbcError};
 use sbc_obs::fault::splitmix64;
 
-use crate::client::LossyStats;
+use crate::client::{Client, Link, LossyStats, Wire};
 use crate::service::{CoresetService, MigrationStats};
 
 /// Virtual nodes each server contributes to the ring. 64 keeps the
@@ -46,7 +43,7 @@ use crate::service::{CoresetService, MigrationStats};
 /// the vnode arcs the departed server owned.
 pub const VNODES_PER_SERVER: u32 = 64;
 
-/// Most [`ApiResponse::Moved`] redirects one routed call will chase
+/// Most [`ApiError::Moved`] redirects one routed call will chase
 /// before giving up — bounds pathological redirect cycles.
 const MAX_REDIRECT_HOPS: u32 = 4;
 
@@ -175,24 +172,23 @@ pub struct MigrationReport {
 struct InFlight {
     from: u32,
     to: u32,
-    spec: TenantSpec,
     chunks: u32,
 }
 
 /// A multi-process-shaped fleet in one address space: every request —
-/// data-plane and migration-plane alike — crosses the envelope wire
-/// format through the seeded fault plan, so tests and the bench drive
-/// exactly the byte exchanges a socketed deployment would see.
+/// data-plane and migration-plane alike — goes through a [`Client`]
+/// over the envelope wire format and the seeded fault plan, so tests
+/// and the bench drive exactly the byte exchanges a socketed deployment
+/// would see.
 pub struct Fleet {
     servers: HashMap<u32, Box<dyn FleetServer>>,
     router: FleetRouter,
-    plan: FaultPlan,
-    /// Per-server next envelope seq (each server deduplicates per
-    /// machine, and the fleet is one machine to all of them).
+    /// The fault plan and the one delivery counter indexing it for
+    /// every member: the fleet is envelope machine 1 to all of them.
+    wire: Wire,
+    /// Per-server last envelope seq (each server deduplicates per
+    /// machine).
     seqs: HashMap<u32, u64>,
-    machine: u32,
-    /// Global delivery counter indexing the fault plan.
-    deliveries: u64,
     /// Learned ownership: seeded by the router at open, updated by
     /// committed cutovers and observed redirects.
     placement: HashMap<TenantId, u32>,
@@ -207,10 +203,8 @@ impl Fleet {
         Fleet {
             servers: HashMap::new(),
             router: FleetRouter::default(),
-            plan,
+            wire: Wire::new(plan, 1),
             seqs: HashMap::new(),
-            machine: 1,
-            deliveries: 0,
             placement: HashMap::new(),
             in_flight: HashMap::new(),
             stats: LossyStats::default(),
@@ -236,10 +230,14 @@ impl Fleet {
             .or_else(|| self.router.route(tenant))
     }
 
-    /// Direct access to one server (stats draining in benches; the
-    /// concrete type is whatever was inserted).
-    pub fn server_mut(&mut self, id: u32) -> Option<&mut (dyn FleetServer + '_)> {
-        self.servers.get_mut(&id).map(|b| &mut **b as _)
+    /// [`Fleet::owner`], or a transport error on an empty fleet.
+    fn located(&self, tenant: TenantId) -> Result<u32, SbcError> {
+        self.owner(tenant).ok_or_else(|| {
+            ApiError::Transport {
+                message: "empty fleet".to_string(),
+            }
+            .into()
+        })
     }
 
     /// Fleet-wide migration counters: the field-wise sum over servers
@@ -261,98 +259,39 @@ impl Fleet {
         total
     }
 
-    /// One lossy envelope round trip to `server`: same-seq retries on
-    /// drops, duplicate deliveries absorbed by the server's dedup
-    /// window — the [`crate::client::Lossy`] delivery contract, fleet-wide.
-    fn round_trip(&mut self, server: u32, frame: &[u8]) -> Result<Vec<u8>, SbcError> {
-        let seq = {
-            let s = self.seqs.entry(server).or_insert(0);
-            *s += 1;
-            *s
-        };
-        let env_bytes = to_bytes(&Envelope {
-            machine: self.machine,
-            seq,
-            payload: frame.to_vec(),
-        });
-        let target = self
+    /// A typed client for one member, delivering over the fleet's
+    /// shared [`Wire`].
+    fn client(&mut self, server: u32) -> Result<Client<Link<'_>>, SbcError> {
+        let peer = self
             .servers
             .get_mut(&server)
             .ok_or_else(|| ApiError::Transport {
                 message: format!("no server {server} in the fleet"),
             })?;
-        let max_attempts = self.plan.max_retries.max(1);
-        for attempt in 0..max_attempts {
-            if attempt > 0 {
-                self.stats.retries += 1;
-            }
-            let idx = self.deliveries;
-            self.deliveries += 1;
-            if self.plan.drops_delivery(idx) {
-                self.stats.drops += 1;
-                continue;
-            }
-            if self.plan.duplicates_delivery(idx) {
-                self.stats.dups += 1;
-                let _ = target.handle_envelope(&env_bytes);
-            }
-            let reply_bytes = target.handle_envelope(&env_bytes);
-            let reply: Envelope = from_bytes(&reply_bytes).ok_or_else(|| ApiError::Transport {
-                message: "undecodable reply envelope".to_string(),
-            })?;
-            if reply.seq != seq {
-                return Err(ApiError::Transport {
-                    message: format!("reply seq {} for request seq {seq}", reply.seq),
-                }
-                .into());
-            }
-            return Ok(reply.payload);
-        }
-        Err(ApiError::Transport {
-            message: format!("no delivery after {max_attempts} attempts"),
-        }
-        .into())
+        Ok(Client::new(Link {
+            wire: &mut self.wire,
+            stats: &mut self.stats,
+            seq: self.seqs.entry(server).or_insert(0),
+            peer: peer.as_mut(),
+        }))
     }
 
-    /// One typed record to a specific server.
-    fn call(&mut self, server: u32, request: &ApiRequest) -> Result<ApiResponse, SbcError> {
-        let frame = frame_requests(std::slice::from_ref(request));
-        let reply = self.round_trip(server, &frame)?;
-        let mut responses = unframe_responses(&reply)?;
-        if responses.len() != 1 {
-            if let [ApiResponse::Error { code, message }] = responses.as_slice() {
-                return Err(ApiError::Remote {
-                    code: *code,
-                    message: message.clone(),
-                }
-                .into());
-            }
-            return Err(ApiError::UnexpectedResponse {
-                message: format!("{} responses for 1 request", responses.len()),
-            }
-            .into());
-        }
-        Ok(responses.remove(0))
-    }
-
-    /// Routes a tenant-scoped record to its owner, chasing
-    /// [`ApiResponse::Moved`] redirects (and learning from them) up to
+    /// Runs a tenant-scoped call on the tenant's owner, chasing
+    /// [`ApiError::Moved`] redirects (and learning from them) up to
     /// [`MAX_REDIRECT_HOPS`] times.
-    fn call_routed(
+    fn routed<R>(
         &mut self,
         tenant: TenantId,
-        request: &ApiRequest,
-    ) -> Result<ApiResponse, SbcError> {
-        let mut server = self.owner(tenant).ok_or_else(|| ApiError::Transport {
-            message: "empty fleet".to_string(),
-        })?;
+        mut call: impl FnMut(&mut Client<Link<'_>>) -> Result<R, SbcError>,
+    ) -> Result<R, SbcError> {
+        let mut server = self.located(tenant)?;
         for _ in 0..=MAX_REDIRECT_HOPS {
-            match self.call(server, request)? {
-                ApiResponse::Moved { peer, .. } => {
+            match call(&mut self.client(server)?) {
+                Err(SbcError::Api(ApiError::Moved { peer, .. })) => {
                     self.placement.insert(tenant, peer);
                     server = peer;
                 }
-                other => return Ok(other),
+                result => return result,
             }
         }
         Err(ApiError::Transport {
@@ -361,96 +300,43 @@ impl Fleet {
         .into())
     }
 
-    /// Converts refusal records to coded errors (the [`crate::Client`]
-    /// contract, minus `Moved`, which `call_routed` consumes).
-    fn ok(response: ApiResponse) -> Result<ApiResponse, SbcError> {
-        match response {
-            ApiResponse::Error { code, message } => Err(ApiError::Remote { code, message }.into()),
-            ApiResponse::Overloaded {
-                measured_bytes,
-                budget_bytes,
-            } => Err(ApiError::Overloaded {
-                measured_bytes,
-                budget_bytes,
-            }
-            .into()),
-            ApiResponse::Unsupported { tag } => Err(ApiError::Unsupported { tag }.into()),
-            ApiResponse::Moved { tenant, peer } => Err(ApiError::Moved { tenant, peer }.into()),
-            other => Ok(other),
-        }
-    }
-
-    fn unexpected(response: &ApiResponse) -> SbcError {
-        ApiError::UnexpectedResponse {
-            message: format!("{response:?}"),
-        }
-        .into()
-    }
-
     /// Opens `tenant` on the server the ring routes it to.
     pub fn open(&mut self, tenant: TenantId, spec: TenantSpec) -> Result<bool, SbcError> {
-        let server = self.owner(tenant).ok_or_else(|| ApiError::Transport {
-            message: "empty fleet".to_string(),
-        })?;
+        let server = self.located(tenant)?;
         self.placement.insert(tenant, server);
-        match Self::ok(self.call_routed(tenant, &ApiRequest::Open { tenant, spec })?)? {
-            ApiResponse::Opened { restored, .. } => Ok(restored),
-            other => Err(Self::unexpected(&other)),
-        }
+        self.routed(tenant, |c| c.open(tenant, spec))
     }
 
     /// Inserts a batch wherever the tenant lives; follows redirects.
-    pub fn insert(&mut self, tenant: TenantId, points: &[sbc::Point]) -> Result<i64, SbcError> {
-        let req = ApiRequest::Insert {
-            tenant,
-            points: points.to_vec(),
-        };
-        match Self::ok(self.call_routed(tenant, &req)?)? {
-            ApiResponse::Applied { net_count, .. } => Ok(net_count),
-            other => Err(Self::unexpected(&other)),
-        }
+    pub fn insert(&mut self, tenant: TenantId, points: &[Point]) -> Result<i64, SbcError> {
+        self.routed(tenant, |c| c.insert(tenant, points))
     }
 
     /// Deletes a batch wherever the tenant lives; follows redirects.
-    pub fn delete(&mut self, tenant: TenantId, points: &[sbc::Point]) -> Result<i64, SbcError> {
-        let req = ApiRequest::Delete {
-            tenant,
-            points: points.to_vec(),
-        };
-        match Self::ok(self.call_routed(tenant, &req)?)? {
-            ApiResponse::Applied { net_count, .. } => Ok(net_count),
-            other => Err(Self::unexpected(&other)),
-        }
+    pub fn delete(&mut self, tenant: TenantId, points: &[Point]) -> Result<i64, SbcError> {
+        self.routed(tenant, |c| c.delete(tenant, points))
     }
 
     /// The tenant's live coreset: `(o, points)`. Follows redirects.
-    pub fn query(
-        &mut self,
-        tenant: TenantId,
-    ) -> Result<(f64, Vec<sbc::api::CoresetPoint>), SbcError> {
-        match Self::ok(self.call_routed(tenant, &ApiRequest::Query { tenant })?)? {
-            ApiResponse::CoresetReply { o, points, .. } => Ok((o, points)),
-            other => Err(Self::unexpected(&other)),
-        }
+    pub fn query(&mut self, tenant: TenantId) -> Result<(f64, Vec<CoresetPoint>), SbcError> {
+        self.routed(tenant, |c| c.query(tenant))
     }
 
     /// Full checkpoint bytes, wherever the tenant lives.
     pub fn checkpoint(&mut self, tenant: TenantId) -> Result<Vec<u8>, SbcError> {
-        match Self::ok(self.call_routed(tenant, &ApiRequest::Checkpoint { tenant })?)? {
-            ApiResponse::CheckpointReply { bytes, .. } => Ok(bytes),
-            other => Err(Self::unexpected(&other)),
-        }
+        self.routed(tenant, |c| c.checkpoint(tenant))
     }
 
     /// Closes the tenant wherever it lives (tombstones included).
     pub fn close(&mut self, tenant: TenantId) -> Result<(), SbcError> {
-        match Self::ok(self.call_routed(tenant, &ApiRequest::Close { tenant })?)? {
-            ApiResponse::Closed { .. } => {
-                self.placement.remove(&tenant);
-                Ok(())
-            }
-            other => Err(Self::unexpected(&other)),
-        }
+        self.routed(tenant, |c| c.close(tenant))?;
+        self.placement.remove(&tenant);
+        Ok(())
+    }
+
+    /// Whole-service accounting for one member.
+    pub fn server_stats(&mut self, server: u32) -> Result<ServerStatsReport, SbcError> {
+        self.client(server)?.server_stats()
     }
 
     /// Phase one of a migration: freeze the tenant on its owner and
@@ -465,38 +351,18 @@ impl Fleet {
         to: u32,
         chunk_bytes: u32,
     ) -> Result<bool, SbcError> {
-        let from = self.owner(tenant).ok_or_else(|| ApiError::Transport {
-            message: "empty fleet".to_string(),
-        })?;
+        let from = self.located(tenant)?;
         if from == to {
             return Ok(false);
         }
-        let manifest = match self.call(
-            from,
-            &ApiRequest::MigrateOut {
-                tenant,
-                chunk_bytes,
-            },
-        )? {
-            ApiResponse::MigrateManifest {
-                spec,
-                total_chunks,
-                total_bytes,
-                measured_bytes,
-                ..
-            } => (spec, total_chunks, total_bytes, measured_bytes),
+        let manifest = match self.client(from)?.migrate_out(tenant, chunk_bytes) {
+            Ok(manifest) => manifest,
             // The source predates the migration protocol: nothing was
             // frozen, the tenant simply stays put.
-            ApiResponse::Unsupported { .. } => return Ok(false),
-            other => {
-                return Err(match Self::ok(other) {
-                    Ok(r) => Self::unexpected(&r),
-                    Err(e) => e,
-                })
-            }
+            Err(SbcError::Api(ApiError::Unsupported { .. })) => return Ok(false),
+            Err(e) => return Err(e),
         };
-        let (spec, total_chunks, total_bytes, measured_bytes) = manifest;
-        for chunk in 0..total_chunks {
+        for chunk in 0..manifest.total_chunks {
             let Some(payload) = self
                 .servers
                 .get(&from)
@@ -508,31 +374,28 @@ impl Fleet {
                 }
                 .into());
             };
-            let req = ApiRequest::ChunkedCheckpoint {
+            let sent = self.client(to)?.send_chunk(
                 tenant,
-                spec,
+                manifest.spec,
                 chunk,
-                total_chunks,
-                total_bytes,
-                measured_bytes,
+                manifest.total_chunks,
+                manifest.total_bytes,
+                manifest.measured_bytes,
                 payload,
-            };
-            match self.call(to, &req)? {
-                ApiResponse::ChunkAck { .. } => {}
+            );
+            match sent {
+                Ok(_) => {}
                 // The target cannot take the tenant (old build, or its
                 // admission budget is full): unfreeze the source and
                 // keep the tenant where it is.
-                ApiResponse::Unsupported { .. } | ApiResponse::Overloaded { .. } => {
+                Err(SbcError::Api(ApiError::Unsupported { .. } | ApiError::Overloaded { .. })) => {
                     self.abort_on(from, tenant);
                     return Ok(false);
                 }
-                other => {
+                Err(e) => {
                     self.abort_on(from, tenant);
                     self.abort_on(to, tenant);
-                    return Err(match Self::ok(other) {
-                        Ok(r) => Self::unexpected(&r),
-                        Err(e) => e,
-                    });
+                    return Err(e);
                 }
             }
         }
@@ -541,8 +404,7 @@ impl Fleet {
             InFlight {
                 from,
                 to,
-                spec,
-                chunks: total_chunks,
+                chunks: manifest.total_chunks,
             },
         );
         Ok(true)
@@ -550,7 +412,9 @@ impl Fleet {
 
     /// Best-effort abort of a pending transfer on one server.
     fn abort_on(&mut self, server: u32, tenant: TenantId) {
-        let _ = self.call(server, &ApiRequest::MigrateAbort { tenant });
+        let _ = self
+            .client(server)
+            .and_then(|mut c| c.migrate_abort(tenant));
     }
 
     /// Abandons a transfer started by [`Fleet::migrate_begin`]:
@@ -559,91 +423,49 @@ impl Fleet {
     /// frozen, so it is already current.
     pub fn abort(&mut self, tenant: TenantId) -> Result<(), SbcError> {
         let Some(InFlight { from, to, .. }) = self.in_flight.remove(&tenant) else {
-            return Err(ApiError::Transport {
-                message: format!("tenant {tenant}: no transfer in flight"),
-            }
-            .into());
+            return Err(Self::not_in_flight(tenant));
         };
         // A fully-shipped snapshot is already a live copy on the
         // receiver; a partial one is still assembling. Discard either.
         self.abort_on(to, tenant);
-        let _ = self.call(to, &ApiRequest::Close { tenant });
-        match Self::ok(self.call(from, &ApiRequest::MigrateAbort { tenant })?)? {
-            ApiResponse::MigrateAck {
-                committed: false, ..
-            } => Ok(()),
-            other => Err(Self::unexpected(&other)),
-        }
+        let _ = self.client(to).and_then(|mut c| c.close(tenant));
+        self.client(from)?.migrate_abort(tenant)
     }
 
-    /// Whole-service accounting for one member.
-    pub fn server_stats(&mut self, server: u32) -> Result<sbc::api::ServerStatsReport, SbcError> {
-        match Self::ok(self.call(server, &ApiRequest::ServerStats)?)? {
-            ApiResponse::ServerStatsReply { stats } => Ok(stats),
-            other => Err(Self::unexpected(&other)),
+    fn not_in_flight(tenant: TenantId) -> SbcError {
+        ApiError::Transport {
+            message: format!("tenant {tenant}: no transfer in flight"),
         }
+        .into()
     }
 
     /// Phase two: drain the source's replay queue into the target,
     /// then cut over. The drain loops until the queue is empty, so the
     /// cutover's `ReplayPending` barrier can only pass losslessly.
     pub fn migrate_finish(&mut self, tenant: TenantId) -> Result<MigrationReport, SbcError> {
-        let Some(InFlight {
-            from,
-            to,
-            spec,
-            chunks,
-        }) = self.in_flight.remove(&tenant)
-        else {
-            return Err(ApiError::Transport {
-                message: format!("tenant {tenant}: no transfer in flight"),
-            }
-            .into());
+        let Some(InFlight { from, to, chunks }) = self.in_flight.remove(&tenant) else {
+            return Err(Self::not_in_flight(tenant));
         };
-        let _ = spec;
         let mut replayed = 0u64;
         loop {
-            let resp = Self::ok(self.call(
-                from,
-                &ApiRequest::DrainReplay {
-                    tenant,
-                    max_ops: 4096,
-                },
-            )?)?;
-            let ApiResponse::ReplayBatch { ops, remaining, .. } = resp else {
-                return Err(Self::unexpected(&resp));
-            };
+            let (ops, remaining) = self.client(from)?.drain_replay(tenant, 4096)?;
             if ops.is_empty() && remaining == 0 {
                 break;
             }
             for op in ops {
                 replayed += op.points.len() as u64;
-                let req = if op.delete {
-                    ApiRequest::Delete {
-                        tenant,
-                        points: op.points,
-                    }
+                let mut target = self.client(to)?;
+                if op.delete {
+                    target.delete(tenant, &op.points)?;
                 } else {
-                    ApiRequest::Insert {
-                        tenant,
-                        points: op.points,
-                    }
-                };
-                match Self::ok(self.call(to, &req)?)? {
-                    ApiResponse::Applied { .. } => {}
-                    other => return Err(Self::unexpected(&other)),
+                    target.insert(tenant, &op.points)?;
                 }
             }
             if remaining == 0 {
                 break;
             }
         }
-        match Self::ok(self.call(from, &ApiRequest::CutOver { tenant, peer: to })?)? {
-            ApiResponse::MigrateAck {
-                committed: true, ..
-            } => {}
-            other => return Err(Self::unexpected(&other)),
-        }
+        self.client(from)?.cut_over(tenant, to)?;
         self.placement.insert(tenant, to);
         Ok(MigrationReport {
             tenant,
@@ -664,9 +486,7 @@ impl Fleet {
         to: u32,
         chunk_bytes: u32,
     ) -> Result<MigrationReport, SbcError> {
-        let from = self.owner(tenant).ok_or_else(|| ApiError::Transport {
-            message: "empty fleet".to_string(),
-        })?;
+        let from = self.located(tenant)?;
         if !self.migrate_begin(tenant, to, chunk_bytes)? {
             return Ok(MigrationReport {
                 tenant,

@@ -28,7 +28,11 @@
 //!   the distributed layer's `(machine, seq)` envelopes and replays the
 //!   seeded [`FaultPlan`](sbc::FaultPlan) drop/duplicate faults; the
 //!   service deduplicates by sequence number so retries and duplicates
-//!   are idempotent.
+//!   are idempotent;
+//! * **one client path** — [`Client`] is the only typed request layer:
+//!   the [`Fleet`] drives every member, migration driver included,
+//!   through a `Client`, and `Lossy` and the fleet deliver envelopes
+//!   through one loop.
 //!
 //! Two binaries ship with the crate: `sbc-serve` (the server loop /
 //! self-driving demo, see the README quickstart) and `serve_bench` (the

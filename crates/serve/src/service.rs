@@ -144,10 +144,19 @@ impl Backend {
         }
     }
 
-    /// Inverse of [`Backend::checkpoint_blobs`]: bit-identical restore.
-    fn restore(spec: &TenantSpec, blobs: &[Vec<u8>]) -> Result<Backend, SbcError> {
+    /// Inverse of [`Tenant::image`]: decodes a tenant image, checks it
+    /// carries `spec`, and restores its shard blobs bit-identically.
+    fn from_image(tenant: TenantId, spec: &TenantSpec, image: &[u8]) -> Result<Backend, SbcError> {
+        let image_error = |what: &str| ApiError::EvictIo {
+            message: format!("tenant {tenant}: {what} tenant image"),
+        };
+        let (stored_spec, blobs): (TenantSpec, Vec<Vec<u8>>) =
+            from_bytes(image).ok_or_else(|| image_error("undecodable"))?;
+        if stored_spec != *spec {
+            return Err(image_error("spec mismatch in").into());
+        }
         if spec.shards <= 1 {
-            let [blob] = blobs else {
+            let [blob] = blobs.as_slice() else {
                 return Err(ApiError::EvictIo {
                     message: format!("expected 1 shard blob, found {}", blobs.len()),
                 }
@@ -213,6 +222,13 @@ struct Tenant {
 }
 
 impl Tenant {
+    /// The tenant image: the `(spec, shard blobs)` container that
+    /// eviction spills, a checkpoint reply carries and a migration
+    /// ships in chunks.
+    fn image(&self) -> Result<Vec<u8>, SbcError> {
+        Ok(to_bytes(&(self.spec, self.backend.checkpoint_blobs()?)))
+    }
+
     fn stats(&self, shards: u32) -> TenantStats {
         TenantStats {
             net_count: self.backend.net_count(),
@@ -494,7 +510,7 @@ impl CoresetService {
         let Some(Slot::Live(t)) = self.slots.get(&tenant) else {
             return Err(ApiError::UnknownTenant { tenant }.into());
         };
-        let container = to_bytes(&(t.spec, t.backend.checkpoint_blobs()?));
+        let container = t.image()?;
         let bytes = container.len() as u64;
         let spill = match self.spill_path(tenant) {
             Some(path) => {
@@ -543,67 +559,66 @@ impl CoresetService {
             Some(Slot::Evicted { .. }) => {}
         }
         let _restore_span = trace::span("svc.restore", rid.causal(), 0);
-        let Some(Slot::Evicted {
-            spec,
-            spill,
-            measured: measured_hint,
-            ..
-        }) = self.slots.remove(&tenant)
-        else {
+        // Restore from the slot in place: a failed read or restore
+        // leaves the tenant evicted, not lost.
+        let Some(Slot::Evicted { spec, spill, .. }) = self.slots.get(&tenant) else {
             unreachable!("checked evicted above");
         };
-        let container = match &spill {
-            Spill::Disk(path) => std::fs::read(path).map_err(|e| ApiError::EvictIo {
-                message: format!("{}: {e}", path.display()),
-            })?,
-            Spill::Memory(bytes) => bytes.clone(),
-        };
-        let (stored_spec, blobs): (TenantSpec, Vec<Vec<u8>>) =
-            from_bytes(&container).ok_or_else(|| ApiError::EvictIo {
-                message: format!("tenant {tenant}: undecodable spill container"),
-            })?;
-        debug_assert_eq!(stored_spec, spec, "spill container spec drifted");
-        let backend = match Backend::restore(&stored_spec, &blobs) {
-            Ok(b) => b,
-            Err(e) => {
-                // Put the slot back so the tenant is not lost to a
-                // transient I/O failure.
-                self.slots.insert(
-                    tenant,
-                    Slot::Evicted {
-                        spec,
-                        spill,
-                        bytes: container.len() as u64,
-                        measured: measured_hint,
-                    },
-                );
-                return Err(e);
+        let (spec, backend) = match spill {
+            Spill::Disk(path) => {
+                let image = std::fs::read(path).map_err(|e| ApiError::EvictIo {
+                    message: format!("{}: {e}", path.display()),
+                })?;
+                (*spec, Backend::from_image(tenant, spec, &image)?)
             }
+            Spill::Memory(image) => (*spec, Backend::from_image(tenant, spec, image)?),
+        };
+        let Some(Slot::Evicted { spill, bytes, .. }) = self.slots.remove(&tenant) else {
+            unreachable!("checked evicted above");
         };
         if let Spill::Disk(path) = &spill {
             let _ = std::fs::remove_file(path);
         }
+        self.evicted_tenants -= 1;
+        self.spill_bytes -= bytes;
+        self.restores += 1;
+        sbc_obs::counter!("serve.restores").incr();
+        svc::observe_restore(rid);
+        self.install(tenant, spec, backend);
+        Ok(true)
+    }
+
+    /// Makes `backend` the live pipeline of `tenant` and charges its
+    /// footprint to the running totals.
+    fn install(&mut self, tenant: TenantId, spec: TenantSpec, backend: Backend) {
         let measured = backend.measured_bytes();
         self.total_measured += measured;
         self.peak_measured = self.peak_measured.max(self.total_measured);
         self.slots.insert(
             tenant,
             Slot::Live(Tenant {
-                spec: stored_spec,
+                spec,
                 backend,
                 measured,
                 peak_measured: measured,
                 migration: None,
             }),
         );
-        self.evicted_tenants -= 1;
         self.live_tenants += 1;
-        self.spill_bytes -= container.len() as u64;
-        self.restores += 1;
-        sbc_obs::counter!("serve.restores").incr();
-        svc::observe_restore(rid);
         svc::observe_tenant_state(tenant, TenantState::Live, measured as u64);
-        Ok(true)
+    }
+
+    /// The refusal for a request that would add a tenant past
+    /// [`ServeConfig::max_tenants`].
+    fn refuse_at_tenant_cap(&mut self) -> Option<ApiResponse> {
+        if self.config.max_tenants == 0 || self.slots.len() < self.config.max_tenants {
+            return None;
+        }
+        self.overloaded += 1;
+        Some(ApiResponse::Overloaded {
+            measured_bytes: self.total_measured as u64,
+            budget_bytes: self.config.budget_bytes as u64,
+        })
     }
 
     /// The admission decision for a mutating request touching `exempt`.
@@ -956,12 +971,8 @@ impl CoresetService {
             Known::SpecMismatch => return Self::err(ApiError::TenantExists { tenant }.into()),
             Known::Absent => {}
         }
-        if self.config.max_tenants > 0 && self.slots.len() >= self.config.max_tenants {
-            self.overloaded += 1;
-            return ApiResponse::Overloaded {
-                measured_bytes: self.total_measured as u64,
-                budget_bytes: self.config.budget_bytes as u64,
-            };
+        if let Some(refusal) = self.refuse_at_tenant_cap() {
+            return refusal;
         }
         if let Some(refusal) = self.admit(tenant, rid) {
             return refusal;
@@ -970,22 +981,8 @@ impl CoresetService {
             Ok(b) => b,
             Err(e) => return Self::err(e),
         };
-        let measured = backend.measured_bytes();
-        self.total_measured += measured;
-        self.peak_measured = self.peak_measured.max(self.total_measured);
-        self.slots.insert(
-            tenant,
-            Slot::Live(Tenant {
-                spec,
-                backend,
-                measured,
-                peak_measured: measured,
-                migration: None,
-            }),
-        );
-        self.live_tenants += 1;
         sbc_obs::counter!("serve.tenants.opened").incr();
-        svc::observe_tenant_state(tenant, TenantState::Live, measured as u64);
+        self.install(tenant, spec, backend);
         ApiResponse::Opened {
             tenant,
             restored: false,
@@ -1150,11 +1147,8 @@ impl CoresetService {
             unreachable!("ensure_live succeeded");
         };
         let _backend_span = trace::span("svc.backend", rid.causal(), 0);
-        match t.backend.checkpoint_blobs() {
-            Ok(blobs) => ApiResponse::CheckpointReply {
-                tenant,
-                bytes: to_bytes(&(t.spec, blobs)),
-            },
+        match t.image() {
+            Ok(bytes) => ApiResponse::CheckpointReply { tenant, bytes },
             Err(e) => Self::err(e),
         }
     }
@@ -1276,11 +1270,10 @@ impl CoresetService {
         let Some(Slot::Live(t)) = self.slots.get_mut(&tenant) else {
             unreachable!("ensure_live succeeded");
         };
-        let blobs = match t.backend.checkpoint_blobs() {
-            Ok(b) => b,
+        let container = match t.image() {
+            Ok(c) => c,
             Err(e) => return Self::err(e),
         };
-        let container = to_bytes(&(t.spec, blobs));
         let total_bytes = container.len() as u64;
         if total_bytes > cap {
             return Self::err(
@@ -1399,12 +1392,8 @@ impl CoresetService {
                 if let Err(e) = pipeline_params(spec) {
                     return Self::err(e);
                 }
-                if self.config.max_tenants > 0 && self.slots.len() >= self.config.max_tenants {
-                    self.overloaded += 1;
-                    return ApiResponse::Overloaded {
-                        measured_bytes: self.total_measured as u64,
-                        budget_bytes: self.config.budget_bytes as u64,
-                    };
+                if let Some(refusal) = self.refuse_at_tenant_cap() {
+                    return refusal;
                 }
                 // Admit the manifest's footprint up front and hold it
                 // as a reservation for the whole transfer — a migration
@@ -1523,43 +1512,13 @@ impl CoresetService {
                 .into(),
             );
         }
-        let Some((stored_spec, blobs)) = from_bytes::<(TenantSpec, Vec<Vec<u8>>)>(&buf) else {
-            return Self::err(
-                ApiError::EvictIo {
-                    message: format!("tenant {tenant}: undecodable migration container"),
-                }
-                .into(),
-            );
-        };
-        if stored_spec != sspec {
-            return Self::err(
-                ApiError::EvictIo {
-                    message: format!("tenant {tenant}: migration container spec mismatch"),
-                }
-                .into(),
-            );
-        }
-        let backend = match Backend::restore(&stored_spec, &blobs) {
+        let backend = match Backend::from_image(tenant, &sspec, &buf) {
             Ok(b) => b,
             Err(e) => return Self::err(e),
         };
-        let measured_now = backend.measured_bytes();
-        self.total_measured += measured_now;
-        self.peak_measured = self.peak_measured.max(self.total_measured);
-        self.slots.insert(
-            tenant,
-            Slot::Live(Tenant {
-                spec: stored_spec,
-                backend,
-                measured: measured_now,
-                peak_measured: measured_now,
-                migration: None,
-            }),
-        );
-        self.live_tenants += 1;
+        self.install(tenant, sspec, backend);
         self.migration.migrations_in += 1;
         svc::observe_migration(MigrationEvent::In, 1);
-        svc::observe_tenant_state(tenant, TenantState::Live, measured_now as u64);
         ApiResponse::ChunkAck {
             tenant,
             chunk,
